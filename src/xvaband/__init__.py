@@ -4,8 +4,7 @@ Prices the seller's and buyer's total valuation adjustment under
 asymmetric funding, repo, and collateral rates with bilateral default
 risk, by solving the associated semilinear PDE with a Crank-Nicolson
 scheme.  A recombining-tree BSDE solver provides an independent
-cross-check, and hot loops run through numba kernels with a numpy/scipy
-fallback (select with XVA_NUMBA=0).
+cross-check.  Everything runs on numpy and scipy.
 """
 
 from .benchmark import (
@@ -31,9 +30,9 @@ from .config import (
 )
 from .driver import DriverInputs, f_buyer, f_seller, rate_coll, rate_fund, rate_repo
 from .grid import GridSpec, SolverConfig, Surface, build_grid
-from .kernels import active_backend, numba_enabled
+from .kernels import active_backend
 from .oracle import TreeSpec, symmetric_case_residual, tree_bsde_price
-from .pde import PicardConvergenceError, cn_step, solve_semilinear
+from .pde import PicardConvergenceError, solve_semilinear
 from .sweep import SweepAxis, SweepSpec, run_sweep, write_csv
 from .xva import (
     HedgeSnapshot,
@@ -72,7 +71,6 @@ __all__ = [
     "closeout_I",
     "collateral",
     "compute_xva",
-    "cn_step",
     "credit_under_p",
     "f_buyer",
     "f_seller",
@@ -81,7 +79,6 @@ __all__ = [
     "intensity_p_to_q",
     "intensity_q_to_p",
     "load_market_config",
-    "numba_enabled",
     "rate_coll",
     "rate_fund",
     "rate_repo",

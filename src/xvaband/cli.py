@@ -7,10 +7,9 @@ sweep        one- or two-axis market sweep, CSV to a file or stdout
 table1       canned funding-account table over alpha x r_f_minus
 table2       canned funding-account table over r_f_minus at alpha = 0.9
 convergence  grid-refinement study (closed-form and self-convergence)
-bench        timing comparison of the compiled and fallback backends
+bench        median time of the reference, seller and buyer solves
 
-The sweep worker count honours the XVA_THREADS environment variable;
-XVA_NUMBA=0 selects the pure numpy/scipy solver path.
+The sweep worker count honours the XVA_THREADS environment variable.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -35,7 +33,7 @@ from .config import (
     validate_no_arbitrage,
 )
 from .grid import SolverConfig, build_grid
-from .kernels import HAS_NUMBA, active_backend
+from .kernels import active_backend
 from .pde import solve_semilinear
 from .sweep import SweepAxis, SweepSpec, default_threads, run_sweep, write_csv
 from .xva import hedge_at, report_from_solution, solve_trade
@@ -269,42 +267,29 @@ def cmd_bench(args) -> int:
     cfg = _market_from_args(args)
     solver = _solver_from_args(args)
     grid = _grid_from_args(args, claim, cfg)
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
 
-    def run_once():
+    secs: dict[str, list[float]] = {"reference": [], "seller": [], "buyer": []}
+    picard: dict[str, float] = {}
+    for _ in range(args.repeat):
+        t0 = time.perf_counter()
         bench = benchmark_surface(grid, claim, cfg, solver)
-        sell = solve_semilinear(claim, cfg, grid, solver, side="seller",
-                                benchmark=bench)
-        return sell.values
-
-    results: dict[str, np.ndarray] = {}
-    timings: dict[str, float] = {}
-    saved = os.environ.get("XVA_NUMBA")
-    try:
-        for backend, flag in (("numba", "1"), ("numpy", "0")):
-            if backend == "numba" and not HAS_NUMBA:
-                continue
-            os.environ["XVA_NUMBA"] = flag
-            run_once()  # warm-up (JIT compile / cache load)
+        secs["reference"].append(time.perf_counter() - t0)
+        for side in ("seller", "buyer"):
             t0 = time.perf_counter()
-            for _ in range(args.repeat):
-                values = run_once()
-            timings[backend] = (time.perf_counter() - t0) / args.repeat
-            results[backend] = values
-    finally:
-        if saved is None:
-            os.environ.pop("XVA_NUMBA", None)
-        else:
-            os.environ["XVA_NUMBA"] = saved
+            surf = solve_semilinear(claim, cfg, grid, solver, side=side,
+                                    benchmark=bench)
+            secs[side].append(time.perf_counter() - t0)
+            picard[side] = float(surf.diagnostics.iterations.mean())
 
-    print(f"grid: {grid.n_x} x {grid.n_t}, repeat: {args.repeat}")
-    for backend, secs in timings.items():
-        print(f"{backend:>6}: {secs * 1e3:9.2f} ms per solve pair")
-    if len(results) == 2:
-        diff = float(np.max(np.abs(results["numba"] - results["numpy"])))
-        ratio = timings["numpy"] / timings["numba"]
-        print(f"max |numba - numpy| = {diff:.3e}, speedup x{ratio:.1f}")
-    else:
-        print("numba unavailable: fallback path only")
+    print(f"grid: {grid.n_x} x {grid.n_t}, repeat: {args.repeat}, "
+          f"backend: {active_backend()}")
+    for layer, times in secs.items():
+        line = f"{layer:>9}: {float(np.median(times)) * 1e3:9.2f} ms median"
+        if layer in picard:
+            line += f", {picard[layer]:.2f} Picard iterations per step"
+        print(line)
     return 0
 
 
@@ -359,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_convergence)
 
-    p = sub.add_parser("bench", help="compare compiled and fallback backends")
+    p = sub.add_parser("bench", help="time the reference, seller and buyer solves")
     _add_market_args(p, config_required=False)
     _add_grid_args(p)
     p.add_argument("--repeat", type=int, default=3)

@@ -50,8 +50,9 @@ class GridSpec:
             raise ValueError("grid bounds must be finite")
         if self.x_max <= self.x_min:
             raise ValueError(f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]")
-        if self.n_x < 3:
-            raise ValueError(f"n_x must be >= 3, got {self.n_x}")
+        if self.n_x < 5:
+            # the boundary-eliminated march needs three interior nodes
+            raise ValueError(f"n_x must be >= 5, got {self.n_x}")
         if self.n_t < 1:
             raise ValueError(f"n_t must be >= 1, got {self.n_t}")
         if not math.isfinite(self.maturity) or self.maturity <= 0.0:

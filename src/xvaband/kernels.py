@@ -1,321 +1,29 @@
-"""Compiled hot loops: CN backward march, Thomas solve, tree induction.
+"""Solver backend identity and the slice extension shared by the march.
 
-This module holds the numba implementations of the solver inner loops.
-The pure-numpy reference implementations live next to their callers
-(:mod:`xvaband.pde` and :mod:`xvaband.oracle`); every solver entry point
-dispatches on :func:`numba_enabled`, so setting the environment variable
-``XVA_NUMBA=0`` before import falls back to the numpy/scipy path.  Both
-paths are deterministic; they agree to rounding (the fallback factorises
-the tridiagonal systems through LAPACK instead of the in-kernel Thomas
-recursion, so agreement is close to machine precision but not bitwise).
-
-The march solves, backwards from t = T on the reduced interior system,
-
-    (I + theta*dt*A) u_new = (I - (1-theta)*dt*A) u_next
-                             + dt*(theta*G(t_new, u_new) + (1-theta)*G(t_next, u_next))
-
-with A the upwinded-at-the-edges tridiagonal convection-diffusion-killing
-operator and G the (optional) nonlinear driver source.  The two boundary
-rows encode zero second difference (linearity in x), eliminated into the
-interior system.  Each implicit solve is a Thomas recursion; the G(u_new)
-coupling is resolved by Picard iteration warm-started from a linear
-extrapolation of the two previous time levels.
+Every solve runs one numpy/scipy implementation: the theta-scheme march
+in :mod:`xvaband.pde` (LAPACK tridiagonal factor-and-solve) and the tree
+induction in :mod:`xvaband.oracle`.  :func:`active_backend` names it for
+reports and run logs.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "HAS_NUMBA",
-    "numba_enabled",
-    "active_backend",
-    "reduced_operator",
-    "extend_slice",
-]
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env-flag path
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def numba_enabled() -> bool:
-    """True when the compiled path is available and not disabled by XVA_NUMBA=0."""
-    flag = os.environ.get("XVA_NUMBA", "1").strip().lower()
-    return HAS_NUMBA and flag not in ("0", "false", "no", "off")
+__all__ = ["active_backend", "extend_slice"]
 
 
 def active_backend() -> str:
-    return "numba" if numba_enabled() else "numpy"
+    return "numpy"
 
 
-def reduced_operator(n_x: int, dx: float, a: float, b: float, kappa: float):
-    """Tridiagonal coefficients of A on the interior after boundary elimination.
+def extend_slice(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Full slice from interior values via linear extrapolation at both ends.
 
-    Returns (lo, di, up) of length n_x - 2.  Eliminating the zero-curvature
-    boundary rows cancels the diffusion coupling in the first and last
-    interior rows and leaves a one-sided convection difference there.
+    Writes into ``out`` (length ``u.size + 2``) when given.
     """
-    m = n_x - 2
-    if m < 3:
-        raise ValueError(f"need n_x >= 5 for the boundary stencil, got n_x = {n_x}")
-    lo_c = a / (2.0 * dx) - b / (dx * dx)
-    di_c = 2.0 * b / (dx * dx) + kappa
-    up_c = -a / (2.0 * dx) - b / (dx * dx)
-    lo = np.full(m, lo_c)
-    di = np.full(m, di_c)
-    up = np.full(m, up_c)
-    lo[0] = 0.0
-    di[0] = kappa + a / dx
-    up[0] = -a / dx
-    lo[m - 1] = a / dx
-    di[m - 1] = kappa - a / dx
-    up[m - 1] = 0.0
-    return lo, di, up
-
-
-def extend_slice(u: np.ndarray) -> np.ndarray:
-    """Rebuild the full slice from interior values via linear extrapolation."""
-    w = np.empty(u.size + 2)
+    w = np.empty(u.size + 2) if out is None else out
     w[1:-1] = u
     w[0] = 2.0 * u[0] - u[1]
     w[-1] = 2.0 * u[-1] - u[-2]
     return w
-
-
-@njit(cache=True, nogil=True)
-def thomas_solve(lo, di, up, rhs):
-    """Solve a tridiagonal system by the Thomas recursion (no pivoting).
-
-    Valid for the strictly diagonally dominant systems produced by the
-    implicit CN operator.  lo[0] and up[-1] are ignored.
-    """
-    n = rhs.size
-    cp = np.empty(n)
-    dp = np.empty(n)
-    x = np.empty(n)
-    cp[0] = up[0] / di[0]
-    dp[0] = rhs[0] / di[0]
-    for i in range(1, n):
-        denom = di[i] - lo[i] * cp[i - 1]
-        cp[i] = up[i] / denom
-        dp[i] = (rhs[i] - lo[i] * dp[i - 1]) / denom
-    x[n - 1] = dp[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
-
-
-@njit(cache=True, nogil=True)
-def _f_side(side, v, z, zi, zc, vh, sigma, r_d, alpha, rfp, rfm, rrp, rrm, rcp, rcm):
-    """Scalar wealth driver, seller for side > 0, buyer via reflection."""
-    if side < 0:
-        v, z, zi, zc, vh = -v, -z, -zi, -zc, -vh
-    y = v + zi + zc - alpha * vh
-    c = alpha * vh
-    fund = rfp * max(y, 0.0) - rfm * max(-y, 0.0)
-    repo = ((r_d - rrm) * max(z, 0.0) - (r_d - rrp) * max(-z, 0.0)) / sigma
-    coll = rcp * max(c, 0.0) - rcm * max(-c, 0.0)
-    out = -(fund + repo - r_d * zi - r_d * zc + coll)
-    if side < 0:
-        return -out
-    return out
-
-
-@njit(cache=True, nogil=True)
-def _source_terms(g, w, bench_row, dx, side, m_fold, sigma, r_d, alpha,
-                  l_i, l_c, rfp, rfm, rrp, rrm, rcp, rcm, h_i, h_c):
-    """Driver + default-settlement source at every interior node, into g."""
-    m = g.size
-    for j in range(m):
-        i = j + 1
-        bh = bench_row[i]
-        e = (1.0 - alpha) * bh
-        th_i = bh - l_i * max(e, 0.0)
-        th_c = bh + l_c * max(-e, 0.0)
-        wx = (w[i + 1] - w[i - 1]) / (2.0 * dx)
-        z_i = th_i - w[i]
-        z_c = th_c - w[i]
-        f = _f_side(side, w[i], sigma * wx, z_i, z_c, bh,
-                    sigma, r_d, alpha, rfp, rfm, rrp, rrm, rcp, rcm)
-        # The default legs accrue at the intensity-adjusted rate r_D + h_j:
-        # the marched source carries h_i*z_i + h_c*z_c on top of the plain
-        # driver, which prices them at r_D.
-        g[j] = h_i * th_i + h_c * th_c + f + h_i * z_i + h_c * z_c + m_fold * wx
-
-
-@njit(cache=True, nogil=True)
-def march(w_terminal, dts, thetas, dx, a_eff, b, kappa, has_driver, side,
-          bench, m_fold, sigma, r_d, alpha, l_i, l_c,
-          rfp, rfm, rrp, rrm, rcp, rcm, h_i, h_c, tol, max_iter):
-    """Backward march over the whole schedule; returns full slices per level.
-
-    Returns (surf, iters, resids, fail_step): surf[k] is the slice at
-    schedule time k, iters[k] / resids[k] describe the fixed-point loop of
-    the step ending at level k + 1, and fail_step is -1 on success or the
-    index of the first non-converged step.
-    """
-    n_x = w_terminal.size
-    m = n_x - 2
-    n_steps = dts.size
-    surf = np.empty((n_steps + 1, n_x))
-    iters = np.zeros(n_steps, dtype=np.int64)
-    resids = np.zeros(n_steps)
-    surf[0] = w_terminal
-
-    lo_c = a_eff / (2.0 * dx) - b / (dx * dx)
-    di_c = 2.0 * b / (dx * dx) + kappa
-    up_c = -a_eff / (2.0 * dx) - b / (dx * dx)
-    lo = np.full(m, lo_c)
-    di = np.full(m, di_c)
-    up = np.full(m, up_c)
-    lo[0] = 0.0
-    di[0] = kappa + a_eff / dx
-    up[0] = -a_eff / dx
-    lo[m - 1] = a_eff / dx
-    di[m - 1] = kappa - a_eff / dx
-    up[m - 1] = 0.0
-
-    llo = np.empty(m)
-    ldi = np.empty(m)
-    lup = np.empty(m)
-    rhs0 = np.empty(m)
-    rhs = np.empty(m)
-    g_next = np.empty(m)
-    g_cur = np.empty(m)
-    u = np.empty(m)
-    u_new = np.empty(m)
-    w_cur = np.empty(n_x)
-
-    for k in range(n_steps):
-        dt = dts[k]
-        theta = thetas[k]
-        w_next = surf[k]
-
-        for j in range(m):
-            llo[j] = theta * dt * lo[j]
-            ldi[j] = 1.0 + theta * dt * di[j]
-            lup[j] = theta * dt * up[j]
-
-        # explicit part: (I - (1-theta) dt A) u_next + (1-theta) dt G(t_next)
-        c_e = (1.0 - theta) * dt
-        for j in range(m):
-            i = j + 1
-            if j == 0:
-                au = di[0] * w_next[1] + up[0] * w_next[2]
-            elif j == m - 1:
-                au = lo[m - 1] * w_next[n_x - 3] + di[m - 1] * w_next[n_x - 2]
-            else:
-                au = lo[j] * w_next[i - 1] + di[j] * w_next[i] + up[j] * w_next[i + 1]
-            rhs0[j] = w_next[i] - c_e * au
-        if has_driver and theta < 1.0:
-            _source_terms(g_next, w_next, bench[k], dx, side, m_fold, sigma, r_d,
-                          alpha, l_i, l_c, rfp, rfm, rrp, rrm, rcp, rcm, h_i, h_c)
-            for j in range(m):
-                rhs0[j] += c_e * g_next[j]
-
-        # warm start: linear extrapolation of the two previous levels
-        if k == 0:
-            for j in range(m):
-                u[j] = w_next[j + 1]
-        else:
-            r = dt / dts[k - 1]
-            w_prev = surf[k - 1]
-            for j in range(m):
-                u[j] = w_next[j + 1] + r * (w_next[j + 1] - w_prev[j + 1])
-
-        if not has_driver:
-            u_new = thomas_solve(llo, ldi, lup, rhs0)
-            iters[k] = 1
-            resids[k] = 0.0
-        else:
-            n_it = 0
-            delta = np.inf
-            while n_it < max_iter:
-                n_it += 1
-                w_cur[1:-1] = u
-                w_cur[0] = 2.0 * u[0] - u[1]
-                w_cur[n_x - 1] = 2.0 * u[m - 1] - u[m - 2]
-                _source_terms(g_cur, w_cur, bench[k + 1], dx, side, m_fold, sigma,
-                              r_d, alpha, l_i, l_c, rfp, rfm, rrp, rrm, rcp, rcm,
-                              h_i, h_c)
-                for j in range(m):
-                    rhs[j] = rhs0[j] + theta * dt * g_cur[j]
-                u_new = thomas_solve(llo, ldi, lup, rhs)
-                delta = 0.0
-                for j in range(m):
-                    d = abs(u_new[j] - u[j])
-                    if d > delta:
-                        delta = d
-                u, u_new = u_new, u
-                if delta < tol:
-                    break
-            iters[k] = n_it
-            resids[k] = delta
-            if delta >= tol:
-                return surf, iters, resids, k
-            u_new = u  # converged iterate
-
-        surf[k + 1, 1:-1] = u_new
-        surf[k + 1, 0] = 2.0 * u_new[0] - u_new[1]
-        surf[k + 1, n_x - 1] = 2.0 * u_new[m - 1] - u_new[m - 2]
-
-    return surf, iters, resids, -1
-
-
-@njit(cache=True, nogil=True)
-def tree_backward(v_terminal, vhat_terminal, dt, sq_dt, r_d, side, has_driver,
-                  sigma, alpha, l_i, l_c, rfp, rfm, rrp, rrm, rcp, rcm,
-                  h_i, h_c, tol, max_iter):
-    """Backward induction on the recombining binomial lattice.
-
-    Each level first rolls the default-free reference back by plain
-    discounting, then solves the scalar implicit fixed point per node for
-    the adjusted value.  Returns (v0, vhat0, fail_level) with fail_level
-    = -1 on success.
-    """
-    n = v_terminal.size - 1
-    v = v_terminal.copy()
-    vh = vhat_terminal.copy()
-    disc = np.exp(-r_d * dt)
-    kill = h_i + h_c
-    for k in range(n - 1, -1, -1):
-        for j in range(k + 1):
-            e = 0.5 * (v[j + 1] + v[j])
-            z = (v[j + 1] - v[j]) / (2.0 * sq_dt)
-            wh = disc * 0.5 * (vh[j + 1] + vh[j])
-            ee = (1.0 - alpha) * wh
-            th_i = wh - l_i * max(ee, 0.0)
-            th_c = wh + l_c * max(-ee, 0.0)
-            src = h_i * th_i + h_c * th_c
-            x = e
-            if has_driver:
-                ok = False
-                for _ in range(max_iter):
-                    f = _f_side(side, x, z, th_i - x, th_c - x, wh,
-                                sigma, r_d, alpha, rfp, rfm, rrp, rrm, rcp, rcm)
-                    f += h_i * (th_i - x) + h_c * (th_c - x)
-                    x_new = e + dt * (f - kill * x + src)
-                    if abs(x_new - x) < tol:
-                        x = x_new
-                        ok = True
-                        break
-                    x = x_new
-                if not ok:
-                    return 0.0, 0.0, k
-            v[j] = x
-            vh[j] = wh
-    return v[0], vh[0], -1

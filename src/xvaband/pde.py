@@ -25,19 +25,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
-from . import kernels
 from .config import (
     ArbitrageViolationError,
     ClaimSpec,
     MarketConfig,
     validate_no_arbitrage,
 )
-from .driver import driver_value, repo_drift_split
+from .driver import repo_drift_split
 from .grid import (
     GridSpec,
     SolveDiagnostics,
@@ -46,15 +45,16 @@ from .grid import (
     time_schedule,
     uniform_row_indices,
 )
+from .kernels import extend_slice
 
 if TYPE_CHECKING:  # pragma: no cover
     from .benchmark import BenchmarkSurface
 
 __all__ = [
     "PicardConvergenceError",
-    "StepContext",
-    "cn_step",
+    "SemilinearTerms",
     "march_schedule",
+    "reduced_operator",
     "solve_semilinear",
     "terminal_slice",
 ]
@@ -74,37 +74,29 @@ class PicardConvergenceError(RuntimeError):
         )
 
 
-@dataclass(eq=False)
-class StepContext:
-    """Frozen ingredients of one backward solve: operator plus optional source.
+def reduced_operator(n_x: int, dx: float, a: float, b: float, kappa: float):
+    """Tridiagonal coefficients of A on the interior after boundary elimination.
 
-    ``source(t, w_full)`` returns the interior source G; None means a purely
-    linear step.  The reduced operator arrays carry the boundary-eliminated
-    tridiagonal coefficients.
+    Returns (lo, di, up) of length n_x - 2.  Eliminating the zero-curvature
+    boundary rows cancels the diffusion coupling in the first and last
+    interior rows and leaves a one-sided convection difference there.
     """
-
-    grid: GridSpec
-    solver: SolverConfig
-    a_eff: float
-    b: float
-    kappa: float
-    lo: np.ndarray
-    di: np.ndarray
-    up: np.ndarray
-    source: Callable[[float, np.ndarray], np.ndarray] | None = None
-
-
-def make_step_context(
-    grid: GridSpec,
-    solver: SolverConfig,
-    a_eff: float,
-    b: float,
-    kappa: float,
-    source: Callable[[float, np.ndarray], np.ndarray] | None = None,
-) -> StepContext:
-    lo, di, up = kernels.reduced_operator(grid.n_x, grid.dx, a_eff, b, kappa)
-    return StepContext(grid=grid, solver=solver, a_eff=a_eff, b=b, kappa=kappa,
-                       lo=lo, di=di, up=up, source=source)
+    m = n_x - 2
+    if m < 3:
+        raise ValueError(f"need n_x >= 5 for the boundary stencil, got n_x = {n_x}")
+    lo_c = a / (2.0 * dx) - b / (dx * dx)
+    di_c = 2.0 * b / (dx * dx) + kappa
+    up_c = -a / (2.0 * dx) - b / (dx * dx)
+    lo = np.full(m, lo_c)
+    di = np.full(m, di_c)
+    up = np.full(m, up_c)
+    lo[0] = 0.0
+    di[0] = kappa + a / dx
+    up[0] = -a / dx
+    lo[m - 1] = a / dx
+    di[m - 1] = kappa - a / dx
+    up[m - 1] = 0.0
+    return lo, di, up
 
 
 def _apply_reduced(lo, di, up, u):
@@ -116,96 +108,98 @@ def _apply_reduced(lo, di, up, u):
     return au
 
 
-def _extend(u: np.ndarray, n_x: int) -> np.ndarray:
-    w = np.empty(n_x)
-    w[1:-1] = u
-    w[0] = 2.0 * u[0] - u[1]
-    w[-1] = 2.0 * u[-1] - u[-2]
-    return w
+def _factor(lo, di, up, theta_dt: float):
+    """LU factors of I + theta_dt * A for repeated :func:`_solve` calls."""
+    dl, d, du, du2, ipiv, info = dgttrf(theta_dt * lo[1:], 1.0 + theta_dt * di,
+                                        theta_dt * up[:-1])
+    if info != 0:  # pragma: no cover - the implicit operator is dominant
+        raise np.linalg.LinAlgError(f"singular implicit operator (dgttrf info {info})")
+    return dl, d, du, du2, ipiv
 
 
-def cn_step(
-    w_next: np.ndarray,
-    t_next: float,
-    dt: float,
-    theta: float,
-    ctx: StepContext,
-    w_start: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, float]:
-    """One backward step from t_next to t_next - dt.
-
-    Returns (full slice at the new level, number of implicit solves, final
-    sup-norm update).  With no source the step is a single tridiagonal
-    solve; otherwise the implicit source coupling is resolved by Picard
-    iteration warm-started at ``w_start`` (default: the current slice).
-    """
-    m = ctx.grid.n_x - 2
-    u_next = w_next[1:-1]
-    llo = theta * dt * ctx.lo
-    ldi = 1.0 + theta * dt * ctx.di
-    lup = theta * dt * ctx.up
-    ab = np.zeros((3, m))
-    ab[0, 1:] = lup[:-1]
-    ab[1, :] = ldi
-    ab[2, :-1] = llo[1:]
-
-    c_e = (1.0 - theta) * dt
-    rhs0 = u_next - c_e * _apply_reduced(ctx.lo, ctx.di, ctx.up, u_next)
-    if ctx.source is not None and theta < 1.0:
-        rhs0 = rhs0 + c_e * ctx.source(t_next, w_next)
-
-    if ctx.source is None:
-        u = solve_banded((1, 1), ab, rhs0, check_finite=False)
-        return _extend(u, ctx.grid.n_x), 1, 0.0
-
-    t_new = t_next - dt
-    u = u_next.copy() if w_start is None else w_start[1:-1].copy()
-    w_cur = np.empty(ctx.grid.n_x)
-    n_it = 0
-    delta = np.inf
-    while n_it < ctx.solver.picard_max_iter:
-        n_it += 1
-        w_cur[1:-1] = u
-        w_cur[0] = 2.0 * u[0] - u[1]
-        w_cur[-1] = 2.0 * u[-1] - u[-2]
-        rhs = rhs0 + theta * dt * ctx.source(t_new, w_cur)
-        u_new = solve_banded((1, 1), ab, rhs, check_finite=False)
-        delta = float(np.max(np.abs(u_new - u)))
-        u = u_new
-        if delta < ctx.solver.picard_tol:
-            break
-    if delta >= ctx.solver.picard_tol:
-        raise PicardConvergenceError(-1, t_new, delta, n_it)
-    return _extend(u, ctx.grid.n_x), n_it, delta
+def _solve(lu, rhs: np.ndarray) -> np.ndarray:
+    """Solve the factored system in place of ``rhs``."""
+    u, _ = dgttrs(*lu, rhs, overwrite_b=1)
+    return u
 
 
 @dataclass(eq=False)
 class SemilinearTerms:
-    """Driver and settlement source data for one side of the wealth PDE."""
+    """Close-out source and financing driver of one side of the wealth PDE.
+
+    For side ``s = +1`` (seller) or ``-1`` (buyer), with theta_I, theta_C
+    the close-outs of the reference value v_hat and ``Y = theta_I +
+    theta_C - alpha*v_hat`` (so the funding balance is ``y = Y - w``), the
+    marched source is :func:`xvaband.driver.driver_value` plus the
+    intensity-adjusted financing ``h_j z_j`` of the default legs and the
+    settlement inflow ``h_I theta_I + h_C theta_C``:
+
+        const_s - (h_I + h_C + 2 r_D) w - s F(s y) - s R(s sigma w_x)
+        + m_fold w_x,
+
+    with ``F(u) = r_f+ u^+ - r_f- u^-``, ``R(u) = ((r_D - r_r-) u^+ -
+    (r_D - r_r+) u^-)/sigma``, ``const_s = 2(h_I theta_I + h_C theta_C)
+    + r_D (theta_I + theta_C) - s C(s alpha v_hat)`` and ``C(u) = r_c+ u^+
+    - r_c- u^-``.  Writing ``F(u) = r_f- u + (r_f+ - r_f-) u^+`` and using
+    the repo split of :func:`xvaband.driver.repo_drift_split` (m_fold is
+    its linear part, folded into the convection), this equals
+
+        (const_s - r_f- Y) - (h_I + h_C + 2 r_D - r_f-) w
+        - s (r_f+ - r_f-) (s y)^+ - s s_repo |w_x|.
+
+    :meth:`level_terms` computes ``(Y, const_s - r_f- Y)`` once per march
+    level; :meth:`source` then evaluates the two kinks in w.
+    """
 
     side: int
     cfg: MarketConfig
-    m_fold: float
+    dx: float
     bench_sched: np.ndarray  # (n_levels, n_x) reference slices in march order
 
+    def __post_init__(self) -> None:
+        cfg, s = self.cfg, self.side
+        _, s_repo = repo_drift_split(cfg)
+        # s C(s u) = rc[0] u^+ - rc[1] u^-: the side picks the collateral rates
+        self._rc = ((cfg.r_c_plus, cfg.r_c_minus) if s > 0
+                    else (cfg.r_c_minus, cfg.r_c_plus))
+        self._kill = cfg.h_I_Q + cfg.h_C_Q + 2.0 * cfg.r_D - cfg.r_f_minus
+        self._c_fund = -s * (cfg.r_f_plus - cfg.r_f_minus)
+        self._c_repo = -s * s_repo / (2.0 * self.dx)
 
-def _source_reference(terms: SemilinearTerms, dx: float, bench_row: np.ndarray,
-                      w_full: np.ndarray) -> np.ndarray:
-    cfg = terms.cfg
-    bh = bench_row[1:-1]
-    e = (1.0 - cfg.alpha) * bh
-    th_i = bh - cfg.L_I * np.maximum(e, 0.0)
-    th_c = bh + cfg.L_C * np.maximum(-e, 0.0)
-    w = w_full[1:-1]
-    wx = (w_full[2:] - w_full[:-2]) / (2.0 * dx)
-    z_i = th_i - w
-    z_c = th_c - w
-    f = driver_value(terms.side, w, cfg.sigma * wx, z_i, z_c, bh, cfg)
-    # The default legs accrue at the intensity-adjusted rate r_D + h_j: the
-    # marched source carries h_j * z_j on top of the plain driver, which
-    # prices them at r_D.  Must stay in lockstep with kernels._source_terms.
-    return (cfg.h_I_Q * th_i + cfg.h_C_Q * th_c + f
-            + cfg.h_I_Q * z_i + cfg.h_C_Q * z_c + terms.m_fold * wx)
+    def level_terms(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(Y, const_s - r_f- Y) on the interior nodes of march level k."""
+        cfg = self.cfg
+        bh = self.bench_sched[k, 1:-1]
+        e = (1.0 - cfg.alpha) * bh
+        th_i = bh - cfg.L_I * np.maximum(e, 0.0)  # benchmark.closeout_I
+        th_c = bh - cfg.L_C * np.minimum(e, 0.0)  # benchmark.closeout_C
+        th = th_i + th_c
+        a_bh = cfg.alpha * bh
+        y_level = th - a_bh
+        coll = self._rc[0] * np.maximum(a_bh, 0.0) + self._rc[1] * np.minimum(a_bh, 0.0)
+        const = cfg.h_I_Q * th_i
+        const += cfg.h_C_Q * th_c
+        const *= 2.0
+        const += cfg.r_D * th
+        const -= coll
+        const -= cfg.r_f_minus * y_level
+        return y_level, const
+
+    def source(self, level: tuple[np.ndarray, np.ndarray],
+               w_full: np.ndarray) -> np.ndarray:
+        """Interior source at one level for the full slice ``w_full``."""
+        y_level, const = level
+        w = w_full[1:-1]
+        kink = y_level - w if self.side > 0 else w - y_level  # s * y
+        np.maximum(kink, 0.0, out=kink)
+        kink *= self._c_fund
+        g = const - self._kill * w
+        g += kink
+        kink = w_full[2:] - w_full[:-2]
+        np.abs(kink, out=kink)
+        kink *= self._c_repo
+        g += kink
+        return g
 
 
 def march_schedule(
@@ -217,82 +211,78 @@ def march_schedule(
     kappa: float,
     terms: SemilinearTerms | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SolveDiagnostics]:
-    """Backward march over the full schedule on the selected backend.
+    """Backward theta-scheme march over the full schedule.
+
+    Each step from level k to k + 1 solves
+
+        (I + theta dt A) u = (I - (1-theta) dt A) u_k
+                             + dt (theta G_{k+1}(u) + (1-theta) G_k(u_k))
+
+    on the interior, with G the source of ``terms`` (none for the linear
+    reference equation): ``terms.level_terms(k)`` gives the data of level
+    k and ``terms.source(level, w_full)`` evaluates G.  The implicit coupling is resolved by Picard
+    iteration warm-started from a linear extrapolation of the two previous
+    levels.  ``I + theta dt A`` is factored once per distinct (theta, dt)
+    pair, and the v_hat-only part of G once per level.
 
     Returns (sched_times, sched_values, diagnostics); sched_values[k] is
     the full slice at sched_times[k], marching from T down to 0.
     """
     times, thetas = time_schedule(grid, solver)
     dts = times[:-1] - times[1:]
-    w_terminal = np.ascontiguousarray(w_terminal, dtype=float)
+    lo, di, up = reduced_operator(grid.n_x, grid.dx, a_eff, b, kappa)
+    factors: dict[tuple[float, float], tuple] = {}
 
-    if kernels.numba_enabled():
-        cfg = terms.cfg if terms is not None else None
-        has_driver = terms is not None
-        bench = terms.bench_sched if has_driver else np.zeros((1, 1))
-        surf, iters, resids, fail = kernels.march(
-            w_terminal, dts, thetas, grid.dx, a_eff, b, kappa,
-            has_driver, terms.side if has_driver else 1,
-            np.ascontiguousarray(bench), terms.m_fold if has_driver else 0.0,
-            cfg.sigma if has_driver else 1.0,
-            cfg.r_D if has_driver else 0.0,
-            cfg.alpha if has_driver else 0.0,
-            cfg.L_I if has_driver else 0.0,
-            cfg.L_C if has_driver else 0.0,
-            cfg.r_f_plus if has_driver else 0.0,
-            cfg.r_f_minus if has_driver else 0.0,
-            cfg.r_r_plus if has_driver else 0.0,
-            cfg.r_r_minus if has_driver else 0.0,
-            cfg.r_c_plus if has_driver else 0.0,
-            cfg.r_c_minus if has_driver else 0.0,
-            cfg.h_I_Q if has_driver else 0.0,
-            cfg.h_C_Q if has_driver else 0.0,
-            solver.picard_tol, solver.picard_max_iter,
-        )
-        if fail >= 0:
-            raise PicardConvergenceError(
-                int(fail), float(times[fail + 1]), float(resids[fail]),
-                int(iters[fail]),
-            )
-        diag = SolveDiagnostics(step_times=times[1:].copy(), iterations=iters,
-                                residuals=resids)
-        return times, surf, diag
-
-    # numpy/scipy reference path: march by repeated cn_step
     n_steps = dts.size
     surf = np.empty((n_steps + 1, grid.n_x))
     surf[0] = w_terminal
-    iters = np.zeros(n_steps, dtype=np.int64)
+    iters = np.ones(n_steps, dtype=np.int64)
     resids = np.zeros(n_steps)
-
-    if terms is not None:
-        bench_by_level = terms.bench_sched
-
-        def build_source(k: int):
-            def source(t: float, w_full: np.ndarray) -> np.ndarray:
-                # t is either the step start (level k) or target (level k+1)
-                level = k if abs(t - times[k]) <= abs(t - times[k + 1]) else k + 1
-                return _source_reference(terms, grid.dx, bench_by_level[level], w_full)
-
-            return source
+    w_cur = np.empty(grid.n_x)
+    level = terms.level_terms(0) if terms is not None else None
 
     for k in range(n_steps):
-        src = build_source(k) if terms is not None else None
-        ctx = make_step_context(grid, solver, a_eff, b, kappa, source=src)
+        dt = float(dts[k])
+        theta = float(thetas[k])
+        theta_dt = theta * dt
+        lu = factors.get((theta, dt))
+        if lu is None:
+            lu = factors[(theta, dt)] = _factor(lo, di, up, theta_dt)
+        w_next = surf[k]
+        u_next = w_next[1:-1]
+        c_e = (1.0 - theta) * dt
+        rhs0 = u_next - c_e * _apply_reduced(lo, di, up, u_next)
+        if terms is None:
+            extend_slice(_solve(lu, rhs0), out=surf[k + 1])
+            continue
+
+        if theta < 1.0:
+            rhs0 += c_e * terms.source(level, w_next)
+        level = terms.level_terms(k + 1)
         if k == 0:
-            w_start = surf[0]
+            u = u_next.copy()
         else:
             r = dts[k] / dts[k - 1]
-            w_start = surf[k] + r * (surf[k] - surf[k - 1])
-        try:
-            w_new, n_it, res = cn_step(surf[k], float(times[k]), float(dts[k]),
-                                       float(thetas[k]), ctx, w_start=w_start)
-        except PicardConvergenceError as err:
-            raise PicardConvergenceError(k, float(times[k + 1]), err.residual,
-                                         err.iterations) from None
-        surf[k + 1] = w_new
+            u = u_next + r * (u_next - surf[k - 1, 1:-1])
+        n_it = 0
+        delta = np.inf
+        while n_it < solver.picard_max_iter:
+            n_it += 1
+            extend_slice(u, out=w_cur)
+            rhs = terms.source(level, w_cur)
+            rhs *= theta_dt
+            rhs += rhs0
+            u_new = _solve(lu, rhs)
+            u -= u_new  # the old iterate is only needed for the update norm
+            delta = float(np.abs(u).max())
+            u = u_new
+            if delta < solver.picard_tol:
+                break
+        if delta >= solver.picard_tol:
+            raise PicardConvergenceError(k, float(times[k + 1]), delta, n_it)
+        extend_slice(u, out=surf[k + 1])
         iters[k] = n_it
-        resids[k] = res
+        resids[k] = delta
 
     diag = SolveDiagnostics(step_times=times[1:].copy(), iterations=iters,
                             residuals=resids)
@@ -357,7 +347,7 @@ def solve_semilinear(
     terms = SemilinearTerms(
         side=+1 if side == "seller" else -1,
         cfg=cfg,
-        m_fold=m_fold,
+        dx=grid.dx,
         bench_sched=benchmark.sched_values,
     )
     sched_times, sched_values, diag = march_schedule(

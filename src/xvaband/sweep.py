@@ -1,10 +1,9 @@
 """Parameter sweeps over market fields with deterministic CSV output.
 
 Each sweep point re-solves both sides of the trade with one or two market
-fields replaced.  Points run on a thread pool (the compiled kernels
-release the GIL); results are emitted in axis order regardless of
-completion order, and float cells are formatted with repr so repeated
-runs produce byte-identical files.  The default-free reference surface
+fields replaced.  Points run on a thread pool; results are emitted in
+axis order regardless of completion order, and float cells are formatted
+with repr so repeated runs produce byte-identical files.  The default-free reference surface
 only depends on (r_D, sigma), so it is computed once per distinct pair
 and shared across points.
 """

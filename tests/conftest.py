@@ -1,9 +1,4 @@
-"""Shared fixtures: canonical claim, market, and small solver grids.
-
-Solver tests default to the active backend (numba when available); the
-``numpy_backend`` fixture forces the fallback path for the current test
-via the environment flag, which the dispatch reads at call time.
-"""
+"""Shared fixtures: canonical claim, market, and small solver grids."""
 
 import json
 import warnings
@@ -63,23 +58,12 @@ def config_json(tmp_path_factory):
     return str(path)
 
 
-@pytest.fixture
-def numpy_backend(monkeypatch):
-    """Force the numpy/scipy fallback path for this test."""
-    monkeypatch.setenv("XVA_NUMBA", "0")
+@pytest.fixture(params=["numpy"])
+def backend(request):
+    """The solver path a test runs on; numpy/scipy is the only one."""
+    from xvaband import active_backend
 
-
-@pytest.fixture(params=["numba", "numpy"])
-def backend(request, monkeypatch):
-    """Run the test once per solver backend."""
-    from xvaband import kernels
-
-    if request.param == "numba":
-        if not kernels.HAS_NUMBA:
-            pytest.skip("numba unavailable")
-        monkeypatch.setenv("XVA_NUMBA", "1")
-    else:
-        monkeypatch.setenv("XVA_NUMBA", "0")
+    assert active_backend() == request.param
     return request.param
 
 

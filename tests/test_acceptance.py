@@ -57,7 +57,7 @@ BS_CALL_ATM = 0.08433318690109609
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_up(call_claim, market, solver):
-    """Load/compile the kernels once so timed criteria measure solves only."""
+    """Run one small solve first so timed criteria measure solves only."""
     grid = build_grid(call_claim, market, n_x=101, n_t=10)
     solve_trade(call_claim, market, grid, solver)
     tree_bsde_price(TreeSpec(n_steps=10, claim=call_claim, cfg=market))

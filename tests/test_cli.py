@@ -38,7 +38,7 @@ class TestPrice:
         rc = main(["price", "--config", config_path, *FAST_GRID])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["backend"] in ("numba", "numpy")
+        assert out["backend"] == "numpy"
         assert out["band_width"] >= 0.0
         assert out["v_sell_0"] >= out["v_buy_0"]
         assert 0.0 < out["hedge_seller_0"]["xi"] < 1.0
@@ -209,7 +209,16 @@ class TestBench:
         assert rc == 0
         out = capsys.readouterr().out
         assert "grid: 101 x 10" in out
-        assert "numpy" in out
+        assert "backend: numpy" in out
+        lines = out.splitlines()
+        for layer in ("reference", "seller", "buyer"):
+            (line,) = [ln for ln in lines if ln.strip().startswith(layer + ":")]
+            assert "ms median" in line
+            assert ("Picard iterations per step" in line) == (layer != "reference")
+
+    def test_rejects_zero_repeat(self, capsys):
+        assert main(["bench", "--nx", "101", "--nt", "10", "--repeat", "0"]) == 1
+        assert "--repeat" in capsys.readouterr().err
 
 
 class TestParser:

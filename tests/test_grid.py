@@ -65,6 +65,8 @@ class TestGridSpec:
             dict(x_min=-1.0, x_max=1.0, n_x=5, n_t=0, maturity=1.0),
             dict(x_min=-1.0, x_max=1.0, n_x=5, n_t=4, maturity=0.0),
             dict(x_min=float("nan"), x_max=1.0, n_x=5, n_t=4, maturity=1.0),
+            dict(x_min=-1.0, x_max=1.0, n_x=3, n_t=4, maturity=1.0),
+            dict(x_min=-1.0, x_max=1.0, n_x=4, n_t=4, maturity=1.0),
         ],
     )
     def test_rejects_bad_lattices(self, kwargs):

@@ -1,40 +1,10 @@
-"""Compiled kernels against their pure-numpy references."""
-
-import os
-import subprocess
-import sys
+"""The reduced operator and the slice extension."""
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
 
-from xvaband import active_backend, build_grid, numba_enabled, solve_semilinear
-from xvaband.kernels import HAS_NUMBA, extend_slice, reduced_operator, thomas_solve
-from xvaband.oracle import TreeSpec, tree_bsde_price
-
-
-class TestThomasSolve:
-    @pytest.mark.parametrize("n", [1, 2, 5, 64, 257])
-    def test_matches_lapack_on_dominant_systems(self, n):
-        rng = np.random.default_rng(n)
-        lo = rng.uniform(-1.0, 1.0, n)
-        up = rng.uniform(-1.0, 1.0, n)
-        di = 3.0 + rng.uniform(0.0, 1.0, n)  # strictly dominant
-        rhs = rng.uniform(-1.0, 1.0, n)
-        lo[0] = 0.0
-        up[-1] = 0.0
-        got = thomas_solve(lo, di, up, rhs)
-        ab = np.zeros((3, n))
-        ab[0, 1:] = up[:-1]
-        ab[1] = di
-        ab[2, :-1] = lo[1:]
-        want = solve_banded((1, 1), ab, rhs)
-        assert np.max(np.abs(got - want)) < 1e-10
-
-    def test_identity_system(self):
-        rhs = np.array([1.0, -2.0, 3.0])
-        got = thomas_solve(np.zeros(3), np.ones(3), np.zeros(3), rhs)
-        assert np.array_equal(got, rhs)
+from xvaband.kernels import extend_slice
+from xvaband.pde import reduced_operator
 
 
 class TestReducedOperator:
@@ -78,53 +48,8 @@ class TestExtendSlice:
         w = extend_slice(u)
         assert np.allclose(np.diff(w), 0.7, atol=1e-14)
 
-
-class TestBackendSelection:
-    @pytest.mark.parametrize("flag", ["0", "false", "No", " OFF "])
-    def test_disabling_flags(self, monkeypatch, flag):
-        monkeypatch.setenv("XVA_NUMBA", flag)
-        assert numba_enabled() is False
-        assert active_backend() == "numpy"
-
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("XVA_NUMBA", raising=False)
-        assert numba_enabled() is HAS_NUMBA
-
-    def test_explicit_enable(self, monkeypatch):
-        monkeypatch.setenv("XVA_NUMBA", "1")
-        assert numba_enabled() is HAS_NUMBA
-
-    def test_flag_reaches_subprocesses(self):
-        out = subprocess.run(
-            [sys.executable, "-c", "import xvaband; print(xvaband.active_backend())"],
-            env={**os.environ, "XVA_NUMBA": "0"},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-class TestBackendAgreement:
-    def test_pde_surfaces_match_across_backends(
-        self, call_claim, market, solver, monkeypatch
-    ):
-        grid = build_grid(call_claim, market, n_x=201, n_t=50)
-        surfaces = {}
-        for flag, name in [("1", "numba"), ("0", "numpy")]:
-            monkeypatch.setenv("XVA_NUMBA", flag)
-            assert active_backend() == name
-            surfaces[name] = solve_semilinear(
-                call_claim, market, grid, solver, side="seller"
-            ).values
-        diff = np.max(np.abs(surfaces["numba"] - surfaces["numpy"]))
-        assert diff < 1e-12
-
-    def test_tree_prices_match_across_backends(self, call_claim, market, monkeypatch):
-        spec = TreeSpec(n_steps=200, claim=call_claim, cfg=market)
-        prices = {}
-        for flag, name in [("1", "numba"), ("0", "numpy")]:
-            monkeypatch.setenv("XVA_NUMBA", flag)
-            prices[name] = tree_bsde_price(spec, side="buyer")
-        assert abs(prices["numba"] - prices["numpy"]) < 1e-11
+    def test_writes_into_a_given_buffer(self):
+        out = np.full(5, np.nan)
+        w = extend_slice(np.array([1.0, 2.0, 3.0]), out=out)
+        assert w is out
+        assert np.array_equal(out, [0.0, 1.0, 2.0, 3.0, 4.0])

@@ -1,11 +1,15 @@
 """Lattice cross-check and the symmetric-collapse residual."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from xvaband import (
     ClaimSpec,
+    benchmark_surface,
     bs_closed_form,
+    build_grid,
     solve_semilinear,
     symmetric_case_residual,
     tree_bsde_price,
@@ -49,6 +53,22 @@ class TestTreePrice:
         assert tree_bsde_price(spec, side="seller") == pytest.approx(
             surf.value_at(0.0, 1.0), abs=2e-3
         )
+
+    def test_high_volatility_call_converges_and_agrees_with_the_pde(
+        self, call_claim, market, solver
+    ):
+        # at 2000 steps the top nodes of a sigma = 0.3 call reach ~6e5, where
+        # one float step exceeds an absolute stop of 1e-12
+        cfg = replace(market, sigma=0.3)
+        spec = TreeSpec(n_steps=2000, claim=call_claim, cfg=cfg)
+        grid = build_grid(call_claim, cfg, n_x=401, n_t=200)
+        bench = benchmark_surface(grid, call_claim, cfg, solver)
+        for side in ("seller", "buyer"):
+            surf = solve_semilinear(call_claim, cfg, grid, solver, side=side,
+                                    benchmark=bench)
+            assert tree_bsde_price(spec, side=side) == pytest.approx(
+                surf.value_at(0.0, 1.0), abs=2e-3
+            )
 
     def test_refining_the_lattice_settles_the_price(self, call_claim, market):
         prices = [

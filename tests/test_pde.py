@@ -4,21 +4,28 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from xvaband import (
     ArbitrageViolationError,
     ClaimSpec,
+    DEFAULT_MARKET,
     GridSpec,
     SolverConfig,
     benchmark_surface,
     build_grid,
-    cn_step,
+    closeout_C,
+    closeout_I,
     solve_semilinear,
 )
+from xvaband.driver import driver_value, repo_drift_split
+from xvaband.grid import time_schedule
+from xvaband.kernels import extend_slice
 from xvaband.pde import (
     PicardConvergenceError,
-    make_step_context,
+    SemilinearTerms,
     march_schedule,
+    reduced_operator,
     terminal_slice,
 )
 
@@ -29,55 +36,221 @@ KAPPA = 0.35
 # theta=0.5, kappa=0.35
 CONST_STEP_FACTOR = 0.9991253826450927
 
+#: every branch of the driver is reachable: asymmetric repo and collateral
+#: rates, partial collateral, and (with the payoff below) reference values
+#: and funding balances of both signs
+KINK_MARKET = replace(DEFAULT_MARKET, r_r_plus=0.03, r_r_minus=0.06,
+                      r_c_plus=0.005, r_c_minus=0.02, alpha=0.4)
+KINK_CLAIM = ClaimSpec.custom([(0.5, -0.4), (1.0, 0.1), (1.5, 0.2)], maturity=1.0)
 
-def _ctx(source=None, n_x=101, solver=None):
-    grid = GridSpec(x_min=-0.5, x_max=0.5, n_x=n_x, n_t=1, maturity=DT)
-    solver = solver or SolverConfig()
-    return make_step_context(grid, solver, a_eff=-0.01, b=0.02, kappa=KAPPA, source=source)
+
+class _FixedSource:
+    """Stand-in for SemilinearTerms: G = fn(w_full) at every level.
+
+    Records the level of every source evaluation.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.levels = []
+
+    def level_terms(self, k):
+        return k
+
+    def source(self, level, w_full):
+        self.levels.append(level)
+        return self.fn(w_full)
+
+
+def _step(w, terms=None, theta=0.5, solver=None):
+    """One theta-scheme step of length DT, marched by march_schedule.
+
+    Returns (new slice, Picard iterations, final update norm).
+    """
+    grid = GridSpec(x_min=-0.5, x_max=0.5, n_x=w.size, n_t=1, maturity=DT)
+    solver = replace(solver or SolverConfig(), theta_scheme=theta, rannacher=False)
+    _, surf, diag = march_schedule(w, grid, solver, a_eff=-0.01, b=0.02,
+                                   kappa=KAPPA, terms=terms)
+    return surf[1], int(diag.iterations[0]), float(diag.residuals[0])
 
 
 class TestCnStep:
     def test_constant_slice_decays_at_the_killing_rate(self):
-        ctx = _ctx()
-        w = np.ones(101)
-        out, n_solves, delta = cn_step(w, DT, DT, 0.5, ctx)
+        out, n_solves, delta = _step(np.ones(101))
         assert n_solves == 1
         assert delta == 0.0
         assert np.all(np.abs(out - CONST_STEP_FACTOR) < 1e-12)
 
     def test_zero_slice_is_a_fixed_point(self):
-        ctx = _ctx()
-        out, _, _ = cn_step(np.zeros(101), DT, DT, 0.5, ctx)
+        out, _, _ = _step(np.zeros(101))
         assert np.all(out == 0.0)
+        # a zero reference gives the wealth equation a zero source at w = 0
+        grid_dx = 1.0 / 100
+        for side in (+1, -1):
+            terms = SemilinearTerms(side=side, cfg=KINK_MARKET, dx=grid_dx,
+                                    bench_sched=np.zeros((2, 101)))
+            out, _, _ = _step(np.zeros(101), terms=terms)
+            assert np.all(out == 0.0)
 
     def test_source_balancing_the_killing_term_freezes_the_slice(self):
         # with G = kappa * 1 the decay of a constant unit slice is exactly
         # cancelled, so the step must return ones
-        ctx = _ctx(source=lambda t, w: np.full(99, KAPPA))
-        out, n_solves, _ = cn_step(np.ones(101), DT, DT, 0.5, ctx)
+        terms = _FixedSource(lambda w: np.full(99, KAPPA))
+        out, n_solves, _ = _step(np.ones(101), terms=terms)
         assert n_solves >= 1
         assert np.all(np.abs(out - 1.0) < 1e-12)
 
     def test_unreachable_tolerance_raises(self):
         solver = SolverConfig(picard_tol=1e-30, picard_max_iter=3)
-        ctx = _ctx(source=lambda t, w: w[1:-1] ** 2, solver=solver)
+        terms = _FixedSource(lambda w: w[1:-1] ** 2)
         with pytest.raises(PicardConvergenceError) as exc:
-            cn_step(np.ones(101), DT, DT, 0.5, ctx)
+            _step(np.ones(101), terms=terms, solver=solver)
+        assert exc.value.step_index == 0
         assert exc.value.iterations == 3
         assert exc.value.residual > 0.0
 
     def test_fully_implicit_step_ignores_the_explicit_source_weight(self):
-        calls = []
+        terms = _FixedSource(lambda w: np.zeros(99))
+        _step(np.ones(101), terms=terms, theta=1.0)
+        # theta = 1: the source must never be evaluated at the known level 0
+        assert terms.levels
+        assert all(level == 1 for level in terms.levels)
 
-        def source(t, w):
-            calls.append(t)
-            return np.zeros(99)
 
-        ctx = _ctx(source=source)
-        cn_step(np.ones(101), DT, DT, 1.0, ctx)
-        # theta = 1: the source must never be evaluated at the known level
-        assert DT not in calls
-        assert all(t == 0.0 for t in calls)
+def _driver_source(side, cfg, dx, bench_row, w_full):
+    """The marched source as the driver states it: close-out inflow, the
+    driver, the intensity-adjusted financing of the default legs and the
+    linear repo part taken out of the convection."""
+    m_fold, _ = repo_drift_split(cfg)
+    bh = bench_row[1:-1]
+    th_i = closeout_I(bh, cfg.alpha, cfg.L_I)
+    th_c = closeout_C(bh, cfg.alpha, cfg.L_C)
+    w = w_full[1:-1]
+    wx = (w_full[2:] - w_full[:-2]) / (2.0 * dx)
+    z_i = th_i - w
+    z_c = th_c - w
+    f = driver_value(side, w, cfg.sigma * wx, z_i, z_c, bh, cfg)
+    return (cfg.h_I_Q * th_i + cfg.h_C_Q * th_c + f
+            + cfg.h_I_Q * z_i + cfg.h_C_Q * z_c + m_fold * wx)
+
+
+def _term_scale(cfg, dx, bench_row, w_full):
+    """Largest per-node sum of the magnitudes of the terms the driver form
+    adds up: the scale of its rounding error."""
+    m_fold, _ = repo_drift_split(cfg)
+    bh = bench_row[1:-1]
+    th_i = closeout_I(bh, cfg.alpha, cfg.L_I)
+    th_c = closeout_C(bh, cfg.alpha, cfg.L_C)
+    w = w_full[1:-1]
+    wx = np.abs(w_full[2:] - w_full[:-2]) / (2.0 * dx)
+    r_repo = max(abs(cfg.r_D - cfg.r_r_plus), abs(cfg.r_D - cfg.r_r_minus))
+    total = (cfg.h_I_Q * np.abs(th_i) + cfg.h_C_Q * np.abs(th_c)
+             + (cfg.h_I_Q + cfg.r_D) * np.abs(th_i - w)
+             + (cfg.h_C_Q + cfg.r_D) * np.abs(th_c - w)
+             + max(cfg.r_f_plus, cfg.r_f_minus) * np.abs(th_i + th_c - w - cfg.alpha * bh)
+             + (r_repo + abs(m_fold)) * wx
+             + max(cfg.r_c_plus, cfg.r_c_minus) * cfg.alpha * np.abs(bh))
+    return float(total.max())
+
+
+def _banded_march(w_terminal, grid, solver, a_eff, b, kappa, source_at):
+    """Theta-scheme march with one banded solve per Picard iteration and the
+    source rebuilt from the driver at every evaluation."""
+    times, thetas = time_schedule(grid, solver)
+    dts = times[:-1] - times[1:]
+    lo, di, up = reduced_operator(grid.n_x, grid.dx, a_eff, b, kappa)
+    m = grid.n_x - 2
+    surf = [np.asarray(w_terminal, dtype=float)]
+    iters = []
+    for k in range(dts.size):
+        dt, theta = dts[k], thetas[k]
+        ab = np.zeros((3, m))
+        ab[0, 1:] = theta * dt * up[:-1]
+        ab[1] = 1.0 + theta * dt * di
+        ab[2, :-1] = theta * dt * lo[1:]
+        u_next = surf[k][1:-1]
+        au = di * u_next
+        au[1:] += lo[1:] * u_next[:-1]
+        au[:-1] += up[:-1] * u_next[1:]
+        rhs0 = u_next - (1.0 - theta) * dt * au
+        if theta < 1.0:
+            rhs0 = rhs0 + (1.0 - theta) * dt * source_at(k, surf[k])
+        if k == 0:
+            u = u_next.copy()
+        else:
+            u = u_next + dts[k] / dts[k - 1] * (u_next - surf[k - 1][1:-1])
+        for n_it in range(1, solver.picard_max_iter + 1):
+            rhs = rhs0 + theta * dt * source_at(k + 1, extend_slice(u))
+            u_new = solve_banded((1, 1), ab, rhs)
+            delta = np.max(np.abs(u_new - u))
+            u = u_new
+            if delta < solver.picard_tol:
+                break
+        surf.append(extend_slice(u))
+        iters.append(n_it)
+    return np.array(surf), np.array(iters)
+
+
+class TestRearrangedSource:
+    def _case(self, side, seed):
+        # random piecewise-linear reference and wealth slices: slopes stay
+        # of the size a solve produces, so neither form loses digits
+        rng = np.random.default_rng(seed)
+        n_x, dx = 201, 0.02
+        x = dx * np.arange(n_x)
+        knots = np.linspace(0.0, x[-1], 13)
+
+        def rough():
+            return np.interp(x, knots, rng.uniform(-1.0, 1.0, knots.size))
+
+        bench = np.stack([rough(), rough()])
+        terms = SemilinearTerms(side=side, cfg=KINK_MARKET, dx=dx,
+                                bench_sched=bench)
+        y_level, _ = terms.level_terms(1)
+        w = rough()
+        w[1:-1] += y_level
+        return terms, bench[1], w, dx
+
+    @pytest.mark.parametrize("side", [+1, -1])
+    def test_level_split_matches_the_driver_form(self, side):
+        for seed in range(5):
+            terms, bench_row, w, dx = self._case(side, seed)
+            # every kink is active: reference, funding balance and slope
+            # take both signs
+            funding = terms.level_terms(1)[0] - w[1:-1]
+            slope = w[2:] - w[:-2]
+            for arr in (bench_row, funding, slope):
+                assert arr.min() < 0.0 < arr.max()
+            got = terms.source(terms.level_terms(1), w)
+            want = _driver_source(side, KINK_MARKET, dx, bench_row, w)
+            scale = _term_scale(KINK_MARKET, dx, bench_row, w)
+            assert np.max(np.abs(got - want)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("side", ["seller", "buyer"])
+    def test_march_matches_a_banded_driver_march(self, side, solver):
+        grid = build_grid(KINK_CLAIM, KINK_MARKET, n_x=101, n_t=50)
+        bench = benchmark_surface(grid, KINK_CLAIM, KINK_MARKET, solver)
+        assert bench.values.min() < 0.0 < bench.values.max()
+        sign = +1 if side == "seller" else -1
+        m_fold, _ = repo_drift_split(KINK_MARKET)
+        kw = dict(a_eff=KINK_MARKET.r_D - 0.5 * KINK_MARKET.sigma ** 2 - m_fold,
+                  b=0.5 * KINK_MARKET.sigma ** 2,
+                  kappa=KINK_MARKET.h_I_Q + KINK_MARKET.h_C_Q)
+        w_t = terminal_slice(KINK_CLAIM, grid)
+
+        def source_at(level, w_full):
+            return _driver_source(sign, KINK_MARKET, grid.dx,
+                                  bench.sched_values[level], w_full)
+
+        want, want_iters = _banded_march(w_t, grid, solver, source_at=source_at, **kw)
+        terms = SemilinearTerms(side=sign, cfg=KINK_MARKET, dx=grid.dx,
+                                bench_sched=bench.sched_values)
+        _, got, diag = march_schedule(w_t, grid, solver, terms=terms, **kw)
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.array_equal(diag.iterations, want_iters)
+        surf = solve_semilinear(KINK_CLAIM, KINK_MARKET, grid, solver, side=side,
+                                benchmark=bench)
+        assert np.array_equal(surf.values[::-1], got[[0, *range(2, grid.n_t + 2)]])
 
 
 class TestMarchSchedule:
