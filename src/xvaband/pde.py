@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .config import (
     ArbitrageViolationError,
@@ -45,7 +44,7 @@ from .grid import (
     time_schedule,
     uniform_row_indices,
 )
-from .kernels import extend_slice
+from .kernels import extend_slice, tridiag_factor, tridiag_solve
 
 if TYPE_CHECKING:  # pragma: no cover
     from .benchmark import BenchmarkSurface
@@ -106,21 +105,6 @@ def _apply_reduced(lo, di, up, u):
     au[0] = di[0] * u[0] + up[0] * u[1]
     au[-1] = lo[-1] * u[-2] + di[-1] * u[-1]
     return au
-
-
-def _factor(lo, di, up, theta_dt: float):
-    """LU factors of I + theta_dt * A for repeated :func:`_solve` calls."""
-    dl, d, du, du2, ipiv, info = dgttrf(theta_dt * lo[1:], 1.0 + theta_dt * di,
-                                        theta_dt * up[:-1])
-    if info != 0:  # pragma: no cover - the implicit operator is dominant
-        raise np.linalg.LinAlgError(f"singular implicit operator (dgttrf info {info})")
-    return dl, d, du, du2, ipiv
-
-
-def _solve(lu, rhs: np.ndarray) -> np.ndarray:
-    """Solve the factored system in place of ``rhs``."""
-    u, _ = dgttrs(*lu, rhs, overwrite_b=1)
-    return u
 
 
 @dataclass(eq=False)
@@ -247,13 +231,15 @@ def march_schedule(
         theta_dt = theta * dt
         lu = factors.get((theta, dt))
         if lu is None:
-            lu = factors[(theta, dt)] = _factor(lo, di, up, theta_dt)
+            lu = factors[(theta, dt)] = tridiag_factor(
+                theta_dt * lo, 1.0 + theta_dt * di, theta_dt * up
+            )
         w_next = surf[k]
         u_next = w_next[1:-1]
         c_e = (1.0 - theta) * dt
         rhs0 = u_next - c_e * _apply_reduced(lo, di, up, u_next)
         if terms is None:
-            extend_slice(_solve(lu, rhs0), out=surf[k + 1])
+            extend_slice(tridiag_solve(lu, rhs0), out=surf[k + 1])
             continue
 
         if theta < 1.0:
@@ -272,7 +258,7 @@ def march_schedule(
             rhs = terms.source(level, w_cur)
             rhs *= theta_dt
             rhs += rhs0
-            u_new = _solve(lu, rhs)
+            u_new = tridiag_solve(lu, rhs)
             u -= u_new  # the old iterate is only needed for the update norm
             delta = float(np.abs(u).max())
             u = u_new

@@ -1,10 +1,35 @@
-"""The reduced operator and the slice extension."""
+"""The tridiagonal solve, the reduced operator and the slice extension."""
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
-from xvaband.kernels import extend_slice
+from xvaband.kernels import extend_slice, thomas_solve
 from xvaband.pde import reduced_operator
+
+
+class TestThomasSolve:
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 257])
+    def test_matches_lapack_on_dominant_systems(self, n):
+        rng = np.random.default_rng(n)
+        lo = rng.uniform(-1.0, 1.0, n)
+        up = rng.uniform(-1.0, 1.0, n)
+        di = 3.0 + rng.uniform(0.0, 1.0, n)  # strictly dominant
+        rhs = rng.uniform(-1.0, 1.0, n)
+        lo[0] = 0.0
+        up[-1] = 0.0
+        got = thomas_solve(lo, di, up, rhs)
+        ab = np.zeros((3, n))
+        ab[0, 1:] = up[:-1]
+        ab[1] = di
+        ab[2, :-1] = lo[1:]
+        want = solve_banded((1, 1), ab, rhs)
+        assert np.max(np.abs(got - want)) < 1e-10
+
+    def test_identity_system(self):
+        rhs = np.array([1.0, -2.0, 3.0])
+        got = thomas_solve(np.zeros(3), np.ones(3), np.zeros(3), rhs)
+        assert np.array_equal(got, rhs)
 
 
 class TestReducedOperator:
