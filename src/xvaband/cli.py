@@ -7,7 +7,8 @@ sweep        one- or two-axis market sweep, CSV to a file or stdout
 table1       canned funding-account table over alpha x r_f_minus
 table2       canned funding-account table over r_f_minus at alpha = 0.9
 convergence  grid-refinement study (closed-form and self-convergence)
-bench        median time of the reference, seller and buyer solves
+bench        median time of the reference, seller and buyer solves and
+             of one side of a 2000-step tree
 
 The sweep worker count honours the XVA_THREADS environment variable.
 """
@@ -34,6 +35,7 @@ from .config import (
 )
 from .grid import SolverConfig, build_grid
 from .kernels import active_backend
+from .oracle import TreeSpec, tree_bsde_price
 from .pde import solve_semilinear
 from .sweep import SweepAxis, SweepSpec, default_threads, run_sweep, write_csv
 from .xva import hedge_at, report_from_solution, solve_trade
@@ -270,7 +272,10 @@ def cmd_bench(args) -> int:
     if args.repeat < 1:
         raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
 
-    secs: dict[str, list[float]] = {"reference": [], "seller": [], "buyer": []}
+    # the step count of the perfbench ``tree`` workload
+    tree = TreeSpec(n_steps=2000, claim=claim, cfg=cfg)
+    secs: dict[str, list[float]] = {"reference": [], "seller": [], "buyer": [],
+                                    "tree": []}
     picard: dict[str, float] = {}
     for _ in range(args.repeat):
         t0 = time.perf_counter()
@@ -282,6 +287,9 @@ def cmd_bench(args) -> int:
                                     benchmark=bench)
             secs[side].append(time.perf_counter() - t0)
             picard[side] = float(surf.diagnostics.iterations.mean())
+            t0 = time.perf_counter()
+            tree_bsde_price(tree, side=side)
+            secs["tree"].append(time.perf_counter() - t0)
 
     print(f"grid: {grid.n_x} x {grid.n_t}, repeat: {args.repeat}, "
           f"backend: {active_backend()}")
@@ -289,6 +297,8 @@ def cmd_bench(args) -> int:
         line = f"{layer:>9}: {float(np.median(times)) * 1e3:9.2f} ms median"
         if layer in picard:
             line += f", {picard[layer]:.2f} Picard iterations per step"
+        elif layer == "tree":
+            line += f" per side, {tree.n_steps} steps"
         print(line)
     return 0
 
@@ -344,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_convergence)
 
-    p = sub.add_parser("bench", help="time the reference, seller and buyer solves")
+    p = sub.add_parser("bench", help="time the reference, seller, buyer and tree solves")
     _add_market_args(p, config_required=False)
     _add_grid_args(p)
     p.add_argument("--repeat", type=int, default=3)

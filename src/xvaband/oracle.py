@@ -9,7 +9,23 @@ relation
     V = E[V'] + dt * ( f(V, Z, theta_I - V, theta_C - V; v_hat)
                        - (h_I + h_C) V + h_I theta_I + h_C theta_C ),
 
-with Z = (V_up - V_down) / (2 sqrt(dt)), by fixed-point iteration.  This
+with Z = (V_up - V_down) / (2 sqrt(dt)).  Z and v_hat come from the level
+above, so only the funding kink of f depends on the unknown x = V.  For
+side s = +1 (seller) or -1 (buyer), with theta = theta_I + theta_C and
+Y = theta - alpha v_hat the funding balance at V = 0, the relation reads
+
+    A x + s c (s (Y - x))^+ = B,
+    A = 1 + dt (2 (h_I + h_C) + 2 r_D - r_f-),    c = dt (r_f+ - r_f-),
+    B = E[V'] + dt (2 (h_I theta_I + h_C theta_C) + r_D theta - s R(s Z)
+                    - s C(s alpha v_hat) - r_f- Y),
+
+with R(u) = ((r_D - r_r-) u^+ - (r_D - r_r+) u^-) / sigma and C(u) =
+r_c+ u^+ - r_c- u^- the repo and collateral charges of the driver
+(:mod:`xvaband.driver`).  The left side is piecewise linear in
+x with slopes A and A - c, so when min(A, A - c) > 0 it has exactly one
+root: x = B / A where s (B - A Y) >= 0 (the funding kink is off) and
+x = (B - c Y) / (A - c) elsewhere.  Each level is solved in closed form,
+with no iteration; a market with min(A, A - c) <= 0 is rejected.  This
 shares no spatial discretisation, no boundary policy, and no time stepper
 with the PDE path, which makes it a genuinely independent price check.
 """
@@ -23,7 +39,6 @@ import numpy as np
 
 from .benchmark import benchmark_surface, closeout_C, closeout_I
 from .config import ClaimSpec, MarketConfig
-from .driver import driver_value
 from .grid import GridSpec, SolverConfig
 from .pde import solve_semilinear
 
@@ -46,70 +61,83 @@ class TreeSpec:
             raise ValueError(f"spot must be positive, got {self.spot}")
 
 
-def _tree_reference(v, vh, dt, sq_dt, cfg: MarketConfig, side: int,
-                    tol: float, max_iter: int) -> tuple[float, float]:
-    disc = math.exp(-cfg.r_D * dt)
-    kill = cfg.h_I_Q + cfg.h_C_Q
-    n = v.size - 1
-    for k in range(n - 1, -1, -1):
+def _node_slopes(cfg: MarketConfig, dt: float) -> tuple[float, float]:
+    """(A, c) of the node equation A x + s c (s (Y - x))^+ = B."""
+    a = 1.0 + dt * (2.0 * (cfg.h_I_Q + cfg.h_C_Q) + 2.0 * cfg.r_D - cfg.r_f_minus)
+    return a, dt * (cfg.r_f_plus - cfg.r_f_minus)
+
+
+def _solve_level(e, z, wh, dt: float, cfg: MarketConfig, side: int) -> np.ndarray:
+    """Node values of one level from E[V'], Z and v_hat, by the branch solve.
+
+    Assumes min(A, A - c) > 0 (checked by :func:`tree_bsde_price`).
+    """
+    a, c = _node_slopes(cfg, dt)
+    # s R(s z) = rr[0] max(z, 0) + rr[1] min(z, 0), and s C(s u) likewise
+    # with rc: the side picks which rate applies to which sign
+    rr = ((cfg.r_D - cfg.r_r_minus) / cfg.sigma, (cfg.r_D - cfg.r_r_plus) / cfg.sigma)
+    rc = (cfg.r_c_plus, cfg.r_c_minus)
+    if side < 0:
+        rr, rc = rr[::-1], rc[::-1]
+    th_i = closeout_I(wh, cfg.alpha, cfg.L_I)
+    th_c = closeout_C(wh, cfg.alpha, cfg.L_C)
+    th = th_i + th_c
+    a_wh = cfg.alpha * wh
+    y = th - a_wh
+    b = (2.0 * cfg.h_I_Q) * th_i
+    b += (2.0 * cfg.h_C_Q) * th_c
+    b += cfg.r_D * th
+    b -= cfg.r_f_minus * y
+    b -= rr[0] * np.maximum(z, 0.0) + rr[1] * np.minimum(z, 0.0)
+    b -= rc[0] * np.maximum(a_wh, 0.0) + rc[1] * np.minimum(a_wh, 0.0)
+    b *= dt
+    b += e
+    a_y = a * y
+    kink_off = b >= a_y if side > 0 else b <= a_y
+    return np.where(kink_off, b / a, (b - c * y) / (a - c))
+
+
+def _tree_reference(v, dt, sq_dt, cfg: MarketConfig, side: int) -> float:
+    """Roll the payoff slice ``v`` back to the root; ``v`` is overwritten."""
+    half_disc = 0.5 * math.exp(-cfg.r_D * dt)
+    vh = v.copy()
+    for k in range(v.size - 2, -1, -1):
         hi = v[1:k + 2]
         lo = v[0:k + 1]
         e = 0.5 * (hi + lo)
         z = (hi - lo) / (2.0 * sq_dt)
-        wh = disc * 0.5 * (vh[1:k + 2] + vh[0:k + 1])
-        th_i = closeout_I(wh, cfg.alpha, cfg.L_I)
-        th_c = closeout_C(wh, cfg.alpha, cfg.L_C)
-        src = cfg.h_I_Q * th_i + cfg.h_C_Q * th_c
-        # tol is relative once the level's values exceed 1: at 2000 steps the
-        # top nodes of a sigma = 0.3 call reach ~6e5, where one float step
-        # is ~1e-10
-        atol = tol * max(1.0, float(np.abs(e).max()))
-        x = e.copy()
-        for _ in range(max_iter):
-            f = driver_value(side, x, z, th_i - x, th_c - x, wh, cfg)
-            # Same intensity-adjusted financing of the default legs as the
-            # PDE source (see pde.SemilinearTerms).
-            f = f + cfg.h_I_Q * (th_i - x) + cfg.h_C_Q * (th_c - x)
-            x_new = e + dt * (f - kill * x + src)
-            d = float(np.max(np.abs(x_new - x)))
-            x = x_new
-            if d < atol:
-                break
-        else:
-            raise RuntimeError(
-                f"tree fixed point did not converge at level {k} (update {d:.3e})"
-            )
-        v[0:k + 1] = x
+        wh = half_disc * (vh[1:k + 2] + vh[0:k + 1])
+        v[0:k + 1] = _solve_level(e, z, wh, dt, cfg, side)
         vh[0:k + 1] = wh
-    return float(v[0]), float(vh[0])
+    return float(v[0])
 
 
-def tree_bsde_price(
-    spec: TreeSpec,
-    side: str = "seller",
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
+def tree_bsde_price(spec: TreeSpec, side: str = "seller") -> float:
     """Time-0 adjusted value of one side on the recombining tree.
 
-    Each node's fixed point stops once its update is below ``tol`` times
-    the larger of 1 and the level's largest expected value.
+    Raises ``ValueError`` when the node equation is ill-posed, i.e. when
+    min(A, A - c) <= 0 (see the module docstring): then a node may have
+    two roots or none.
     """
     if side not in ("seller", "buyer"):
         raise ValueError(f"side must be 'seller' or 'buyer', got {side!r}")
     cfg = spec.cfg
     n = spec.n_steps
     dt = spec.claim.maturity / n
+    a, c = _node_slopes(cfg, dt)
+    if min(a, a - c) <= 0.0:
+        # A and c are the same on every level, so the first level solved fails
+        raise ValueError(
+            f"tree node equation is ill-posed for the {side} at level {n - 1}: "
+            f"A = {a:.6g}, A - c = {a - c:.6g} (both must be positive; "
+            "refine n_steps)"
+        )
     sq_dt = math.sqrt(dt)
     drift = (cfg.r_D - 0.5 * cfg.sigma * cfg.sigma) * dt
     j = np.arange(n + 1)
     x_t = math.log(spec.spot) + n * drift + cfg.sigma * sq_dt * (2.0 * j - n)
-    v_t = np.asarray(spec.claim.payoff(np.exp(x_t)), dtype=float)
-    side_flag = +1 if side == "seller" else -1
-
-    v0, _ = _tree_reference(v_t.copy(), v_t.copy(), dt, sq_dt, cfg, side_flag,
-                            tol, max_iter)
-    return v0
+    v_t = np.array(spec.claim.payoff(np.exp(x_t)), dtype=float)
+    return _tree_reference(v_t, dt, sq_dt, cfg, +1 if side == "seller" else -1)
 
 
 def symmetric_case_residual(

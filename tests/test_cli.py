@@ -215,6 +215,8 @@ class TestBench:
             (line,) = [ln for ln in lines if ln.strip().startswith(layer + ":")]
             assert "ms median" in line
             assert ("Picard iterations per step" in line) == (layer != "reference")
+        (line,) = [ln for ln in lines if ln.strip().startswith("tree:")]
+        assert "ms median per side, 2000 steps" in line
 
     def test_rejects_zero_repeat(self, capsys):
         assert main(["bench", "--nx", "101", "--nt", "10", "--repeat", "0"]) == 1

@@ -1,5 +1,6 @@
 """Lattice cross-check and the symmetric-collapse residual."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,45 @@ from xvaband import (
     symmetric_case_residual,
     tree_bsde_price,
 )
-from xvaband.oracle import TreeSpec
+from xvaband.benchmark import closeout_C, closeout_I
+from xvaband.driver import driver_value
+from xvaband.oracle import TreeSpec, _solve_level
+
+
+def _fixed_point_tree(spec, side, tol=1e-12, max_iter=200):
+    """The tree as it was solved before the branch solve: per-level fixed
+    point of the node relation, stopped relative to the level's scale."""
+    cfg, n = spec.cfg, spec.n_steps
+    dt = spec.claim.maturity / n
+    sq_dt = math.sqrt(dt)
+    j = np.arange(n + 1)
+    x_t = (math.log(spec.spot) + n * (cfg.r_D - 0.5 * cfg.sigma ** 2) * dt
+           + cfg.sigma * sq_dt * (2.0 * j - n))
+    v = np.asarray(spec.claim.payoff(np.exp(x_t)), dtype=float)
+    vh = v.copy()
+    s = +1 if side == "seller" else -1
+    kill = cfg.h_I_Q + cfg.h_C_Q
+    for k in range(n - 1, -1, -1):
+        hi, lo = v[1:k + 2], v[0:k + 1]
+        e, z = 0.5 * (hi + lo), (hi - lo) / (2.0 * sq_dt)
+        wh = math.exp(-cfg.r_D * dt) * 0.5 * (vh[1:k + 2] + vh[0:k + 1])
+        th_i = closeout_I(wh, cfg.alpha, cfg.L_I)
+        th_c = closeout_C(wh, cfg.alpha, cfg.L_C)
+        src = cfg.h_I_Q * th_i + cfg.h_C_Q * th_c
+        atol = tol * max(1.0, float(np.abs(e).max()))
+        x = e.copy()
+        for _ in range(max_iter):
+            f = driver_value(s, x, z, th_i - x, th_c - x, wh, cfg)
+            f = f + cfg.h_I_Q * (th_i - x) + cfg.h_C_Q * (th_c - x)
+            x_new = e + dt * (f - kill * x + src)
+            d = float(np.max(np.abs(x_new - x)))
+            x = x_new
+            if d < atol:
+                break
+        else:
+            raise RuntimeError(f"fixed point did not converge at level {k}")
+        v[0:k + 1], vh[0:k + 1] = x, wh
+    return float(v[0])
 
 
 class TestTreeSpec:
@@ -66,9 +105,9 @@ class TestTreePrice:
         for side in ("seller", "buyer"):
             surf = solve_semilinear(call_claim, cfg, grid, solver, side=side,
                                     benchmark=bench)
-            assert tree_bsde_price(spec, side=side) == pytest.approx(
-                surf.value_at(0.0, 1.0), abs=2e-3
-            )
+            price = tree_bsde_price(spec, side=side)
+            assert price == pytest.approx(surf.value_at(0.0, 1.0), abs=2e-3)
+            assert price == pytest.approx(_fixed_point_tree(spec, side), abs=1e-12)
 
     def test_refining_the_lattice_settles_the_price(self, call_claim, market):
         prices = [
@@ -86,10 +125,58 @@ class TestTreePrice:
         with pytest.raises(ValueError, match="side"):
             tree_bsde_price(spec, side="dealer")
 
-    def test_starved_fixed_point_raises(self, call_claim, market):
-        spec = TreeSpec(n_steps=50, claim=call_claim, cfg=market)
-        with pytest.raises(RuntimeError, match="converge"):
-            tree_bsde_price(spec, tol=1e-15, max_iter=1)
+    def test_ill_posed_market_raises(self, call_claim, market):
+        # one step of dt = 1 with r_f_minus = 5 gives A = 1 + 0.72 - 5 < 0,
+        # where a node equation can have two roots or none
+        cfg = replace(market, r_f_minus=5.0)
+        spec = TreeSpec(n_steps=1, claim=call_claim, cfg=cfg)
+        for side in ("seller", "buyer"):
+            with pytest.raises(ValueError, match=f"ill-posed for the {side} at "
+                                                 r"level 0: A = -3\.28"):
+                tree_bsde_price(spec, side=side)
+
+
+class TestNodeEquation:
+    @pytest.mark.parametrize("alpha", [0.0, 0.25])
+    @pytest.mark.parametrize("side", [+1, -1])
+    def test_levels_solve_the_driver_form(self, market, alpha, side):
+        # asymmetric repo and collateral rates, so every kink of the driver
+        # is live, on random levels spanning six decades of node scale
+        cfg = replace(market, alpha=alpha, r_r_plus=0.07, r_r_minus=0.03,
+                      r_c_plus=0.02, r_c_minus=0.005)
+        rng = np.random.default_rng(11)
+        active = inactive = 0
+        for dt in (1e-3, 0.02, 0.25):
+            n = 400
+            e = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3], size=n)
+            wh = e * (1.0 + 0.3 * rng.normal(size=n))
+            z = rng.normal(size=n) * np.abs(e)
+            x = _solve_level(e, z, wh, dt, cfg, side)
+            th_i = closeout_I(wh, alpha, cfg.L_I)
+            th_c = closeout_C(wh, alpha, cfg.L_C)
+            f = driver_value(side, x, z, th_i - x, th_c - x, wh, cfg)
+            rhs = e + dt * (f + cfg.h_I_Q * (th_i - x) + cfg.h_C_Q * (th_c - x)
+                            - (cfg.h_I_Q + cfg.h_C_Q) * x
+                            + cfg.h_I_Q * th_i + cfg.h_C_Q * th_c)
+            scale = np.abs(e) + np.abs(wh) + np.abs(z)
+            assert np.all(np.abs(x - rhs) <= 1e-15 * scale)
+            kink = side * (th_i + th_c - alpha * wh - x) > 0.0
+            active += int(kink.sum())
+            inactive += int((~kink).sum())
+        assert active > 100 and inactive > 100
+
+
+class TestFixedPointAgreement:
+    # the sigma = 0.3 call at 2000 steps is checked with its PDE pairing in
+    # TestTreePrice
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
+    def test_base_market(self, call_claim, market, alpha):
+        spec = TreeSpec(n_steps=500, claim=call_claim,
+                        cfg=replace(market, alpha=alpha))
+        for side in ("seller", "buyer"):
+            assert tree_bsde_price(spec, side=side) == pytest.approx(
+                _fixed_point_tree(spec, side), abs=1e-12
+            )
 
 
 class TestSymmetricResidual:
