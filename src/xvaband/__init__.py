@@ -18,17 +18,12 @@ from .benchmark import (
 from .config import (
     ArbitrageViolationError,
     ClaimSpec,
-    CreditP,
     DEFAULT_MARKET,
     MarketConfig,
     apply_overrides,
-    credit_under_p,
-    intensity_p_to_q,
-    intensity_q_to_p,
     load_market_config,
     validate_no_arbitrage,
 )
-from .driver import DriverInputs, f_buyer, f_seller, rate_coll, rate_fund, rate_repo
 from .grid import GridSpec, SolverConfig, Surface, build_grid
 from .kernels import active_backend
 from .oracle import TreeSpec, symmetric_case_residual, tree_bsde_price
@@ -49,9 +44,7 @@ __all__ = [
     "ArbitrageViolationError",
     "BenchmarkSurface",
     "ClaimSpec",
-    "CreditP",
     "DEFAULT_MARKET",
-    "DriverInputs",
     "GridSpec",
     "HedgeSnapshot",
     "MarketConfig",
@@ -71,17 +64,9 @@ __all__ = [
     "closeout_I",
     "collateral",
     "compute_xva",
-    "credit_under_p",
-    "f_buyer",
-    "f_seller",
     "funding_account_0",
     "hedge_at",
-    "intensity_p_to_q",
-    "intensity_q_to_p",
     "load_market_config",
-    "rate_coll",
-    "rate_fund",
-    "rate_repo",
     "run_sweep",
     "solve_semilinear",
     "solve_trade",

@@ -37,7 +37,7 @@ from .grid import SolverConfig, build_grid
 from .kernels import active_backend
 from .oracle import TreeSpec, tree_bsde_price
 from .pde import solve_semilinear
-from .sweep import SweepAxis, SweepSpec, default_threads, run_sweep, write_csv
+from .sweep import SweepAxis, SweepSpec, run_sweep, write_csv
 from .xva import hedge_at, report_from_solution, solve_trade
 
 __all__ = ["main"]
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spot", type=float, default=None)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads (default {default_threads()})")
+                   help="worker threads (default XVA_THREADS, else min(8, CPU count))")
     p.add_argument("--fail-fast", action="store_true")
     p.set_defaults(fn=cmd_sweep)
 

@@ -31,12 +31,8 @@ import numpy as np
 __all__ = [
     "MarketConfig",
     "ClaimSpec",
-    "CreditP",
     "ArbitrageViolationError",
     "DEFAULT_MARKET",
-    "intensity_q_to_p",
-    "intensity_p_to_q",
-    "credit_under_p",
     "validate_no_arbitrage",
     "load_market_config",
     "market_config_from_dict",
@@ -174,47 +170,12 @@ class ClaimSpec:
         return out
 
 
-@dataclass(frozen=True)
-class CreditP:
-    """Real-world default intensities implied by bond yields."""
-
-    h_I_P: float
-    h_C_P: float
-
-
 class ArbitrageViolationError(ValueError):
     """Raised when a market config admits arbitrage in the hedging market."""
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("arbitrage in hedging market: " + "; ".join(violations))
-
-
-def intensity_q_to_p(h_q: float, r_bond: float, r_d: float) -> float:
-    """Risk-neutral to real-world intensity: h_P = h_Q - (r_bond - r_D).
-
-    Raises if the implied real-world intensity is negative, which signals
-    an inconsistent (arbitrageable) bond yield.
-    """
-    h_p = h_q - (r_bond - r_d)
-    if h_p < 0.0:
-        raise ValueError(
-            f"implied real-world intensity is negative: {h_q} - ({r_bond} - {r_d}) = {h_p}"
-        )
-    return h_p
-
-
-def intensity_p_to_q(h_p: float, r_bond: float, r_d: float) -> float:
-    """Real-world to risk-neutral intensity: h_Q = h_P + (r_bond - r_D)."""
-    return h_p + (r_bond - r_d)
-
-
-def credit_under_p(cfg: MarketConfig) -> CreditP:
-    """Real-world intensities for both names implied by the config."""
-    return CreditP(
-        h_I_P=intensity_q_to_p(cfg.h_I_Q, cfg.r_I, cfg.r_D),
-        h_C_P=intensity_q_to_p(cfg.h_C_Q, cfg.r_C, cfg.r_D),
-    )
 
 
 def validate_no_arbitrage(cfg: MarketConfig) -> list[str]:

@@ -15,69 +15,59 @@ balance and ``c = alpha*v_hat`` the collateral account,
 and the buyer's driver is the reflection ``f_buyer(v, z, z_I, z_C; v_hat)
 = -f_seller(-v, -z, -z_I, -z_C; -v_hat)``.  Both are piecewise linear,
 hence globally Lipschitz, and coincide when all plus/minus rate pairs are
-symmetric.
+symmetric.  :func:`driver_value` evaluates either side on arrays.
+
+Level form.  Both solvers (the PDE march and the tree oracle) price the
+driver together with the intensity-adjusted carry ``h_I z_I + h_C z_C``
+of the default legs and the settlement inflow ``h_I theta_I + h_C
+theta_C``, where the jump exposures are ``z_j = theta_j - v`` for the
+close-outs theta_I, theta_C of v_hat.  For side ``s = +1`` (seller) or
+``-1`` (buyer) write each charge as ``s X(s u)``, with
+
+    F(u) = r_f+ u^+ - r_f- u^- = r_f- u + (r_f+ - r_f-) u^+,
+    R(u) = ((r_D - r_r-) u^+ - (r_D - r_r+) u^-) / sigma,
+    C(u) = r_c+ u^+ - r_c- u^-,
+
+so that ``f_s = -s F(s y) - s R(s z) + r_D (z_I + z_C) - s C(s alpha
+v_hat)``.  With ``theta = theta_I + theta_C`` and ``Y = theta - alpha
+v_hat`` the funding balance is ``y = Y - v``, and the sum is
+
+    const_s - (h_I + h_C + 2 r_D - r_f-) v - s (r_f+ - r_f-) (s (Y - v))^+
+    - s R(s z),
+
+    const_s = 2 (h_I theta_I + h_C theta_C) + r_D theta
+              - s C(s alpha v_hat) - r_f- Y.
+
+Only v_hat enters ``Y`` and ``const_s`` (:func:`financing_level`); the
+side enters ``const_s`` through the collateral rates alone.  The linear
+rate (:func:`linear_rate`) and the funding spread (:func:`funding_spread`)
+are the same for both sides, and ``s R(s z) = m z/sigma + s s_repo
+|z|/sigma`` with ``(m, s_repo)`` from :func:`repo_drift_split`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .benchmark import closeout_C, closeout_I
 from .config import MarketConfig
 
 __all__ = [
-    "DriverInputs",
-    "rate_fund",
-    "rate_repo",
-    "rate_coll",
-    "f_seller",
-    "f_buyer",
     "driver_value",
+    "financing_level",
+    "funding_spread",
+    "linear_rate",
+    "repo_drift_split",
 ]
 
 
-@dataclass(frozen=True)
-class DriverInputs:
-    """Arguments of the wealth driver at one point of the state space.
-
-    v      current candidate value of the hedged position
-    z      volatility-scaled delta exposure (sigma * S * dV/dS)
-    z_I    jump exposure to own default (close-out value minus v)
-    z_C    jump exposure to counterparty default
-    v_hat  default-free reference value used for collateral and close-out
-    """
-
-    v: float
-    z: float
-    z_I: float
-    z_C: float
-    v_hat: float
-
-
-def rate_fund(y, cfg: MarketConfig):
-    """Unsecured funding rate applied to a cash balance y (0 at y == 0)."""
-    y = np.asarray(y, dtype=float)
-    out = np.where(y > 0.0, cfg.r_f_plus, np.where(y < 0.0, cfg.r_f_minus, 0.0))
-    return float(out) if out.ndim == 0 else out
-
-
-def rate_repo(x, cfg: MarketConfig):
-    """Repo rate applied to a stock-financing position x (0 at x == 0)."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(x > 0.0, cfg.r_r_plus, np.where(x < 0.0, cfg.r_r_minus, 0.0))
-    return float(out) if out.ndim == 0 else out
-
-
-def rate_coll(c, cfg: MarketConfig):
-    """Collateral remuneration rate for an account balance c (0 at c == 0)."""
-    c = np.asarray(c, dtype=float)
-    out = np.where(c > 0.0, cfg.r_c_plus, np.where(c < 0.0, cfg.r_c_minus, 0.0))
-    return float(out) if out.ndim == 0 else out
-
-
-def _f_plus(v, z, z_i, z_c, v_hat, cfg: MarketConfig):
-    """Seller-side driver; accepts scalars or numpy arrays."""
+def driver_value(side: int, v, z, z_i, z_c, v_hat, cfg: MarketConfig):
+    """Array-friendly driver for either side: side=+1 seller, -1 buyer."""
+    if side < 0:
+        return -driver_value(
+            +1, np.negative(v), np.negative(z), np.negative(z_i), np.negative(z_c),
+            np.negative(v_hat), cfg,
+        )
     y = v + z_i + z_c - cfg.alpha * v_hat
     c = cfg.alpha * v_hat
     fund = cfg.r_f_plus * np.maximum(y, 0.0) - cfg.r_f_minus * np.maximum(-y, 0.0)
@@ -87,26 +77,6 @@ def _f_plus(v, z, z_i, z_c, v_hat, cfg: MarketConfig):
     ) / cfg.sigma
     coll = cfg.r_c_plus * np.maximum(c, 0.0) - cfg.r_c_minus * np.maximum(-c, 0.0)
     return -(fund + repo - cfg.r_D * z_i - cfg.r_D * z_c + coll)
-
-
-def f_seller(inp: DriverInputs, cfg: MarketConfig) -> float:
-    """Driver of the seller's (upper) wealth equation."""
-    return float(_f_plus(inp.v, inp.z, inp.z_I, inp.z_C, inp.v_hat, cfg))
-
-
-def f_buyer(inp: DriverInputs, cfg: MarketConfig) -> float:
-    """Driver of the buyer's (lower) wealth equation, the seller's reflection."""
-    return float(-_f_plus(-inp.v, -inp.z, -inp.z_I, -inp.z_C, -inp.v_hat, cfg))
-
-
-def driver_value(side: int, v, z, z_i, z_c, v_hat, cfg: MarketConfig):
-    """Array-friendly driver for either side: side=+1 seller, -1 buyer."""
-    if side > 0:
-        return _f_plus(v, z, z_i, z_c, v_hat, cfg)
-    return -_f_plus(
-        np.negative(v), np.negative(z), np.negative(z_i), np.negative(z_c),
-        np.negative(v_hat), cfg,
-    )
 
 
 def repo_drift_split(cfg: MarketConfig) -> tuple[float, float]:
@@ -122,3 +92,39 @@ def repo_drift_split(cfg: MarketConfig) -> tuple[float, float]:
     m = 0.5 * (2.0 * cfg.r_D - cfg.r_r_plus - cfg.r_r_minus)
     s = 0.5 * (cfg.r_r_plus - cfg.r_r_minus)
     return m, s
+
+
+def linear_rate(cfg: MarketConfig) -> float:
+    """Rate ``h_I + h_C + 2 r_D - r_f-`` at which the level form discounts v."""
+    return cfg.h_I_Q + cfg.h_C_Q + 2.0 * cfg.r_D - cfg.r_f_minus
+
+
+def funding_spread(cfg: MarketConfig) -> float:
+    """Slope ``r_f+ - r_f-`` of the funding kink of the level form."""
+    return cfg.r_f_plus - cfg.r_f_minus
+
+
+def financing_level(side: int, cfg: MarketConfig,
+                    v_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Y, const_s)`` of the level form for the reference values ``v_hat``.
+
+    ``Y = theta_I + theta_C - alpha v_hat`` is the funding balance at
+    v = 0 and ``const_s`` the part of the level form that does not depend
+    on v or z (module docstring); side=+1 seller, -1 buyer.
+    """
+    th_i = closeout_I(v_hat, cfg.alpha, cfg.L_I)
+    th_c = closeout_C(v_hat, cfg.alpha, cfg.L_C)
+    th = th_i + th_c
+    a_vh = cfg.alpha * v_hat
+    y_level = th - a_vh
+    # s C(s u) = r_pos u^+ + r_neg min(u, 0): the side picks the rates
+    r_pos, r_neg = ((cfg.r_c_plus, cfg.r_c_minus) if side > 0
+                    else (cfg.r_c_minus, cfg.r_c_plus))
+    coll = r_pos * np.maximum(a_vh, 0.0) + r_neg * np.minimum(a_vh, 0.0)
+    # doubling is exact: this is 2 (h_I th_I + h_C th_C) bit for bit
+    const = (2.0 * cfg.h_I_Q) * th_i
+    const += (2.0 * cfg.h_C_Q) * th_c
+    const += cfg.r_D * th
+    const -= coll
+    const -= cfg.r_f_minus * y_level
+    return y_level, const

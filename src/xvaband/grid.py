@@ -31,7 +31,6 @@ __all__ = [
     "uniform_row_indices",
     "surface_value_at",
     "surface_slope_at",
-    "export_surface_csv",
 ]
 
 
@@ -83,8 +82,8 @@ class SolverConfig:
     rannacher: bool = True
 
     def __post_init__(self) -> None:
-        if self.picard_tol <= 0.0:
-            raise ValueError("picard_tol must be positive")
+        if not (math.isfinite(self.picard_tol) and self.picard_tol > 0.0):
+            raise ValueError("picard_tol must be positive and finite")
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be >= 1")
         if not 0.0 <= self.theta_scheme <= 1.0:
@@ -237,16 +236,3 @@ def surface_slope_at(grid: GridSpec, values: np.ndarray, t: float, s: float) -> 
     slopes[0] = (row[1] - row[0]) / dx
     slopes[-1] = (row[-1] - row[-2]) / dx
     return float((1.0 - wx) * slopes[j0] + wx * slopes[j1])
-
-
-def export_surface_csv(grid: GridSpec, values: np.ndarray, path) -> None:
-    """Write a surface as t,x,value rows (time-major, repr-formatted)."""
-    xs = grid.x_nodes()
-    ts = grid.t_nodes()
-    with open(path, "w", newline="") as fh:
-        fh.write("t,x,value\n")
-        for i, t in enumerate(ts):
-            row = values[i]
-            tr = repr(float(t))
-            for j, x in enumerate(xs):
-                fh.write(f"{tr},{float(x)!r},{float(row[j])!r}\n")

@@ -7,27 +7,28 @@ discounting; the adjusted value solves, at each node, the scalar implicit
 relation
 
     V = E[V'] + dt * ( f(V, Z, theta_I - V, theta_C - V; v_hat)
+                       + h_I (theta_I - V) + h_C (theta_C - V)
                        - (h_I + h_C) V + h_I theta_I + h_C theta_C ),
 
-with Z = (V_up - V_down) / (2 sqrt(dt)).  Z and v_hat come from the level
-above, so only the funding kink of f depends on the unknown x = V.  For
-side s = +1 (seller) or -1 (buyer), with theta = theta_I + theta_C and
-Y = theta - alpha v_hat the funding balance at V = 0, the relation reads
+with f the driver of :mod:`xvaband.driver` and Z = (V_up - V_down) /
+(2 sqrt(dt)).  Z and v_hat come from the level above, so in the level form
+of that module only the funding kink depends on the unknown x = V.  For
+side s = +1 (seller) or -1 (buyer), with Y and const_s from
+:func:`xvaband.driver.financing_level`, the relation reads
 
     A x + s c (s (Y - x))^+ = B,
-    A = 1 + dt (2 (h_I + h_C) + 2 r_D - r_f-),    c = dt (r_f+ - r_f-),
-    B = E[V'] + dt (2 (h_I theta_I + h_C theta_C) + r_D theta - s R(s Z)
-                    - s C(s alpha v_hat) - r_f- Y),
+    A = 1 + dt (h_I + h_C + (h_I + h_C + 2 r_D - r_f-)),
+    c = dt (r_f+ - r_f-),
+    B = E[V'] + dt (const_s - m Z / sigma - s s_repo |Z| / sigma),
 
-with R(u) = ((r_D - r_r-) u^+ - (r_D - r_r+) u^-) / sigma and C(u) =
-r_c+ u^+ - r_c- u^- the repo and collateral charges of the driver
-(:mod:`xvaband.driver`).  The left side is piecewise linear in
-x with slopes A and A - c, so when min(A, A - c) > 0 it has exactly one
-root: x = B / A where s (B - A Y) >= 0 (the funding kink is off) and
-x = (B - c Y) / (A - c) elsewhere.  Each level is solved in closed form,
-with no iteration; a market with min(A, A - c) <= 0 is rejected.  This
-shares no spatial discretisation, no boundary policy, and no time stepper
-with the PDE path, which makes it a genuinely independent price check.
+with (m, s_repo) the repo split of :func:`xvaband.driver.repo_drift_split`.
+The left side is piecewise linear in x with slopes A and A - c, so when
+min(A, A - c) > 0 it has exactly one root: x = B / A where s (B - A Y) >= 0
+(the funding kink is off) and x = (B - c Y) / (A - c) elsewhere.  Each
+level is solved in closed form, with no iteration; a market with
+min(A, A - c) <= 0 is rejected.  This shares no spatial discretisation,
+no boundary policy, and no time stepper with the PDE path, which makes it
+a genuinely independent price check.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmark import benchmark_surface, closeout_C, closeout_I
+from .benchmark import benchmark_surface
 from .config import ClaimSpec, MarketConfig
+from .driver import financing_level, funding_spread, linear_rate, repo_drift_split
 from .grid import GridSpec, SolverConfig
 from .pde import solve_semilinear
 
@@ -63,8 +65,7 @@ class TreeSpec:
 
 def _node_slopes(cfg: MarketConfig, dt: float) -> tuple[float, float]:
     """(A, c) of the node equation A x + s c (s (Y - x))^+ = B."""
-    a = 1.0 + dt * (2.0 * (cfg.h_I_Q + cfg.h_C_Q) + 2.0 * cfg.r_D - cfg.r_f_minus)
-    return a, dt * (cfg.r_f_plus - cfg.r_f_minus)
+    return 1.0 + dt * (cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg)), dt * funding_spread(cfg)
 
 
 def _solve_level(e, z, wh, dt: float, cfg: MarketConfig, side: int) -> np.ndarray:
@@ -73,23 +74,9 @@ def _solve_level(e, z, wh, dt: float, cfg: MarketConfig, side: int) -> np.ndarra
     Assumes min(A, A - c) > 0 (checked by :func:`tree_bsde_price`).
     """
     a, c = _node_slopes(cfg, dt)
-    # s R(s z) = rr[0] max(z, 0) + rr[1] min(z, 0), and s C(s u) likewise
-    # with rc: the side picks which rate applies to which sign
-    rr = ((cfg.r_D - cfg.r_r_minus) / cfg.sigma, (cfg.r_D - cfg.r_r_plus) / cfg.sigma)
-    rc = (cfg.r_c_plus, cfg.r_c_minus)
-    if side < 0:
-        rr, rc = rr[::-1], rc[::-1]
-    th_i = closeout_I(wh, cfg.alpha, cfg.L_I)
-    th_c = closeout_C(wh, cfg.alpha, cfg.L_C)
-    th = th_i + th_c
-    a_wh = cfg.alpha * wh
-    y = th - a_wh
-    b = (2.0 * cfg.h_I_Q) * th_i
-    b += (2.0 * cfg.h_C_Q) * th_c
-    b += cfg.r_D * th
-    b -= cfg.r_f_minus * y
-    b -= rr[0] * np.maximum(z, 0.0) + rr[1] * np.minimum(z, 0.0)
-    b -= rc[0] * np.maximum(a_wh, 0.0) + rc[1] * np.minimum(a_wh, 0.0)
+    m, s_repo = repo_drift_split(cfg)
+    y, b = financing_level(side, cfg, wh)
+    b -= (m * z + (side * s_repo) * np.abs(z)) / cfg.sigma
     b *= dt
     b += e
     a_y = a * y

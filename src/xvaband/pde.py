@@ -35,7 +35,7 @@ from .config import (
     MarketConfig,
     validate_no_arbitrage,
 )
-from .driver import repo_drift_split
+from .driver import financing_level, funding_spread, linear_rate, repo_drift_split
 from .grid import (
     GridSpec,
     SolveDiagnostics,
@@ -111,28 +111,18 @@ def _apply_reduced(lo, di, up, u):
 class SemilinearTerms:
     """Close-out source and financing driver of one side of the wealth PDE.
 
-    For side ``s = +1`` (seller) or ``-1`` (buyer), with theta_I, theta_C
-    the close-outs of the reference value v_hat and ``Y = theta_I +
-    theta_C - alpha*v_hat`` (so the funding balance is ``y = Y - w``), the
-    marched source is :func:`xvaband.driver.driver_value` plus the
-    intensity-adjusted financing ``h_j z_j`` of the default legs and the
-    settlement inflow ``h_I theta_I + h_C theta_C``:
+    For side ``s = +1`` (seller) or ``-1`` (buyer) the marched source is
+    :func:`xvaband.driver.driver_value` plus the intensity-adjusted
+    financing ``h_j z_j`` of the default legs, the settlement inflow ``h_I
+    theta_I + h_C theta_C`` and ``m_fold w_x``, the linear repo part taken
+    out of the convection.  In the level form of :mod:`xvaband.driver`
+    this is
 
-        const_s - (h_I + h_C + 2 r_D) w - s F(s y) - s R(s sigma w_x)
-        + m_fold w_x,
+        const_s - (h_I + h_C + 2 r_D - r_f-) w
+        - s (r_f+ - r_f-) (s (Y - w))^+ - s s_repo |w_x|.
 
-    with ``F(u) = r_f+ u^+ - r_f- u^-``, ``R(u) = ((r_D - r_r-) u^+ -
-    (r_D - r_r+) u^-)/sigma``, ``const_s = 2(h_I theta_I + h_C theta_C)
-    + r_D (theta_I + theta_C) - s C(s alpha v_hat)`` and ``C(u) = r_c+ u^+
-    - r_c- u^-``.  Writing ``F(u) = r_f- u + (r_f+ - r_f-) u^+`` and using
-    the repo split of :func:`xvaband.driver.repo_drift_split` (m_fold is
-    its linear part, folded into the convection), this equals
-
-        (const_s - r_f- Y) - (h_I + h_C + 2 r_D - r_f-) w
-        - s (r_f+ - r_f-) (s y)^+ - s s_repo |w_x|.
-
-    :meth:`level_terms` computes ``(Y, const_s - r_f- Y)`` once per march
-    level; :meth:`source` then evaluates the two kinks in w.
+    :meth:`level_terms` computes ``(Y, const_s)`` from the reference slice
+    once per march level; :meth:`source` then evaluates the two kinks in w.
     """
 
     side: int
@@ -141,33 +131,15 @@ class SemilinearTerms:
     bench_sched: np.ndarray  # (n_levels, n_x) reference slices in march order
 
     def __post_init__(self) -> None:
-        cfg, s = self.cfg, self.side
-        _, s_repo = repo_drift_split(cfg)
-        # s C(s u) = rc[0] u^+ - rc[1] u^-: the side picks the collateral rates
-        self._rc = ((cfg.r_c_plus, cfg.r_c_minus) if s > 0
-                    else (cfg.r_c_minus, cfg.r_c_plus))
-        self._kill = cfg.h_I_Q + cfg.h_C_Q + 2.0 * cfg.r_D - cfg.r_f_minus
-        self._c_fund = -s * (cfg.r_f_plus - cfg.r_f_minus)
+        s = self.side
+        _, s_repo = repo_drift_split(self.cfg)
+        self._kill = linear_rate(self.cfg)
+        self._c_fund = -s * funding_spread(self.cfg)
         self._c_repo = -s * s_repo / (2.0 * self.dx)
 
     def level_terms(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(Y, const_s - r_f- Y) on the interior nodes of march level k."""
-        cfg = self.cfg
-        bh = self.bench_sched[k, 1:-1]
-        e = (1.0 - cfg.alpha) * bh
-        th_i = bh - cfg.L_I * np.maximum(e, 0.0)  # benchmark.closeout_I
-        th_c = bh - cfg.L_C * np.minimum(e, 0.0)  # benchmark.closeout_C
-        th = th_i + th_c
-        a_bh = cfg.alpha * bh
-        y_level = th - a_bh
-        coll = self._rc[0] * np.maximum(a_bh, 0.0) + self._rc[1] * np.minimum(a_bh, 0.0)
-        const = cfg.h_I_Q * th_i
-        const += cfg.h_C_Q * th_c
-        const *= 2.0
-        const += cfg.r_D * th
-        const -= coll
-        const -= cfg.r_f_minus * y_level
-        return y_level, const
+        """(Y, const_s) on the interior nodes of march level k."""
+        return financing_level(self.side, self.cfg, self.bench_sched[k, 1:-1])
 
     def source(self, level: tuple[np.ndarray, np.ndarray],
                w_full: np.ndarray) -> np.ndarray:

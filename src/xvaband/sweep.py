@@ -74,7 +74,10 @@ def default_threads() -> int:
     """Worker count: XVA_THREADS if set, else min(8, cpu count)."""
     env = os.environ.get("XVA_THREADS", "").strip()
     if env:
-        n = int(env)
+        try:
+            n = int(env)
+        except ValueError:
+            raise ValueError(f"XVA_THREADS must be an integer, got {env!r}") from None
         if n < 1:
             raise ValueError(f"XVA_THREADS must be >= 1, got {n}")
         return n

@@ -116,10 +116,8 @@ def solve_trade(
                          benchmark=bench, seller=seller, buyer=buyer)
 
 
-def funding_account_0(side: str, v_0: float, v_hat_0: float, cfg: MarketConfig) -> float:
-    """Time-0 unsecured funding balance of the replication for one side."""
-    if side not in ("seller", "buyer"):
-        raise ValueError(f"side must be 'seller' or 'buyer', got {side!r}")
+def funding_account_0(v_0: float, v_hat_0: float, cfg: MarketConfig) -> float:
+    """Time-0 unsecured funding balance of either side's replication of ``v_0``."""
     th_i = closeout_I(v_hat_0, cfg.alpha, cfg.L_I)
     th_c = closeout_C(v_hat_0, cfg.alpha, cfg.L_C)
     return th_i + th_c - v_0 - collateral(v_hat_0, cfg.alpha)
@@ -153,8 +151,8 @@ def report_from_solution(sol: TradeSolution, spot: float) -> XvaReport:
         xva_sell_rel=_relative(xva_sell, v_hat),
         xva_buy_rel=_relative(xva_buy, v_hat),
         band_width=xva_sell - xva_buy,
-        funding_sell_0=funding_account_0("seller", v_sell, v_hat, sol.cfg),
-        funding_buy_0=funding_account_0("buyer", v_buy, v_hat, sol.cfg),
+        funding_sell_0=funding_account_0(v_sell, v_hat, sol.cfg),
+        funding_buy_0=funding_account_0(v_buy, v_hat, sol.cfg),
     )
 
 

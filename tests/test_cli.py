@@ -183,6 +183,22 @@ class TestTables:
         assert all(s > 0.0 for s in sell)
 
 
+class TestThreadsEnv:
+    def test_price_ignores_a_bad_thread_count(self, config_path, capsys, monkeypatch):
+        # the --threads help text must not read XVA_THREADS at parser build
+        monkeypatch.setenv("XVA_THREADS", "abc")
+        rc = main(["price", "--config", config_path, *TINY_GRID])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["band_width"] >= 0.0
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_table2_reports_a_bad_thread_count(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("XVA_THREADS", value)
+        rc = main(["table2", *TINY_GRID])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: XVA_THREADS ")
+
+
 class TestConvergence:
     def test_two_levels(self, capsys):
         rc = main(["convergence", "--levels", "2", "--base-nx", "101",

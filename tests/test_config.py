@@ -1,4 +1,4 @@
-"""Parameter records, validation, and intensity measure conversion."""
+"""Parameter records and no-arbitrage validation."""
 
 import json
 import math
@@ -10,13 +10,9 @@ import pytest
 from xvaband import (
     ArbitrageViolationError,
     ClaimSpec,
-    CreditP,
     DEFAULT_MARKET,
     MarketConfig,
     apply_overrides,
-    credit_under_p,
-    intensity_p_to_q,
-    intensity_q_to_p,
     load_market_config,
     validate_no_arbitrage,
 )
@@ -105,47 +101,6 @@ def test_custom_payoff_interpolates_and_extrapolates():
 def test_claim_validation_rejects(kwargs):
     with pytest.raises(ValueError):
         ClaimSpec(**kwargs)
-
-
-# --- intensity conversion ----------------------------------------------------
-
-def test_intensity_q_to_p_examples():
-    assert intensity_q_to_p(0.2, 0.03, 0.01) == pytest.approx(0.18, abs=1e-15)
-    assert intensity_q_to_p(0.15, 0.04, 0.01) == pytest.approx(0.12, abs=1e-15)
-    assert intensity_q_to_p(0.07, 0.01, 0.01) == 0.07  # bond rate at r_D
-
-
-def test_intensity_q_to_p_rejects_negative_result():
-    with pytest.raises(ValueError, match="negative"):
-        intensity_q_to_p(0.01, 0.2, 0.01)
-
-
-def test_intensity_p_to_q_examples():
-    assert intensity_p_to_q(0.18, 0.03, 0.01) == pytest.approx(0.2, abs=1e-15)
-    assert intensity_p_to_q(0.12, 0.04, 0.01) == pytest.approx(0.15, abs=1e-15)
-    assert intensity_p_to_q(0.07, 0.01, 0.01) == 0.07
-
-
-def test_intensity_round_trip():
-    # ((h - s) + s) can differ from h by one rounding step in binary
-    # arithmetic, so the assertable bound is an ulp-level tolerance, not
-    # bitwise identity.  Measured worst case over this sample: 1.2e-16.
-    rng = np.random.default_rng(7)
-    for _ in range(500):
-        h = float(rng.uniform(0.0, 1.0))
-        r = float(rng.uniform(-0.1, 0.3))
-        d = float(rng.uniform(-0.1, 0.3))
-        try:
-            back = intensity_p_to_q(intensity_q_to_p(h, r, d), r, d)
-        except ValueError:
-            continue  # negative implied intensity, correctly rejected
-        assert back == pytest.approx(h, abs=4.5e-16)
-
-
-def test_credit_under_p_default_market():
-    credit = credit_under_p(DEFAULT_MARKET)
-    assert credit == CreditP(h_I_P=pytest.approx(0.18, abs=1e-15),
-                             h_C_P=pytest.approx(0.12, abs=1e-15))
 
 
 # --- no-arbitrage validation -------------------------------------------------

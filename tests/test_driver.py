@@ -1,11 +1,10 @@
-"""Asymmetric rate functions and the two wealth drivers."""
+"""The two wealth drivers, evaluated through ``driver_value``."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from xvaband import DriverInputs, f_buyer, f_seller, rate_coll, rate_fund, rate_repo
 from xvaband.driver import driver_value, repo_drift_split
 
 
@@ -15,27 +14,16 @@ from xvaband.driver import driver_value, repo_drift_split
 # r_f_minus), the repo charge is (0.01-0.05)*0.04/0.2 = -0.008, the bond
 # carry is +0.0003, and the collateral charge is +0.0009; the negated sum
 # is +0.0084.  The buyer value at the same point follows from reflecting
-# every argument: +0.0078.
-POINT = DriverInputs(v=0.1, z=0.04, z_I=-0.01, z_C=-0.02, v_hat=0.1)
+# every argument: +0.0078.  Points are (v, z, z_I, z_C, v_hat).
+POINT = (0.1, 0.04, -0.01, -0.02, 0.1)
 
 
-# --- indicator rate functions ------------------------------------------------
-
-def test_rate_functions_pick_side(market):
-    assert rate_fund(-0.02, market) == 0.08
-    assert rate_fund(0.5, market) == 0.05
-    assert rate_fund(0.0, market) == 0.0
-    assert rate_repo(0.3, market) == 0.05
-    assert rate_repo(-0.3, market) == 0.05
-    assert rate_repo(0.0, market) == 0.0
-    assert rate_coll(1.0, market) == 0.01
-    assert rate_coll(-1.0, market) == 0.01
-    assert rate_coll(0.0, market) == 0.0
+def f_seller(point, cfg):
+    return driver_value(+1, *point, cfg)
 
 
-def test_rate_functions_accept_arrays(market):
-    y = np.array([-1.0, 0.0, 2.0])
-    assert np.array_equal(rate_fund(y, market), [0.08, 0.0, 0.05])
+def f_buyer(point, cfg):
+    return driver_value(-1, *point, cfg)
 
 
 # --- frozen driver values ----------------------------------------------------
@@ -49,7 +37,7 @@ def test_f_buyer_reference_point(market):
 
 
 def test_driver_zero_at_origin(market):
-    origin = DriverInputs(v=0.0, z=0.0, z_I=0.0, z_C=0.0, v_hat=0.0)
+    origin = (0.0, 0.0, 0.0, 0.0, 0.0)
     assert f_seller(origin, market) == 0.0
     assert f_buyer(origin, market) == 0.0
 
@@ -61,25 +49,19 @@ def test_flat_rates_collapse_to_discounting(market):
     flat = replace(market, r_D=r, r_f_plus=r, r_f_minus=r, r_r_plus=r,
                    r_r_minus=r, r_c_plus=r, r_c_minus=r, alpha=0.0)
     for v in (-0.4, 0.0, 0.7):
-        inp = DriverInputs(v=v, z=0.0, z_I=0.0, z_C=0.0, v_hat=0.2)
-        assert f_seller(inp, flat) == pytest.approx(-r * v, abs=1e-15)
+        assert f_seller((v, 0.0, 0.0, 0.0, 0.2), flat) == pytest.approx(-r * v, abs=1e-15)
 
 
 # --- structural properties ---------------------------------------------------
 
 def _random_inputs(rng, n):
-    return [
-        DriverInputs(v=float(a), z=float(b), z_I=float(c), z_C=float(d),
-                     v_hat=float(e))
-        for a, b, c, d, e in rng.uniform(-1.0, 1.0, size=(n, 5))
-    ]
+    return [tuple(float(a) for a in row) for row in rng.uniform(-1.0, 1.0, size=(n, 5))]
 
 
 def test_buyer_is_exact_reflection_of_seller(market):
     rng = np.random.default_rng(11)
     for inp in _random_inputs(rng, 200):
-        mirrored = DriverInputs(v=-inp.v, z=-inp.z, z_I=-inp.z_I,
-                                z_C=-inp.z_C, v_hat=-inp.v_hat)
+        mirrored = tuple(-a for a in inp)
         assert f_buyer(inp, market) + f_seller(mirrored, market) == 0.0
 
 
@@ -92,18 +74,14 @@ def test_symmetric_rates_make_both_drivers_equal(market):
 
 
 def test_driver_value_matches_scalar_functions(market):
+    # one array call equals the elementwise scalar calls, on both sides
     rng = np.random.default_rng(13)
     pts = _random_inputs(rng, 50)
-    v = np.array([p.v for p in pts])
-    z = np.array([p.z for p in pts])
-    zi = np.array([p.z_I for p in pts])
-    zc = np.array([p.z_C for p in pts])
-    vh = np.array([p.v_hat for p in pts])
-    sell = driver_value(+1, v, z, zi, zc, vh, market)
-    buy = driver_value(-1, v, z, zi, zc, vh, market)
-    for k, p in enumerate(pts):
-        assert sell[k] == f_seller(p, market)
-        assert buy[k] == f_buyer(p, market)
+    cols = np.array(pts).T
+    for side in (+1, -1):
+        got = driver_value(side, *cols, market)
+        for k, p in enumerate(pts):
+            assert got[k] == driver_value(side, *p, market)
 
 
 def test_global_lipschitz_bound(market):
@@ -117,13 +95,17 @@ def test_global_lipschitz_bound(market):
     rng = np.random.default_rng(14)
     for _ in range(300):
         a, b = _random_inputs(rng, 2)
-        b = DriverInputs(v=b.v, z=b.z, z_I=b.z_I, z_C=b.z_C, v_hat=a.v_hat)
-        dist = (abs(a.v - b.v) + abs(a.z - b.z) + abs(a.z_I - b.z_I)
-                + abs(a.z_C - b.z_C))
+        b = (*b[:4], a[4])
+        dist = sum(abs(x - y) for x, y in zip(a[:4], b[:4]))
         if dist == 0.0:
             continue
         gap = abs(f_seller(a, market) - f_seller(b, market))
         assert gap <= lip * dist * (1.0 + 1e-12)
+
+
+def _adjusted(point, cfg):
+    """Seller driver plus the intensity-adjusted carry h_I z_I + h_C z_C."""
+    return f_seller(point, cfg) + cfg.h_I_Q * point[2] + cfg.h_C_Q * point[3]
 
 
 def test_intensity_adjusted_driver_monotone_in_jump_exposures(market):
@@ -132,17 +114,11 @@ def test_intensity_adjusted_driver_monotone_in_jump_exposures(market):
     # jump exposure: the worst funding spread never exceeds the
     # intensity-adjusted carry of the matching bond.
     rng = np.random.default_rng(15)
-    for inp in _random_inputs(rng, 200):
-        base = f_seller(inp, market) + market.h_I_Q * inp.z_I + market.h_C_Q * inp.z_C
+    for v, z, z_i, z_c, v_hat in _random_inputs(rng, 200):
+        base = _adjusted((v, z, z_i, z_c, v_hat), market)
         for dz in (1e-3, 0.1):
-            up_i = DriverInputs(v=inp.v, z=inp.z, z_I=inp.z_I + dz,
-                                z_C=inp.z_C, v_hat=inp.v_hat)
-            up_c = DriverInputs(v=inp.v, z=inp.z, z_I=inp.z_I,
-                                z_C=inp.z_C + dz, v_hat=inp.v_hat)
-            bumped_i = (f_seller(up_i, market) + market.h_I_Q * up_i.z_I
-                        + market.h_C_Q * up_i.z_C)
-            bumped_c = (f_seller(up_c, market) + market.h_I_Q * up_c.z_I
-                        + market.h_C_Q * up_c.z_C)
+            bumped_i = _adjusted((v, z, z_i + dz, z_c, v_hat), market)
+            bumped_c = _adjusted((v, z, z_i, z_c + dz, v_hat), market)
             assert bumped_i >= base - 1e-15
             assert bumped_c >= base - 1e-15
 
@@ -152,10 +128,8 @@ def test_monotonicity_fails_beyond_the_rate_bound(market):
     # validator flags as arbitrageable), borrowing costs can outrun the
     # counterparty bond carry and the monotonicity above breaks.
     wild = replace(market, r_f_minus=0.2)
-    inp = DriverInputs(v=0.0, z=0.0, z_I=-0.1, z_C=-0.1, v_hat=0.0)
-    up = DriverInputs(v=0.0, z=0.0, z_I=-0.1, z_C=0.0, v_hat=0.0)
-    base = f_seller(inp, wild) + wild.h_I_Q * inp.z_I + wild.h_C_Q * inp.z_C
-    bumped = f_seller(up, wild) + wild.h_I_Q * up.z_I + wild.h_C_Q * up.z_C
+    base = _adjusted((0.0, 0.0, -0.1, -0.1, 0.0), wild)
+    bumped = _adjusted((0.0, 0.0, -0.1, 0.0, 0.0), wild)
     assert bumped < base
 
 

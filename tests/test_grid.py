@@ -10,7 +10,6 @@ from xvaband import ClaimSpec, GridSpec, SolverConfig, build_grid
 from xvaband.grid import (
     SolveDiagnostics,
     Surface,
-    export_surface_csv,
     surface_slope_at,
     surface_value_at,
     time_schedule,
@@ -93,6 +92,8 @@ class TestSolverConfig:
             dict(picard_max_iter=0),
             dict(theta_scheme=-0.1),
             dict(theta_scheme=1.1),
+            dict(picard_tol=float("nan")),
+            dict(picard_tol=float("inf")),
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
@@ -152,18 +153,6 @@ class TestSurface:
             surface_value_at(grid, values, 0.5, math.exp(1.5))
         with pytest.raises(ValueError, match="positive"):
             surface_slope_at(grid, values, 0.5, -1.0)
-
-    def test_export_csv(self, tmp_path):
-        grid, values = self._surface()
-        path = tmp_path / "surface.csv"
-        export_surface_csv(grid, values, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,x,value"
-        assert len(lines) == 1 + (grid.n_t + 1) * grid.n_x
-        t, x, v = lines[1].split(",")
-        assert float(t) == 0.0
-        assert float(x) == -1.0
-        assert float(v) == values[0, 0]
 
 
 class TestDiagnostics:

@@ -34,9 +34,10 @@ class TestSpecs:
     def test_default_threads_env(self, monkeypatch):
         monkeypatch.setenv("XVA_THREADS", "3")
         assert default_threads() == 3
-        monkeypatch.setenv("XVA_THREADS", "0")
-        with pytest.raises(ValueError, match="XVA_THREADS"):
-            default_threads()
+        for bad in ("0", "abc", "2.5"):
+            monkeypatch.setenv("XVA_THREADS", bad)
+            with pytest.raises(ValueError, match="XVA_THREADS"):
+                default_threads()
         monkeypatch.delenv("XVA_THREADS")
         assert default_threads() >= 1
 

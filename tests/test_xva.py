@@ -50,12 +50,8 @@ class TestReport:
         assert rep.xva_buy == rep.v_buy_0 - rep.v_hat_0
         assert rep.band_width == rep.xva_sell - rep.xva_buy
         assert rep.xva_sell_rel == rep.xva_sell / rep.v_hat_0
-        assert rep.funding_sell_0 == funding_account_0(
-            "seller", rep.v_sell_0, rep.v_hat_0, market
-        )
-        assert rep.funding_buy_0 == funding_account_0(
-            "buyer", rep.v_buy_0, rep.v_hat_0, market
-        )
+        assert rep.funding_sell_0 == funding_account_0(rep.v_sell_0, rep.v_hat_0, market)
+        assert rep.funding_buy_0 == funding_account_0(rep.v_buy_0, rep.v_hat_0, market)
 
     def test_base_market_prices_the_seller_above_the_buyer(
         self, call_claim, market, medium_grid, solver
@@ -109,7 +105,7 @@ class TestFundingAccount:
     def test_hand_computed_value(self, market):
         # v_hat = 0.0843: theta_I = 0.9*0.0843 + 0.5*0.1*0.0843 = 0.080085,
         # theta_C = 0.0843, collateral = 0.075870
-        got = funding_account_0("seller", 0.1, 0.0843, market)
+        got = funding_account_0(0.1, 0.0843, market)
         assert got == pytest.approx(0.080085 + 0.0843 - 0.1 - 0.07587, abs=1e-12)
 
     def test_matches_the_closeout_functions(self, market):
@@ -120,11 +116,7 @@ class TestFundingAccount:
             - v0
             - market.alpha * vh
         )
-        assert funding_account_0("buyer", v0, vh, market) == pytest.approx(want, abs=0)
-
-    def test_rejects_unknown_side(self, market):
-        with pytest.raises(ValueError, match="side"):
-            funding_account_0("broker", 0.1, 0.1, market)
+        assert funding_account_0(v0, vh, market) == pytest.approx(want, abs=0)
 
 
 class TestHedge:
