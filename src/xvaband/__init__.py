@@ -27,7 +27,7 @@ from .config import (
 from .grid import GridSpec, SolverConfig, Surface, build_grid
 from .kernels import active_backend
 from .oracle import TreeSpec, symmetric_case_residual, tree_bsde_price
-from .pde import PicardConvergenceError, solve_semilinear
+from .pde import solve_semilinear
 from .sweep import SweepAxis, SweepSpec, run_sweep, write_csv
 from .xva import (
     HedgeSnapshot,
@@ -48,7 +48,6 @@ __all__ = [
     "GridSpec",
     "HedgeSnapshot",
     "MarketConfig",
-    "PicardConvergenceError",
     "SolverConfig",
     "Surface",
     "SweepAxis",

@@ -123,7 +123,7 @@ def benchmark_surface(
 
     Uses the same stepper, schedule, and boundary policy as the semilinear
     solve so that in the symmetric-rate zero-loss limit the two solves
-    coincide on the lattice to iteration tolerance.
+    coincide on the lattice up to rounding.
     """
     from .pde import march_schedule, terminal_slice
 

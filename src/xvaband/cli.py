@@ -57,8 +57,6 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--width-sigmas", type=float, default=6.0)
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--no-rannacher", action="store_true")
-    p.add_argument("--picard-tol", type=float, default=1e-12)
-    p.add_argument("--picard-max-iter", type=int, default=50)
 
 
 def _add_market_args(p: argparse.ArgumentParser, config_required: bool) -> None:
@@ -94,12 +92,7 @@ def _market_from_args(args) -> MarketConfig:
 
 
 def _solver_from_args(args) -> SolverConfig:
-    return SolverConfig(
-        picard_tol=args.picard_tol,
-        picard_max_iter=args.picard_max_iter,
-        theta_scheme=args.theta,
-        rannacher=not args.no_rannacher,
-    )
+    return SolverConfig(theta_scheme=args.theta, rannacher=not args.no_rannacher)
 
 
 def _grid_from_args(args, claim: ClaimSpec, cfg: MarketConfig):
@@ -220,32 +213,29 @@ def cmd_convergence(args) -> int:
         if args.claim != "custom" else _claim_from_args(args)
     spot = args.spot if args.spot is not None else (claim.strike or 1.0)
 
-    rows: list[dict] = []
-    # closed-form comparison for the default-free linear equation
-    if claim.kind in ("call", "put"):
-        exact = bs_closed_form(0.0, spot, claim, cfg.r_D, cfg.sigma)
-        errs = []
-        for lvl in range(args.levels):
-            n_x = (args.base_nx - 1) * 2 ** lvl + 1
-            n_t = args.base_nt * 2 ** lvl
-            grid = build_grid(claim, cfg, width_sigmas=args.width_sigmas,
-                              n_x=n_x, n_t=n_t)
-            bench = benchmark_surface(grid, claim, cfg, solver)
-            err = abs(bench.value_at(0.0, spot) - exact)
-            errs.append(err)
-            order = math.log2(errs[-2] / err) if lvl and err > 0.0 else None
-            rows.append({"case": "linear", "level": lvl, "n_x": n_x, "n_t": n_t,
-                         "value": bench.value_at(0.0, spot), "error": err,
-                         "order": order})
-
-    # self-convergence of the seller solve (Richardson estimate)
-    vals = []
+    # closed-form comparison for the default-free linear equation, then
+    # self-convergence of the seller solve (Richardson estimate); each
+    # level's grid and reference surface serve both
+    exact = (bs_closed_form(0.0, spot, claim, cfg.r_D, cfg.sigma)
+             if claim.kind in ("call", "put") else None)
+    linear: list[dict] = []
+    semilinear: list[dict] = []
+    errs: list[float] = []
+    vals: list[float] = []
     for lvl in range(args.levels):
         n_x = (args.base_nx - 1) * 2 ** lvl + 1
         n_t = args.base_nt * 2 ** lvl
         grid = build_grid(claim, cfg, width_sigmas=args.width_sigmas,
                           n_x=n_x, n_t=n_t)
         bench = benchmark_surface(grid, claim, cfg, solver)
+        if exact is not None:
+            err = abs(bench.value_at(0.0, spot) - exact)
+            errs.append(err)
+            order = math.log2(errs[-2] / err) if lvl and err > 0.0 else None
+            linear.append({"case": "linear", "level": lvl, "n_x": n_x, "n_t": n_t,
+                           "value": bench.value_at(0.0, spot), "error": err,
+                           "order": order})
+
         sell = solve_semilinear(claim, cfg, grid, solver, side="seller",
                                 benchmark=bench,
                                 allow_arbitrage=args.allow_arbitrage)
@@ -255,8 +245,10 @@ def cmd_convergence(args) -> int:
         if lvl >= 2 and diff and diff > 0.0:
             prev = abs(vals[-2] - vals[-3])
             order = math.log2(prev / diff) if prev > 0.0 else None
-        rows.append({"case": "semilinear", "level": lvl, "n_x": n_x, "n_t": n_t,
-                     "value": vals[-1], "error": diff, "order": order})
+        semilinear.append({"case": "semilinear", "level": lvl, "n_x": n_x,
+                           "n_t": n_t, "value": vals[-1], "error": diff,
+                           "order": order})
+    rows = linear + semilinear
     if args.out:
         write_csv(rows, args.out)
     else:
@@ -276,7 +268,7 @@ def cmd_bench(args) -> int:
     tree = TreeSpec(n_steps=2000, claim=claim, cfg=cfg)
     secs: dict[str, list[float]] = {"reference": [], "seller": [], "buyer": [],
                                     "tree": []}
-    picard: dict[str, float] = {}
+    solves: dict[str, tuple[float, int]] = {}
     for _ in range(args.repeat):
         t0 = time.perf_counter()
         bench = benchmark_surface(grid, claim, cfg, solver)
@@ -286,7 +278,8 @@ def cmd_bench(args) -> int:
             surf = solve_semilinear(claim, cfg, grid, solver, side=side,
                                     benchmark=bench)
             secs[side].append(time.perf_counter() - t0)
-            picard[side] = float(surf.diagnostics.iterations.mean())
+            it = surf.diagnostics.iterations
+            solves[side] = (float(it.mean()), int(it.max()))
             t0 = time.perf_counter()
             tree_bsde_price(tree, side=side)
             secs["tree"].append(time.perf_counter() - t0)
@@ -295,8 +288,9 @@ def cmd_bench(args) -> int:
           f"backend: {active_backend()}")
     for layer, times in secs.items():
         line = f"{layer:>9}: {float(np.median(times)) * 1e3:9.2f} ms median"
-        if layer in picard:
-            line += f", {picard[layer]:.2f} Picard iterations per step"
+        if layer in solves:
+            mean, worst = solves[layer]
+            line += f", linear solves per step (mean, max) {mean:.2f}, {worst}"
         elif layer == "tree":
             line += f" per side, {tree.n_steps} steps"
         print(line)

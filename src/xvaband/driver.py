@@ -84,10 +84,10 @@ def repo_drift_split(cfg: MarketConfig) -> tuple[float, float]:
 
     In terms of the log-space slope ``w_x = z / sigma`` the repo charge is
     ``m*w_x + s*|w_x|`` with ``m = (2 r_D - r_r_plus - r_r_minus)/2`` and
-    ``s = (r_r_plus - r_r_minus)/2``.  The linear part can be folded into
-    the PDE convection coefficient, which sharpens the per-step fixed-point
-    contraction; the kink part (zero for symmetric repo rates) stays in the
-    nonlinear driver.
+    ``s = (r_r_plus - r_r_minus)/2``.  The linear part is folded into the
+    PDE convection coefficient, so the march's operator carries it; the
+    kink part (zero for symmetric repo rates) stays in the nonlinear driver,
+    where the branch solve freezes its sign.
     """
     m = 0.5 * (2.0 * cfg.r_D - cfg.r_r_plus - cfg.r_r_minus)
     s = 0.5 * (cfg.r_r_plus - cfg.r_r_minus)

@@ -74,18 +74,16 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-stepping and fixed-point iteration settings."""
+    """Time-stepping settings: the theta weight and the Rannacher startup.
 
-    picard_tol: float = 1e-12
-    picard_max_iter: int = 50
+    Each implicit step is solved exactly (see
+    :func:`xvaband.pde.march_schedule`), so no iteration tolerance is set.
+    """
+
     theta_scheme: float = 0.5
     rannacher: bool = True
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.picard_tol) and self.picard_tol > 0.0):
-            raise ValueError("picard_tol must be positive and finite")
-        if self.picard_max_iter < 1:
-            raise ValueError("picard_max_iter must be >= 1")
         if not 0.0 <= self.theta_scheme <= 1.0:
             raise ValueError("theta_scheme must lie in [0, 1]")
 
@@ -157,25 +155,17 @@ def uniform_row_indices(grid: GridSpec, solver: SolverConfig) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SolveDiagnostics:
-    """Per-step fixed-point iteration counts and final update norms."""
+    """Linear solves taken by every march step."""
 
     step_times: np.ndarray
     iterations: np.ndarray
-    residuals: np.ndarray
 
     def max_iterations(self) -> int:
         return int(self.iterations.max()) if self.iterations.size else 0
 
     def to_records(self) -> list[dict]:
-        return [
-            {
-                "step": int(i),
-                "t": float(self.step_times[i]),
-                "picard_iterations": int(self.iterations[i]),
-                "residual": float(self.residuals[i]),
-            }
-            for i in range(len(self.iterations))
-        ]
+        return [{"step": i, "t": float(t), "linear_solves": int(n)}
+                for i, (t, n) in enumerate(zip(self.step_times, self.iterations))]
 
 
 @dataclass(frozen=True, eq=False)

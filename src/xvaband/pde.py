@@ -7,12 +7,13 @@ In log-space x = ln S the two equations share the operator structure
     w(T, x) = payoff(e^x),
 
 with kappa = r_D and G = 0 for the default-free reference value, and
-kappa = h_I_Q + h_C_Q with G the close-out settlement source plus the
-nonlinear financing driver for the adjusted value.  The linear-in-slope
-part of the repo charge is folded into the convection coefficient a (see
-:func:`xvaband.driver.repo_drift_split`); this keeps the per-step Picard
-map a strong contraction even on fine grids, where the raw slope coupling
-scales like dt/dx.
+kappa = h_I_Q + h_C_Q + :func:`xvaband.driver.linear_rate` with G the
+close-out source plus the two kinks of the financing driver for the
+adjusted value; the linear repo part sits in a (see
+:func:`xvaband.driver.repo_drift_split`).  G is piecewise linear in w, so
+each implicit step is solved exactly by policy iteration (Howard's
+algorithm): freeze the branch of every kink, solve the tridiagonal system
+that gives, and repeat until no branch changes.
 
 Boundary rows impose zero second difference in x (payoffs here are
 asymptotically linear in S = e^x only at the call wing, but linearity in x
@@ -50,7 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .benchmark import BenchmarkSurface
 
 __all__ = [
-    "PicardConvergenceError",
     "SemilinearTerms",
     "march_schedule",
     "reduced_operator",
@@ -58,19 +58,12 @@ __all__ = [
     "terminal_slice",
 ]
 
-
-class PicardConvergenceError(RuntimeError):
-    """Per-step fixed-point iteration failed to reach picard_tol."""
-
-    def __init__(self, step_index: int, t: float, residual: float, iterations: int):
-        self.step_index = step_index
-        self.t = t
-        self.residual = residual
-        self.iterations = iterations
-        super().__init__(
-            f"Picard iteration did not converge at step {step_index} "
-            f"(t = {t:.6g}): residual {residual:.3e} after {iterations} iterations"
-        )
+#: linear solves a march step may take; a step that cycles between branch
+#: sets (a frozen matrix that is not an M-matrix) stops here
+MAX_SOLVES_PER_STEP = 20
+#: a branch flips only where its tested difference exceeds this share of
+#: its operands' size: below that the sign is rounding noise
+_FLIP_RTOL = 4.0 * np.finfo(float).eps
 
 
 def reduced_operator(n_x: int, dx: float, a: float, b: float, kappa: float):
@@ -83,18 +76,11 @@ def reduced_operator(n_x: int, dx: float, a: float, b: float, kappa: float):
     m = n_x - 2
     if m < 3:
         raise ValueError(f"need n_x >= 5 for the boundary stencil, got n_x = {n_x}")
-    lo_c = a / (2.0 * dx) - b / (dx * dx)
-    di_c = 2.0 * b / (dx * dx) + kappa
-    up_c = -a / (2.0 * dx) - b / (dx * dx)
-    lo = np.full(m, lo_c)
-    di = np.full(m, di_c)
-    up = np.full(m, up_c)
-    lo[0] = 0.0
-    di[0] = kappa + a / dx
-    up[0] = -a / dx
-    lo[m - 1] = a / dx
-    di[m - 1] = kappa - a / dx
-    up[m - 1] = 0.0
+    lo = np.full(m, a / (2.0 * dx) - b / (dx * dx))
+    di = np.full(m, 2.0 * b / (dx * dx) + kappa)
+    up = np.full(m, -a / (2.0 * dx) - b / (dx * dx))
+    lo[0], di[0], up[0] = 0.0, kappa + a / dx, -a / dx
+    lo[-1], di[-1], up[-1] = a / dx, kappa - a / dx, 0.0
     return lo, di, up
 
 
@@ -107,6 +93,25 @@ def _apply_reduced(lo, di, up, u):
     return au
 
 
+def _settle(diff, a, b, old):
+    """Branches ``diff > 0`` (``diff = +-(a - b)``) and their flips from
+    ``old``: a node counts only where ``|diff|`` exceeds rounding of ``|a|
+    + |b|``.  Without a flip ``old`` itself is returned."""
+    new = diff > 0.0
+    if old is None:
+        return new, 0
+    flip = new != old
+    if not np.count_nonzero(flip):
+        return old, 0
+    idx = flip.nonzero()[0]
+    idx = idx[np.abs(diff[idx]) > _FLIP_RTOL * (np.abs(a[idx]) + np.abs(b[idx]))]
+    if not idx.size:
+        return old, 0
+    new = old.copy()
+    new[idx] = ~old[idx]
+    return new, idx.size
+
+
 @dataclass(eq=False)
 class SemilinearTerms:
     """Close-out source and financing driver of one side of the wealth PDE.
@@ -116,13 +121,14 @@ class SemilinearTerms:
     financing ``h_j z_j`` of the default legs, the settlement inflow ``h_I
     theta_I + h_C theta_C`` and ``m_fold w_x``, the linear repo part taken
     out of the convection.  In the level form of :mod:`xvaband.driver`
-    this is
+    this is ``-linear_rate w``, which the march's kappa carries, plus
 
-        const_s - (h_I + h_C + 2 r_D - r_f-) w
-        - s (r_f+ - r_f-) (s (Y - w))^+ - s s_repo |w_x|.
+        G = const_s - s (r_f+ - r_f-) (s (Y - w))^+ - s s_repo |w_x|.
 
-    :meth:`level_terms` computes ``(Y, const_s)`` from the reference slice
-    once per march level; :meth:`source` then evaluates the two kinks in w.
+    :meth:`level_terms` gives ``(Y, const_s)`` of a march level and
+    :meth:`source` evaluates G.  A branch set ``(funding, slope)`` flags
+    the nodes where ``s (Y - w) > 0`` and where ``w_{i+1} > w_{i-1}``
+    (None for a kink of zero slope); frozen there, G is linear in w.
     """
 
     side: int
@@ -131,11 +137,9 @@ class SemilinearTerms:
     bench_sched: np.ndarray  # (n_levels, n_x) reference slices in march order
 
     def __post_init__(self) -> None:
-        s = self.side
         _, s_repo = repo_drift_split(self.cfg)
-        self._kill = linear_rate(self.cfg)
-        self._c_fund = -s * funding_spread(self.cfg)
-        self._c_repo = -s * s_repo / (2.0 * self.dx)
+        self._spread = funding_spread(self.cfg)
+        self._c_repo = -self.side * s_repo / (2.0 * self.dx)
 
     def level_terms(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(Y, const_s) on the interior nodes of march level k."""
@@ -143,19 +147,56 @@ class SemilinearTerms:
 
     def source(self, level: tuple[np.ndarray, np.ndarray],
                w_full: np.ndarray) -> np.ndarray:
-        """Interior source at one level for the full slice ``w_full``."""
+        """Interior source G at one level for the full slice ``w_full``."""
         y_level, const = level
         w = w_full[1:-1]
         kink = y_level - w if self.side > 0 else w - y_level  # s * y
         np.maximum(kink, 0.0, out=kink)
-        kink *= self._c_fund
-        g = const - self._kill * w
-        g += kink
+        kink *= -self.side * self._spread
+        g = const + kink
         kink = w_full[2:] - w_full[:-2]
         np.abs(kink, out=kink)
         kink *= self._c_repo
         g += kink
         return g
+
+    def branches(self, level, w_full: np.ndarray, old=(None, None)):
+        """Branch set of ``w_full`` and the number of nodes that left ``old``."""
+        funding = slope = None
+        n_fund = n_slope = 0
+        if self._spread:
+            y_level, w = level[0], w_full[1:-1]
+            diff = y_level - w if self.side > 0 else w - y_level
+            funding, n_fund = _settle(diff, y_level, w, old[0])
+        if self._c_repo:
+            hi, lo = w_full[2:], w_full[:-2]
+            slope, n_slope = _settle(hi - lo, hi, lo, old[1])
+        return (funding, slope), n_fund + n_slope
+
+    def frozen_bands(self, branch, theta_dt: float, lo, di, up):
+        """Bands of ``u + theta_dt (A u - G(u))``, the kinks frozen at
+        ``branch``, for the bands ``(lo, di, up)`` of A."""
+        funding, slope = branch
+        lo, di, up = theta_dt * lo, 1.0 + theta_dt * di, theta_dt * up
+        if funding is not None:
+            di -= (theta_dt * self._spread) * funding
+        if slope is not None:
+            q = np.where(slope, theta_dt * self._c_repo, -theta_dt * self._c_repo)
+            lo += q
+            up -= q
+            # the extrapolated edge nodes double the one-sided differences
+            up[0] -= q[0]
+            di[0] += 2.0 * q[0]
+            lo[-1] += q[-1]
+            di[-1] -= 2.0 * q[-1]
+        return lo, di, up
+
+    def frozen_source(self, level, branch) -> np.ndarray:
+        """The part of G left on the right with the kinks frozen at ``branch``."""
+        y_level, const = level
+        if branch[0] is None:
+            return const
+        return const - (self._spread * y_level) * branch[0]
 
 
 def march_schedule(
@@ -171,79 +212,68 @@ def march_schedule(
 
     Each step from level k to k + 1 solves
 
-        (I + theta dt A) u = (I - (1-theta) dt A) u_k
-                             + dt (theta G_{k+1}(u) + (1-theta) G_k(u_k))
+        (I + theta dt A) u - theta dt G_{k+1}(u)
+            = (I - (1-theta) dt A) u_k + (1-theta) dt G_k(u_k)
 
     on the interior, with G the source of ``terms`` (none for the linear
-    reference equation): ``terms.level_terms(k)`` gives the data of level
-    k and ``terms.source(level, w_full)`` evaluates G.  The implicit coupling is resolved by Picard
-    iteration warm-started from a linear extrapolation of the two previous
-    levels.  ``I + theta dt A`` is factored once per distinct (theta, dt)
-    pair, and the v_hat-only part of G once per level.
+    reference equation).  Policy iteration solves it exactly: the branch
+    set predicted by a linear extrapolation of the two previous levels is
+    frozen, the linear system it gives is solved, and the solve repeats
+    from the solution's branches until no node flips.  Factors are kept
+    while theta dt and the branch set stay the same.  A step still
+    flipping after :data:`MAX_SOLVES_PER_STEP` solves raises
+    ``RuntimeError``.
 
     Returns (sched_times, sched_values, diagnostics); sched_values[k] is
-    the full slice at sched_times[k], marching from T down to 0.
+    the full slice at sched_times[k], marching from T down to 0, and the
+    diagnostics count every step's linear solves.
     """
     times, thetas = time_schedule(grid, solver)
     dts = times[:-1] - times[1:]
     lo, di, up = reduced_operator(grid.n_x, grid.dx, a_eff, b, kappa)
-    factors: dict[tuple[float, float], tuple] = {}
 
-    n_steps = dts.size
-    surf = np.empty((n_steps + 1, grid.n_x))
+    surf = np.empty((dts.size + 1, grid.n_x))
     surf[0] = w_terminal
-    iters = np.ones(n_steps, dtype=np.int64)
-    resids = np.zeros(n_steps)
-    w_cur = np.empty(grid.n_x)
+    iters = np.ones(dts.size, dtype=np.int64)
     level = terms.level_terms(0) if terms is not None else None
-
-    for k in range(n_steps):
-        dt = float(dts[k])
-        theta = float(thetas[k])
+    branch = (None, None)
+    factors: dict[float, tuple] = {}  # theta dt -> (branch set and) factors
+    for k, (dt, theta) in enumerate(zip(dts.tolist(), thetas.tolist())):
         theta_dt = theta * dt
-        lu = factors.get((theta, dt))
-        if lu is None:
-            lu = factors[(theta, dt)] = tridiag_factor(
-                theta_dt * lo, 1.0 + theta_dt * di, theta_dt * up
-            )
-        w_next = surf[k]
-        u_next = w_next[1:-1]
         c_e = (1.0 - theta) * dt
+        w_next, w_new = surf[k], surf[k + 1]
+        u_next = w_next[1:-1]
         rhs0 = u_next - c_e * _apply_reduced(lo, di, up, u_next)
         if terms is None:
-            extend_slice(tridiag_solve(lu, rhs0), out=surf[k + 1])
+            if theta_dt not in factors:
+                factors[theta_dt] = tridiag_factor(theta_dt * lo, 1.0 + theta_dt * di,
+                                                   theta_dt * up)
+            extend_slice(tridiag_solve(factors[theta_dt], rhs0), out=w_new)
             continue
 
         if theta < 1.0:
             rhs0 += c_e * terms.source(level, w_next)
         level = terms.level_terms(k + 1)
-        if k == 0:
-            u = u_next.copy()
-        else:
-            r = dts[k] / dts[k - 1]
-            u = u_next + r * (u_next - surf[k - 1, 1:-1])
-        n_it = 0
-        delta = np.inf
-        while n_it < solver.picard_max_iter:
-            n_it += 1
-            extend_slice(u, out=w_cur)
-            rhs = terms.source(level, w_cur)
-            rhs *= theta_dt
-            rhs += rhs0
-            u_new = tridiag_solve(lu, rhs)
-            u -= u_new  # the old iterate is only needed for the update norm
-            delta = float(np.abs(u).max())
-            u = u_new
-            if delta < solver.picard_tol:
+        guess = u_next if k == 0 else (
+            u_next + dt / dts[k - 1] * (u_next - surf[k - 1, 1:-1]))
+        branch, _ = terms.branches(level, extend_slice(guess, out=w_new), branch)
+        for n_solves in range(1, MAX_SOLVES_PER_STEP + 1):
+            kept = factors.get(theta_dt)
+            if kept is None or kept[0] is not branch[0] or kept[1] is not branch[1]:
+                kept = factors[theta_dt] = (*branch, tridiag_factor(
+                    *terms.frozen_bands(branch, theta_dt, lo, di, up)))
+            rhs = rhs0 + theta_dt * terms.frozen_source(level, branch)
+            extend_slice(tridiag_solve(kept[2], rhs), out=w_new)
+            branch, n_flips = terms.branches(level, w_new, branch)
+            if not n_flips:
                 break
-        if delta >= solver.picard_tol:
-            raise PicardConvergenceError(k, float(times[k + 1]), delta, n_it)
-        extend_slice(u, out=surf[k + 1])
-        iters[k] = n_it
-        resids[k] = delta
+        else:
+            raise RuntimeError(
+                f"branch solve did not settle at step {k} (t = {times[k + 1]:.6g}):"
+                f" {n_flips} nodes still flipped after {n_solves} linear solves")
+        iters[k] = n_solves
 
-    diag = SolveDiagnostics(step_times=times[1:].copy(), iterations=iters,
-                            residuals=resids)
+    diag = SolveDiagnostics(step_times=times[1:].copy(), iterations=iters)
     return times, surf, diag
 
 
@@ -302,16 +332,12 @@ def solve_semilinear(
 
     m_fold, _ = repo_drift_split(cfg)
     a = cfg.r_D - 0.5 * cfg.sigma * cfg.sigma
-    terms = SemilinearTerms(
-        side=+1 if side == "seller" else -1,
-        cfg=cfg,
-        dx=grid.dx,
-        bench_sched=benchmark.sched_values,
-    )
+    terms = SemilinearTerms(side=+1 if side == "seller" else -1, cfg=cfg,
+                            dx=grid.dx, bench_sched=benchmark.sched_values)
     sched_times, sched_values, diag = march_schedule(
         terminal_slice(claim, grid), grid, solver,
         a_eff=a - m_fold, b=0.5 * cfg.sigma * cfg.sigma,
-        kappa=cfg.h_I_Q + cfg.h_C_Q, terms=terms,
+        kappa=cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg), terms=terms,
     )
     rows = uniform_row_indices(grid, solver)
     return Surface(grid=grid, values=sched_values[rows].copy(), diagnostics=diag)

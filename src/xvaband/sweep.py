@@ -142,22 +142,9 @@ def run_sweep(
                               benchmark=bench_cache[(cfg.r_D, cfg.sigma)])
             rep = report_from_solution(sol, spot)
             hedge = hedge_at(sol.seller, sol.benchmark, cfg, 0.0, spot)
-            row.update(
-                v_hat_0=rep.v_hat_0,
-                v_sell_0=rep.v_sell_0,
-                v_buy_0=rep.v_buy_0,
-                xva_sell=rep.xva_sell,
-                xva_buy=rep.xva_buy,
-                xva_sell_rel=rep.xva_sell_rel,
-                xva_buy_rel=rep.xva_buy_rel,
-                band_width=rep.band_width,
-                funding_sell_0=rep.funding_sell_0,
-                funding_buy_0=rep.funding_buy_0,
-                xi_0=hedge.xi,
-                xi_I_0=hedge.xi_I,
-                xi_C_0=hedge.xi_C,
-                error="",
-            )
+            # the report's fields carry the names of the first ten columns
+            row.update((col, getattr(rep, col)) for col in SWEEP_COLUMNS[:10])
+            row.update(xi_0=hedge.xi, xi_I_0=hedge.xi_I, xi_C_0=hedge.xi_C, error="")
         except Exception as err:  # noqa: BLE001 - reported per row
             if fail_fast:
                 raise

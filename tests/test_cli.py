@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from xvaband import DEFAULT_MARKET
+from xvaband import DEFAULT_MARKET, benchmark_surface
 from xvaband.cli import main
 
 FAST_GRID = ["--nx", "201", "--nt", "50"]
@@ -118,7 +118,7 @@ class TestPrice:
         assert records[-1]["event"] == "report"
         solves = {r["solve"] for r in records if "solve" in r}
         assert solves == {"benchmark", "seller", "buyer"}
-        assert all(r["picard_iterations"] >= 1 for r in records if "solve" in r)
+        assert all(r["linear_solves"] >= 1 for r in records if "solve" in r)
 
 
 class TestSweep:
@@ -213,6 +213,24 @@ class TestConvergence:
         assert rows[0]["error"] != ""  # closed-form error known at level 0
         assert rows[2]["error"] == ""  # self-convergence needs two levels
 
+    def test_each_level_solves_its_reference_once(self, monkeypatch, capsys):
+        import xvaband.cli as cli
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].n_x)
+            return benchmark_surface(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "benchmark_surface", counted)
+        rc = main(["convergence", "--levels", "3", "--base-nx", "51",
+                   "--base-nt", "10"])
+        assert rc == 0
+        assert calls == [51, 101, 201]
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split(",")[0] for ln in lines[1:]] == (
+            ["linear"] * 3 + ["semilinear"] * 3)
+
     def test_rejects_single_level(self, capsys):
         rc = main(["convergence", "--levels", "1"])
         assert rc == 1
@@ -230,7 +248,8 @@ class TestBench:
         for layer in ("reference", "seller", "buyer"):
             (line,) = [ln for ln in lines if ln.strip().startswith(layer + ":")]
             assert "ms median" in line
-            assert ("Picard iterations per step" in line) == (layer != "reference")
+            assert (("linear solves per step (mean, max)" in line)
+                    == (layer != "reference"))
         (line,) = [ln for ln in lines if ln.strip().startswith("tree:")]
         assert "ms median per side, 2000 steps" in line
 

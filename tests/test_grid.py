@@ -80,20 +80,16 @@ class TestGridSpec:
 class TestSolverConfig:
     def test_defaults(self):
         solver = SolverConfig()
-        assert solver.picard_tol == 1e-12
-        assert solver.picard_max_iter == 50
         assert solver.theta_scheme == 0.5
         assert solver.rannacher is True
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(picard_tol=0.0),
-            dict(picard_max_iter=0),
+            dict(theta_scheme=float("nan")),
+            dict(theta_scheme=float("inf")),
             dict(theta_scheme=-0.1),
             dict(theta_scheme=1.1),
-            dict(picard_tol=float("nan")),
-            dict(picard_tol=float("inf")),
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
@@ -160,17 +156,17 @@ class TestDiagnostics:
         diag = SolveDiagnostics(
             step_times=np.array([1.0, 0.5, 0.0]),
             iterations=np.array([2, 4, 3]),
-            residuals=np.array([1e-13, 2e-13, 5e-14]),
         )
         assert diag.max_iterations() == 4
         recs = diag.to_records()
-        assert [r["picard_iterations"] for r in recs] == [2, 4, 3]
+        assert [r["linear_solves"] for r in recs] == [2, 4, 3]
+        assert set(recs[0]) == {"step", "t", "linear_solves"}
         assert recs[1]["t"] == 0.5
         assert recs[0]["step"] == 0
 
     def test_empty(self):
         diag = SolveDiagnostics(
-            step_times=np.array([]), iterations=np.array([]), residuals=np.array([])
+            step_times=np.array([]), iterations=np.array([])
         )
         assert diag.max_iterations() == 0
         assert diag.to_records() == []
