@@ -268,7 +268,7 @@ def cmd_bench(args) -> int:
     tree = TreeSpec(n_steps=2000, claim=claim, cfg=cfg)
     secs: dict[str, list[float]] = {"reference": [], "seller": [], "buyer": [],
                                     "tree": []}
-    solves: dict[str, tuple[float, int]] = {}
+    solves: dict[str, tuple[float, int, float]] = {}
     for _ in range(args.repeat):
         t0 = time.perf_counter()
         bench = benchmark_surface(grid, claim, cfg, solver)
@@ -278,8 +278,9 @@ def cmd_bench(args) -> int:
             surf = solve_semilinear(claim, cfg, grid, solver, side=side,
                                     benchmark=bench)
             secs[side].append(time.perf_counter() - t0)
-            it = surf.diagnostics.iterations
-            solves[side] = (float(it.mean()), int(it.max()))
+            diag = surf.diagnostics
+            solves[side] = (float(diag.iterations.mean()), diag.max_iterations(),
+                            float(diag.factors.mean()))
             t0 = time.perf_counter()
             tree_bsde_price(tree, side=side)
             secs["tree"].append(time.perf_counter() - t0)
@@ -289,8 +290,9 @@ def cmd_bench(args) -> int:
     for layer, times in secs.items():
         line = f"{layer:>9}: {float(np.median(times)) * 1e3:9.2f} ms median"
         if layer in solves:
-            mean, worst = solves[layer]
-            line += f", linear solves per step (mean, max) {mean:.2f}, {worst}"
+            mean, worst, factors = solves[layer]
+            line += (f", linear solves per step (mean, max) {mean:.2f}, {worst},"
+                     f" factors per step (mean) {factors:.2f}")
         elif layer == "tree":
             line += f" per side, {tree.n_steps} steps"
         print(line)

@@ -155,17 +155,19 @@ def uniform_row_indices(grid: GridSpec, solver: SolverConfig) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SolveDiagnostics:
-    """Linear solves taken by every march step."""
+    """Linear solves and tridiagonal factors (``dgttrf``) of every march step."""
 
     step_times: np.ndarray
     iterations: np.ndarray
+    factors: np.ndarray
 
     def max_iterations(self) -> int:
         return int(self.iterations.max()) if self.iterations.size else 0
 
     def to_records(self) -> list[dict]:
-        return [{"step": i, "t": float(t), "linear_solves": int(n)}
-                for i, (t, n) in enumerate(zip(self.step_times, self.iterations))]
+        return [{"step": i, "t": float(t), "linear_solves": int(n), "factors": int(f)}
+                for i, (t, n, f) in enumerate(zip(self.step_times, self.iterations,
+                                                  self.factors))]
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,12 @@ adjusted value; the linear repo part sits in a (see
 :func:`xvaband.driver.repo_drift_split`).  G is piecewise linear in w, so
 each implicit step is solved exactly by policy iteration (Howard's
 algorithm): freeze the branch of every kink, solve the tridiagonal system
-that gives, and repeat until no branch changes.
+that gives, and repeat until no branch changes.  Each step starts from
+the branch set that settled the step before, the usual warm start of
+Howard's algorithm in time stepping (Forsyth & Labahn, J. Comp. Finance
+11(2), 2007), so an unmoved set reuses its factor; and each step takes
+its explicit half from the last solve's right-hand side instead of
+applying A and G again (see :func:`march_schedule`).
 
 Boundary rows impose zero second difference in x (payoffs here are
 asymptotically linear in S = e^x only at the call wing, but linearity in x
@@ -61,6 +66,10 @@ __all__ = [
 #: linear solves a march step may take; a step that cycles between branch
 #: sets (a frozen matrix that is not an M-matrix) stops here
 MAX_SOLVES_PER_STEP = 20
+#: a step takes its explicit half from the last solve only while
+#: rho = (1-theta) dt / (theta dt)_prev stays at most this: the recurrence
+#: scales that solve's rounding by rho (theta >= 1/3 keeps rho <= 2)
+_MAX_RHO = 2.0
 #: a branch flips only where its tested difference exceeds this share of
 #: its operands' size: below that the sign is rounding noise
 _FLIP_RTOL = 4.0 * np.finfo(float).eps
@@ -213,20 +222,32 @@ def march_schedule(
     Each step from level k to k + 1 solves
 
         (I + theta dt A) u - theta dt G_{k+1}(u)
-            = (I - (1-theta) dt A) u_k + (1-theta) dt G_k(u_k)
+            = (I - (1-theta) dt A) u_k + (1-theta) dt G_k(u_k) =: rhs0_k
 
     on the interior, with G the source of ``terms`` (none for the linear
-    reference equation).  Policy iteration solves it exactly: the branch
-    set predicted by a linear extrapolation of the two previous levels is
-    frozen, the linear system it gives is solved, and the solve repeats
-    from the solution's branches until no node flips.  Factors are kept
-    while theta dt and the branch set stay the same.  A step still
-    flipping after :data:`MAX_SOLVES_PER_STEP` solves raises
-    ``RuntimeError``.
+    reference equation).  The last solve already holds the explicit half:
+    it left ``(theta dt)_{k-1} (A u_k - G_k(u_k)) = rhs0_{k-1} - u_k``, so
+
+        rhs0_k = u_k + rho_k (u_k - rhs0_{k-1}),
+        rho_k = (1-theta_k) dt_k / (theta dt)_{k-1}.
+
+    A and G are applied directly only where no usable solve precedes the
+    step: the first step with theta < 1, and any step with rho_k > 2.
+    That is every step after one with theta dt = 0 (explicit Euler), and
+    every step at theta < 1/3, where the recurrence would scale the last
+    solve's rounding by rho_k.
+
+    Policy iteration solves each step exactly: it starts from the branch
+    set that settled the previous step (the first step takes the terminal
+    slice's), solves the linear system that set freezes, and repeats from
+    the solution's branches until no node flips.  Factors are kept while
+    theta dt and the branch set stay the same, so a step whose set did
+    not move reuses the last factor.  A step still flipping after
+    :data:`MAX_SOLVES_PER_STEP` solves raises ``RuntimeError``.
 
     Returns (sched_times, sched_values, diagnostics); sched_values[k] is
     the full slice at sched_times[k], marching from T down to 0, and the
-    diagnostics count every step's linear solves.
+    diagnostics count every step's linear solves and factors.
     """
     times, thetas = time_schedule(grid, solver)
     dts = times[:-1] - times[1:]
@@ -235,33 +256,43 @@ def march_schedule(
     surf = np.empty((dts.size + 1, grid.n_x))
     surf[0] = w_terminal
     iters = np.ones(dts.size, dtype=np.int64)
+    n_factors = np.zeros(dts.size, dtype=np.int64)
     level = terms.level_terms(0) if terms is not None else None
     branch = (None, None)
     factors: dict[float, tuple] = {}  # theta dt -> (branch set and) factors
+    rhs0, last_theta_dt = None, 0.0
     for k, (dt, theta) in enumerate(zip(dts.tolist(), thetas.tolist())):
         theta_dt = theta * dt
         c_e = (1.0 - theta) * dt
         w_next, w_new = surf[k], surf[k + 1]
         u_next = w_next[1:-1]
-        rhs0 = u_next - c_e * _apply_reduced(lo, di, up, u_next)
+        if not c_e:
+            rhs0 = u_next
+        elif c_e <= _MAX_RHO * last_theta_dt:
+            rhs0 = u_next + (c_e / last_theta_dt) * (u_next - rhs0)
+        else:
+            rhs0 = u_next - c_e * _apply_reduced(lo, di, up, u_next)
+            if terms is not None:
+                rhs0 += c_e * terms.source(level, w_next)
+        last_theta_dt = theta_dt
         if terms is None:
             if theta_dt not in factors:
                 factors[theta_dt] = tridiag_factor(theta_dt * lo, 1.0 + theta_dt * di,
                                                    theta_dt * up)
-            extend_slice(tridiag_solve(factors[theta_dt], rhs0), out=w_new)
+                n_factors[k] = 1
+            # the solve overwrites its right-hand side; the next step reads rhs0
+            extend_slice(tridiag_solve(factors[theta_dt], rhs0.copy()), out=w_new)
             continue
 
-        if theta < 1.0:
-            rhs0 += c_e * terms.source(level, w_next)
         level = terms.level_terms(k + 1)
-        guess = u_next if k == 0 else (
-            u_next + dt / dts[k - 1] * (u_next - surf[k - 1, 1:-1]))
-        branch, _ = terms.branches(level, extend_slice(guess, out=w_new), branch)
+        if k == 0:
+            branch, _ = terms.branches(level, extend_slice(u_next, out=w_new))
         for n_solves in range(1, MAX_SOLVES_PER_STEP + 1):
             kept = factors.get(theta_dt)
             if kept is None or kept[0] is not branch[0] or kept[1] is not branch[1]:
                 kept = factors[theta_dt] = (*branch, tridiag_factor(
                     *terms.frozen_bands(branch, theta_dt, lo, di, up)))
+                n_factors[k] += 1
             rhs = rhs0 + theta_dt * terms.frozen_source(level, branch)
             extend_slice(tridiag_solve(kept[2], rhs), out=w_new)
             branch, n_flips = terms.branches(level, w_new, branch)
@@ -273,7 +304,8 @@ def march_schedule(
                 f" {n_flips} nodes still flipped after {n_solves} linear solves")
         iters[k] = n_solves
 
-    diag = SolveDiagnostics(step_times=times[1:].copy(), iterations=iters)
+    diag = SolveDiagnostics(step_times=times[1:].copy(), iterations=iters,
+                            factors=n_factors)
     return times, surf, diag
 
 

@@ -119,6 +119,8 @@ class TestPrice:
         solves = {r["solve"] for r in records if "solve" in r}
         assert solves == {"benchmark", "seller", "buyer"}
         assert all(r["linear_solves"] >= 1 for r in records if "solve" in r)
+        assert all(0 <= r["factors"] <= r["linear_solves"]
+                   for r in records if "solve" in r)
 
 
 class TestSweep:
@@ -249,6 +251,8 @@ class TestBench:
             (line,) = [ln for ln in lines if ln.strip().startswith(layer + ":")]
             assert "ms median" in line
             assert (("linear solves per step (mean, max)" in line)
+                    == (layer != "reference"))
+            assert (("factors per step (mean)" in line)
                     == (layer != "reference"))
         (line,) = [ln for ln in lines if ln.strip().startswith("tree:")]
         assert "ms median per side, 2000 steps" in line

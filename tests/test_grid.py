@@ -156,17 +156,20 @@ class TestDiagnostics:
         diag = SolveDiagnostics(
             step_times=np.array([1.0, 0.5, 0.0]),
             iterations=np.array([2, 4, 3]),
+            factors=np.array([1, 0, 2]),
         )
         assert diag.max_iterations() == 4
         recs = diag.to_records()
         assert [r["linear_solves"] for r in recs] == [2, 4, 3]
-        assert set(recs[0]) == {"step", "t", "linear_solves"}
+        assert [r["factors"] for r in recs] == [1, 0, 2]
+        assert set(recs[0]) == {"step", "t", "linear_solves", "factors"}
         assert recs[1]["t"] == 0.5
         assert recs[0]["step"] == 0
 
     def test_empty(self):
         diag = SolveDiagnostics(
-            step_times=np.array([]), iterations=np.array([])
+            step_times=np.array([]), iterations=np.array([]),
+            factors=np.array([]),
         )
         assert diag.max_iterations() == 0
         assert diag.to_records() == []

@@ -228,9 +228,12 @@ class TestRearrangedSource:
             scale = _term_scale(KINK_MARKET, dx, bench_row, w)
             assert np.max(np.abs(got - want)) <= 1e-15 * scale
 
-    @pytest.mark.parametrize("side", ["seller", "buyer"])
-    def test_march_matches_a_banded_driver_march(self, side, solver):
-        grid = build_grid(KINK_CLAIM, KINK_MARKET, n_x=101, n_t=50)
+    @staticmethod
+    def _marches(side, solver, n_t):
+        """The KINK trade's reference surface and one side marched by
+        march_schedule and by the banded Picard march; returns (grid,
+        reference, marched, banded)."""
+        grid = build_grid(KINK_CLAIM, KINK_MARKET, n_x=101, n_t=n_t)
         bench = benchmark_surface(grid, KINK_CLAIM, KINK_MARKET, solver)
         assert bench.values.min() < 0.0 < bench.values.max()
         sign = +1 if side == "seller" else -1
@@ -250,10 +253,62 @@ class TestRearrangedSource:
                                 bench_sched=bench.sched_values)
         _, got, _ = march_schedule(w_t, grid, solver, terms=terms,
                                    kappa=kappa + linear_rate(KINK_MARKET), **kw)
+        return grid, bench, got, want
+
+    @pytest.mark.parametrize("side", ["seller", "buyer"])
+    def test_march_matches_a_banded_driver_march(self, side, solver):
+        grid, bench, got, want = self._marches(side, solver, n_t=50)
         assert np.max(np.abs(got - want)) < 1e-12
         surf = solve_semilinear(KINK_CLAIM, KINK_MARKET, grid, solver, side=side,
                                 benchmark=bench)
         assert np.array_equal(surf.values[::-1], got[[0, *range(2, grid.n_t + 2)]])
+
+    @pytest.mark.parametrize("side", ["seller", "buyer"])
+    @pytest.mark.parametrize("solver", [SolverConfig(rannacher=False),
+                                        SolverConfig(theta_scheme=0.0),
+                                        SolverConfig(theta_scheme=1e-6)],
+                             ids=["no_rannacher", "theta0", "theta1e-6"])
+    def test_direct_explicit_half_matches_a_banded_driver_march(self, side, solver):
+        # without Rannacher the first step's explicit half has no solve
+        # before it; at theta = 0 no step after the startup has one, and
+        # the recurrence from the last solve would divide by theta dt = 0;
+        # at theta = 1e-6 it would scale that solve's rounding by 1e6.
+        # n_t = 100 keeps the near-explicit marches stable on this grid
+        grid, bench, got, want = self._marches(side, solver, n_t=100)
+        assert np.max(np.abs(got - want)) < 1e-12
+        m = KINK_MARKET
+        want_ref = _banded_march(terminal_slice(KINK_CLAIM, grid), grid, solver,
+                                 a_eff=m.r_D - 0.5 * m.sigma ** 2,
+                                 b=0.5 * m.sigma ** 2, kappa=m.r_D,
+                                 source_at=lambda level, w_full: 0.0)
+        assert np.max(np.abs(bench.sched_values - want_ref)) < 1e-12
+
+    @pytest.mark.parametrize("solver, per_march", [
+        (SolverConfig(), 0), (SolverConfig(rannacher=False), 1)],
+        ids=["default", "no_rannacher"])
+    def test_explicit_half_is_evaluated_once_per_march_at_most(
+        self, solver, per_march, monkeypatch
+    ):
+        # every other step takes its explicit half from the last solve
+        calls = {"apply": 0, "source": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pde, "_apply_reduced",
+                            counted("apply", pde._apply_reduced))
+        monkeypatch.setattr(SemilinearTerms, "source",
+                            counted("source", SemilinearTerms.source))
+        grid = build_grid(KINK_CLAIM, KINK_MARKET, n_x=101, n_t=50)
+        bench = benchmark_surface(grid, KINK_CLAIM, KINK_MARKET, solver)
+        for side in ("seller", "buyer"):
+            solve_semilinear(KINK_CLAIM, KINK_MARKET, grid, solver, side=side,
+                             benchmark=bench)
+        # one reference march and two semilinear ones
+        assert calls == {"apply": 3 * per_march, "source": 2 * per_march}
 
 
 class TestMarchSchedule:
@@ -346,6 +401,10 @@ class TestSolveSemilinear:
         surf = solve_semilinear(call_claim, market, small_grid, solver, side=side)
         assert surf.diagnostics.iterations.mean() <= 2.0
         assert surf.diagnostics.max_iterations() <= 3
+        # each step starts from the last settled branch set and reuses its
+        # factor: 0.64 (seller) and 0.61 (buyer) factors per step, against
+        # 0.81 and 0.80 from an extrapolated branch prediction
+        assert surf.diagnostics.factors.mean() <= 0.7
 
     @pytest.mark.parametrize("h, n_t", [(20.0, 10), (40.0, 10), (10.0, 20)])
     @pytest.mark.parametrize("kind", ["call", "put"])
