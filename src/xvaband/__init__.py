@@ -8,7 +8,6 @@ cross-check.  Everything runs on numpy and scipy.
 """
 
 from .benchmark import (
-    BenchmarkSurface,
     benchmark_surface,
     bs_closed_form,
     closeout_C,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArbitrageViolationError",
-    "BenchmarkSurface",
     "ClaimSpec",
     "DEFAULT_MARKET",
     "GridSpec",

@@ -10,29 +10,23 @@ close-out: on an own default the hedger settles theta_I = v_hat -
 L_I*((1-alpha) v_hat)^+ (the uncollateralised positive part is haircut),
 and on a counterparty default theta_C = v_hat + L_C*((1-alpha) v_hat)^-.
 Both close-outs bracket v_hat: theta_I <= v_hat <= theta_C.
+
+:func:`benchmark_surface` marches the reference on the same schedule as
+the semilinear solve, so its :class:`xvaband.grid.Surface` holds v_hat at
+every level that solve reads, the Rannacher half level included.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
 
 from .config import ClaimSpec, MarketConfig
-from .grid import (
-    GridSpec,
-    SolveDiagnostics,
-    SolverConfig,
-    surface_slope_at,
-    surface_value_at,
-    time_schedule,
-    uniform_row_indices,
-)
+from .grid import GridSpec, SolverConfig, Surface
 
 __all__ = [
-    "BenchmarkSurface",
     "bs_closed_form",
     "closeout_I",
     "closeout_C",
@@ -90,35 +84,12 @@ def collateral(v_hat, alpha: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True, eq=False)
-class BenchmarkSurface:
-    """Reference value on the lattice, plus the slices at every march level.
-
-    ``values`` holds the uniform time levels (t increasing, like
-    :class:`xvaband.grid.Surface`); ``sched_values`` holds one row per
-    march level including any Rannacher half step, which is what the
-    semilinear solve consumes.
-    """
-
-    grid: GridSpec
-    values: np.ndarray
-    sched_times: np.ndarray
-    sched_values: np.ndarray
-    diagnostics: SolveDiagnostics | None = None
-
-    def value_at(self, t: float, s: float) -> float:
-        return surface_value_at(self.grid, self.values, t, s)
-
-    def slope_at(self, t: float, s: float) -> float:
-        return surface_slope_at(self.grid, self.values, t, s)
-
-
 def benchmark_surface(
     grid: GridSpec,
     claim: ClaimSpec,
     cfg: MarketConfig,
     solver: SolverConfig | None = None,
-) -> BenchmarkSurface:
+) -> Surface:
     """Solve the default-free reference PDE on the shared schedule.
 
     Uses the same stepper, schedule, and boundary policy as the semilinear
@@ -133,15 +104,8 @@ def benchmark_surface(
             f"claim maturity {claim.maturity} != grid maturity {grid.maturity}"
         )
     a = cfg.r_D - 0.5 * cfg.sigma * cfg.sigma
-    times, surf, diag = march_schedule(
+    _, surf, diag = march_schedule(
         terminal_slice(claim, grid), grid, solver,
         a_eff=a, b=0.5 * cfg.sigma * cfg.sigma, kappa=cfg.r_D, terms=None,
     )
-    rows = uniform_row_indices(grid, solver)
-    return BenchmarkSurface(
-        grid=grid,
-        values=surf[rows].copy(),
-        sched_times=times,
-        sched_values=surf,
-        diagnostics=diag,
-    )
+    return Surface(grid=grid, solver=solver, sched_values=surf, diagnostics=diag)

@@ -31,7 +31,6 @@ from .config import (
     MarketConfig,
     apply_overrides,
     load_market_config,
-    validate_no_arbitrage,
 )
 from .grid import SolverConfig, build_grid
 from .kernels import active_backend
@@ -123,10 +122,7 @@ def cmd_price(args) -> int:
         records: list[dict] = []
         for label, surf in (("benchmark", sol.benchmark), ("seller", sol.seller),
                             ("buyer", sol.buyer)):
-            diag = surf.diagnostics
-            if diag is None:
-                continue
-            for rec in diag.to_records():
+            for rec in surf.diagnostics.to_records():
                 records.append({"solve": label, **rec})
         records.append({"event": "report", **report.to_dict()})
         _write_jsonl(args.log, records)
@@ -157,10 +153,7 @@ def cmd_sweep(args) -> int:
     rows = run_sweep(spec, grid, solver, threads=args.threads,
                      allow_arbitrage=args.allow_arbitrage,
                      fail_fast=args.fail_fast)
-    if args.out:
-        write_csv(rows, args.out)
-    else:
-        write_csv(rows, sys.stdout)
+    write_csv(rows, args.out or sys.stdout)
     return 0
 
 
@@ -178,11 +171,7 @@ def _canned_table(args, base: MarketConfig, axis1: SweepAxis,
         "v_hat_0", "v_sell_0", "v_buy_0", "xva_sell", "xva_buy",
         "funding_sell_0", "funding_buy_0",
     ]
-    slim = [{k: row[k] for k in keep} for row in rows]
-    if args.out:
-        write_csv(slim, args.out)
-    else:
-        write_csv(slim, sys.stdout)
+    write_csv([{k: row[k] for k in keep} for row in rows], args.out or sys.stdout)
     return 0
 
 
@@ -209,8 +198,7 @@ def cmd_convergence(args) -> int:
         raise ValueError(f"--levels must be >= 2, got {args.levels}")
     cfg = _market_from_args(args)
     solver = _solver_from_args(args)
-    claim = ClaimSpec(kind=args.claim, strike=args.strike, maturity=args.maturity) \
-        if args.claim != "custom" else _claim_from_args(args)
+    claim = _claim_from_args(args)
     spot = args.spot if args.spot is not None else (claim.strike or 1.0)
 
     # closed-form comparison for the default-free linear equation, then
@@ -248,11 +236,7 @@ def cmd_convergence(args) -> int:
         semilinear.append({"case": "semilinear", "level": lvl, "n_x": n_x,
                            "n_t": n_t, "value": vals[-1], "error": diff,
                            "order": order})
-    rows = linear + semilinear
-    if args.out:
-        write_csv(rows, args.out)
-    else:
-        write_csv(rows, sys.stdout)
+    write_csv(linear + semilinear, args.out or sys.stdout)
     return 0
 
 

@@ -235,7 +235,13 @@ def market_config_from_dict(raw: dict) -> MarketConfig:
     missing = sorted(known - set(raw))
     if missing:
         raise ValueError(f"missing market config keys: {', '.join(missing)}")
-    return MarketConfig(**{k: float(raw[k]) for k in known})
+    values = {}
+    for k in known:
+        v = raw[k]
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ValueError(f"{k} must be a number, got {v!r}")
+        values[k] = float(v)
+    return MarketConfig(**values)
 
 
 def load_market_config(path: str | Path) -> MarketConfig:

@@ -1,21 +1,22 @@
 """Log-price lattice, solver settings, and value surfaces.
 
 The spatial variable is x = ln S on a uniform grid centred at the log
-strike; the time grid is uniform on [0, T].  Surfaces store one row per
-uniform time level with t increasing, so ``values[0]`` is the t = 0 slice.
+strike; the time grid is uniform on [0, T].
 
 The backward march optionally starts with two implicit half steps before
 switching to the weighted theta scheme (Rannacher startup), which restores
 second-order convergence in the presence of the payoff kink.  The march
-therefore visits one extra, non-uniform time level T - dt/2; schedule
-arrays carry it explicitly and uniform-slice indices map back to the
-public surface rows.
+therefore visits one extra, non-uniform time level T - dt/2.  A
+:class:`Surface` stores the march's rows as it made them (T down to 0,
+the half level included), which is what the close-out marks of the
+semilinear solve read; :func:`uniform_row_indices` maps the uniform time
+levels onto those rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +30,6 @@ __all__ = [
     "build_grid",
     "time_schedule",
     "uniform_row_indices",
-    "surface_value_at",
-    "surface_slope_at",
 ]
 
 
@@ -172,22 +171,55 @@ class SolveDiagnostics:
 
 @dataclass(frozen=True, eq=False)
 class Surface:
-    """Value surface on the uniform lattice; values[i, j] = w(t_i, x_j)."""
+    """Result of one march: the full slice at every level of its schedule.
+
+    ``sched_values[k]`` is the slice at ``sched_times[k]``, marching from T
+    down to 0 (see :func:`time_schedule`).  ``values`` gives the uniform
+    time levels with t increasing, ``values[i, j] = w(t_i, x_j)``, as a new
+    array on every read.
+    """
 
     grid: GridSpec
-    values: np.ndarray
-    diagnostics: SolveDiagnostics | None = None
+    solver: SolverConfig
+    sched_values: np.ndarray
+    diagnostics: SolveDiagnostics
 
     def __post_init__(self) -> None:
-        expect = (self.grid.n_t + 1, self.grid.n_x)
-        if self.values.shape != expect:
-            raise ValueError(f"surface shape {self.values.shape} != grid shape {expect}")
+        expect = (self.sched_times.size, self.grid.n_x)
+        if self.sched_values.shape != expect:
+            raise ValueError(
+                f"surface shape {self.sched_values.shape} != schedule shape {expect}")
+
+    @property
+    def sched_times(self) -> np.ndarray:
+        return time_schedule(self.grid, self.solver)[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.sched_values[uniform_row_indices(self.grid, self.solver)]
+
+    def _slice_at(self, t: float) -> np.ndarray:
+        """Linear interpolation in t between the two bracketing uniform levels."""
+        i0, i1, wt = _time_weights(self.grid, t)
+        rows = uniform_row_indices(self.grid, self.solver)
+        return (1.0 - wt) * self.sched_values[rows[i0]] + wt * self.sched_values[rows[i1]]
 
     def value_at(self, t: float, s: float) -> float:
-        return surface_value_at(self.grid, self.values, t, s)
+        """Bilinear interpolation of the surface at (t, spot)."""
+        row = self._slice_at(t)
+        j0, j1, wx = _space_weights(self.grid, s)
+        return float((1.0 - wx) * row[j0] + wx * row[j1])
 
     def slope_at(self, t: float, s: float) -> float:
-        return surface_slope_at(self.grid, self.values, t, s)
+        """d/dx at (t, spot): central differences, then interpolation."""
+        row = self._slice_at(t)
+        j0, j1, wx = _space_weights(self.grid, s)
+        dx = self.grid.dx
+        slopes = np.empty_like(row)
+        slopes[1:-1] = (row[2:] - row[:-2]) / (2.0 * dx)
+        slopes[0] = (row[1] - row[0]) / dx
+        slopes[-1] = (row[-1] - row[-2]) / dx
+        return float((1.0 - wx) * slopes[j0] + wx * slopes[j1])
 
 
 def _time_weights(grid: GridSpec, t: float) -> tuple[int, int, float]:
@@ -207,24 +239,3 @@ def _space_weights(grid: GridSpec, s: float) -> tuple[int, int, float]:
     pos = (min(max(x, grid.x_min), grid.x_max) - grid.x_min) / grid.dx
     j0 = min(int(math.floor(pos)), grid.n_x - 2)
     return j0, j0 + 1, pos - j0
-
-
-def surface_value_at(grid: GridSpec, values: np.ndarray, t: float, s: float) -> float:
-    """Bilinear interpolation of a surface at (t, spot)."""
-    i0, i1, wt = _time_weights(grid, t)
-    j0, j1, wx = _space_weights(grid, s)
-    row = (1.0 - wt) * values[i0] + wt * values[i1]
-    return float((1.0 - wx) * row[j0] + wx * row[j1])
-
-
-def surface_slope_at(grid: GridSpec, values: np.ndarray, t: float, s: float) -> float:
-    """d/dx of a surface at (t, spot): central differences, then interpolation."""
-    i0, i1, wt = _time_weights(grid, t)
-    j0, j1, wx = _space_weights(grid, s)
-    row = (1.0 - wt) * values[i0] + wt * values[i1]
-    dx = grid.dx
-    slopes = np.empty_like(row)
-    slopes[1:-1] = (row[2:] - row[:-2]) / (2.0 * dx)
-    slopes[0] = (row[1] - row[0]) / dx
-    slopes[-1] = (row[-1] - row[-2]) / dx
-    return float((1.0 - wx) * slopes[j0] + wx * slopes[j1])

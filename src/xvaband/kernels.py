@@ -20,7 +20,6 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 __all__ = [
     "active_backend",
     "extend_slice",
-    "thomas_solve",
     "tridiag_factor",
     "tridiag_solve",
 ]
@@ -57,18 +56,3 @@ def tridiag_solve(lu, rhs: np.ndarray) -> np.ndarray:
     """Solve with factors from :func:`tridiag_factor`, in place of ``rhs``."""
     u, _ = dgttrs(*lu, rhs, overwrite_b=1)
     return u
-
-
-def thomas_solve(
-    lo: np.ndarray, di: np.ndarray, up: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """One tridiagonal solve with the march's factor-and-solve pair.
-
-    Gaussian elimination with partial pivoting, which on diagonally
-    dominant systems pivots like the Thomas recursion.  ``rhs`` is left
-    unchanged.
-    """
-    if di.size < 3:  # scipy's dgttrf rejects the empty second super-diagonal
-        a = np.diag(di) + np.diag(lo[1:], -1) + np.diag(up[:-1], 1)
-        return np.linalg.solve(a, rhs)
-    return tridiag_solve(tridiag_factor(lo, di, up), np.array(rhs, dtype=float))

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,18 +41,8 @@ from .config import (
     validate_no_arbitrage,
 )
 from .driver import financing_level, funding_spread, linear_rate, repo_drift_split
-from .grid import (
-    GridSpec,
-    SolveDiagnostics,
-    SolverConfig,
-    Surface,
-    time_schedule,
-    uniform_row_indices,
-)
+from .grid import GridSpec, SolveDiagnostics, SolverConfig, Surface, time_schedule
 from .kernels import extend_slice, tridiag_factor, tridiag_solve
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .benchmark import BenchmarkSurface
 
 __all__ = [
     "SemilinearTerms",
@@ -320,13 +309,14 @@ def solve_semilinear(
     grid: GridSpec,
     solver: SolverConfig | None = None,
     side: str = "seller",
-    benchmark: "BenchmarkSurface | None" = None,
+    benchmark: Surface | None = None,
     allow_arbitrage: bool = False,
 ) -> Surface:
     """Solve the semilinear wealth PDE for one side of the trade.
 
-    ``benchmark`` must live on the same grid and schedule (it is computed
-    on demand when omitted).  Configs that violate the no-arbitrage rate
+    ``benchmark`` is the reference :class:`Surface` and must be solved on
+    the same grid with the same solver settings (it is computed on demand
+    when omitted).  Configs that violate the no-arbitrage rate
     ordering raise :class:`ArbitrageViolationError` unless
     ``allow_arbitrage`` is set, in which case a warning is emitted and the
     solve proceeds.
@@ -353,23 +343,20 @@ def solve_semilinear(
         from .benchmark import benchmark_surface
 
         benchmark = benchmark_surface(grid, claim, cfg, solver)
-    if benchmark.grid != grid:
-        raise ValueError("benchmark surface grid does not match the solve grid")
-    times, _ = time_schedule(grid, solver)
-    if not np.array_equal(benchmark.sched_times, times):
+    if benchmark.grid != grid or benchmark.solver != solver:
         raise ValueError(
-            "benchmark surface schedule does not match the solver settings "
-            "(same SolverConfig required)"
+            "benchmark surface does not match the solve grid and solver settings "
+            "(same GridSpec and SolverConfig required)"
         )
 
     m_fold, _ = repo_drift_split(cfg)
     a = cfg.r_D - 0.5 * cfg.sigma * cfg.sigma
     terms = SemilinearTerms(side=+1 if side == "seller" else -1, cfg=cfg,
                             dx=grid.dx, bench_sched=benchmark.sched_values)
-    sched_times, sched_values, diag = march_schedule(
+    _, sched_values, diag = march_schedule(
         terminal_slice(claim, grid), grid, solver,
         a_eff=a - m_fold, b=0.5 * cfg.sigma * cfg.sigma,
         kappa=cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg), terms=terms,
     )
-    rows = uniform_row_indices(grid, solver)
-    return Surface(grid=grid, values=sched_values[rows].copy(), diagnostics=diag)
+    return Surface(grid=grid, solver=solver, sched_values=sched_values,
+                   diagnostics=diag)

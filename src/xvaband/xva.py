@@ -18,13 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .benchmark import (
-    BenchmarkSurface,
-    benchmark_surface,
-    closeout_C,
-    closeout_I,
-    collateral,
-)
+from .benchmark import benchmark_surface, closeout_C, closeout_I, collateral
 from .config import ClaimSpec, MarketConfig
 from .grid import GridSpec, SolverConfig, Surface, build_grid
 from .pde import solve_semilinear
@@ -66,7 +60,8 @@ class HedgeSnapshot:
 
     xi is the stock position, xi_I / xi_C the own and counterparty bond
     positions, z the volatility-scaled delta exposure, z_I / z_C the
-    default jump exposures, and funding_value the unsecured cash balance.
+    default jump exposures, and funding_value the unsecured cash balance,
+    :func:`funding_account_0` of the side's value at (t, spot).
     """
 
     t: float
@@ -91,7 +86,7 @@ class TradeSolution:
     cfg: MarketConfig
     grid: GridSpec
     solver: SolverConfig
-    benchmark: BenchmarkSurface
+    benchmark: Surface
     seller: Surface
     buyer: Surface
 
@@ -102,7 +97,7 @@ def solve_trade(
     grid: GridSpec | None = None,
     solver: SolverConfig | None = None,
     allow_arbitrage: bool = False,
-    benchmark: BenchmarkSurface | None = None,
+    benchmark: Surface | None = None,
 ) -> TradeSolution:
     """Solve reference, seller, and buyer surfaces on one shared grid."""
     grid = grid or build_grid(claim, cfg)
@@ -173,7 +168,7 @@ def compute_xva(
 
 def hedge_at(
     surface: Surface,
-    benchmark: BenchmarkSurface,
+    benchmark: Surface,
     cfg: MarketConfig,
     t: float,
     spot: float,
@@ -202,5 +197,5 @@ def hedge_at(
         z=cfg.sigma * wx,
         z_I=z_i,
         z_C=z_c,
-        funding_value=w + z_i + z_c - collateral(wh, cfg.alpha),
+        funding_value=funding_account_0(w, wh, cfg),
     )

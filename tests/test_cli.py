@@ -107,6 +107,17 @@ class TestPrice:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_numeric_config_value(self, tmp_path, capsys):
+        cfg = asdict(DEFAULT_MARKET)
+        cfg["sigma"] = None
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["price", "--config", str(path), *TINY_GRID])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sigma must be a number, got None")
+        assert "Traceback" not in err
+
     def test_run_log(self, config_path, tmp_path, capsys):
         log = tmp_path / "run.jsonl"
         rc = main([

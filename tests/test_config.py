@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -165,6 +166,22 @@ def test_market_config_from_dict_rejects_unknown_and_missing():
         market_config_from_dict(raw)
     with pytest.raises(ValueError, match="JSON object"):
         market_config_from_dict([1, 2])
+
+
+@pytest.mark.parametrize("value", [None, True, "0.2", [0.2]])
+def test_market_config_from_dict_rejects_non_numbers(value):
+    raw = _as_dict(DEFAULT_MARKET)
+    raw["sigma"] = value
+    want = f"sigma must be a number, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        market_config_from_dict(raw)
+
+
+def test_market_config_from_dict_converts_ints():
+    raw = _as_dict(DEFAULT_MARKET)
+    raw["alpha"] = 1
+    cfg = market_config_from_dict(raw)
+    assert cfg.alpha == 1.0 and type(cfg.alpha) is float
 
 
 def test_apply_overrides():

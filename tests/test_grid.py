@@ -10,8 +10,6 @@ from xvaband import ClaimSpec, GridSpec, SolverConfig, build_grid
 from xvaband.grid import (
     SolveDiagnostics,
     Surface,
-    surface_slope_at,
-    surface_value_at,
     time_schedule,
     uniform_row_indices,
 )
@@ -122,33 +120,55 @@ class TestSchedule:
 
 
 class TestSurface:
-    def _surface(self):
-        grid = GridSpec(x_min=-1.0, x_max=1.0, n_x=5, n_t=2, maturity=1.0)
-        # values[i, j] = t_i + x_j, linear in both directions
-        values = grid.t_nodes()[:, None] + grid.x_nodes()[None, :]
-        return grid, values
+    GRID = GridSpec(x_min=-1.0, x_max=1.0, n_x=5, n_t=2, maturity=1.0)
+
+    def _sched_values(self, solver):
+        # w(t, x) = t + x on every march level, linear in both directions
+        times, _ = time_schedule(self.GRID, solver)
+        return times[:, None] + self.GRID.x_nodes()[None, :]
+
+    def _surface(self, solver=SolverConfig()):
+        diag = SolveDiagnostics(step_times=np.array([]), iterations=np.array([]),
+                                factors=np.array([]))
+        return Surface(grid=self.GRID, solver=solver,
+                       sched_values=self._sched_values(solver), diagnostics=diag)
 
     def test_shape_mismatch_rejected(self):
-        grid, values = self._surface()
+        surf = self._surface()
         with pytest.raises(ValueError, match="shape"):
-            Surface(grid=grid, values=values[:, :-1])
+            Surface(grid=surf.grid, solver=surf.solver,
+                    sched_values=surf.sched_values[:, :-1],
+                    diagnostics=surf.diagnostics)
+        # a schedule without the Rannacher half level has one row fewer
+        with pytest.raises(ValueError, match="shape"):
+            Surface(grid=surf.grid, solver=SolverConfig(rannacher=False),
+                    sched_values=surf.sched_values, diagnostics=surf.diagnostics)
+
+    @pytest.mark.parametrize("rannacher", [True, False])
+    def test_uniform_values_follow_the_time_grid(self, rannacher):
+        surf = self._surface(SolverConfig(rannacher=rannacher))
+        assert np.array_equal(surf.sched_times, time_schedule(surf.grid, surf.solver)[0])
+        want = self.GRID.t_nodes()[:, None] + self.GRID.x_nodes()[None, :]
+        assert np.allclose(surf.values, want, atol=1e-15)
+        # values is a fresh copy: writing to it leaves the march rows alone
+        surf.values[:] = np.nan
+        assert np.isfinite(surf.sched_values).all()
 
     def test_bilinear_interpolation_is_exact_on_linear_data(self):
-        grid, values = self._surface()
-        surf = Surface(grid=grid, values=values)
+        surf = self._surface()
         for t, s in [(0.0, 1.0), (0.25, 1.3), (1.0, math.exp(-1.0)), (0.6, 0.8)]:
             expect = t + math.log(s)
             assert surf.value_at(t, s) == pytest.approx(expect, abs=1e-12)
             assert surf.slope_at(t, s) == pytest.approx(1.0, abs=1e-12)
 
     def test_out_of_range_queries_rejected(self):
-        grid, values = self._surface()
+        surf = self._surface()
         with pytest.raises(ValueError, match="outside"):
-            surface_value_at(grid, values, 1.5, 1.0)
+            surf.value_at(1.5, 1.0)
         with pytest.raises(ValueError, match="outside"):
-            surface_value_at(grid, values, 0.5, math.exp(1.5))
+            surf.value_at(0.5, math.exp(1.5))
         with pytest.raises(ValueError, match="positive"):
-            surface_slope_at(grid, values, 0.5, -1.0)
+            surf.slope_at(0.5, -1.0)
 
 
 class TestDiagnostics:

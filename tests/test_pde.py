@@ -500,6 +500,18 @@ class TestSolveSemilinear:
                 call_claim, market, small_grid, SolverConfig(), benchmark=bench
             )
 
+    def test_rejects_benchmark_with_another_theta(
+        self, call_claim, market, small_grid
+    ):
+        # same schedule, different weights: the reference marched another scheme
+        bench = benchmark_surface(
+            small_grid, call_claim, market, SolverConfig(theta_scheme=0.6)
+        )
+        with pytest.raises(ValueError, match="SolverConfig"):
+            solve_semilinear(
+                call_claim, market, small_grid, SolverConfig(), benchmark=bench
+            )
+
     def test_arbitrage_configs_need_the_override(
         self, call_claim, market, small_grid, solver
     ):

@@ -157,6 +157,13 @@ class TestHedge:
         want = w + snap.z_I + snap.z_C - market.alpha * wh
         assert snap.funding_value == pytest.approx(want, abs=1e-15)
 
+    def test_funding_value_at_zero_is_the_reported_balance(
+        self, call_claim, market, small_grid, solver
+    ):
+        sol = solve_trade(call_claim, market, small_grid, solver)
+        snap = hedge_at(sol.seller, sol.benchmark, market, 0.0, 1.0)
+        assert snap.funding_value == report_from_solution(sol, 1.0).funding_sell_0
+
     def test_stock_weight_recovers_the_lognormal_delta(
         self, call_claim, symmetric_market, solver
     ):
