@@ -104,8 +104,7 @@ def benchmark_surface(
             f"claim maturity {claim.maturity} != grid maturity {grid.maturity}"
         )
     a = cfg.r_D - 0.5 * cfg.sigma * cfg.sigma
-    _, surf, diag = march_schedule(
+    return march_schedule(
         terminal_slice(claim, grid), grid, solver,
         a_eff=a, b=0.5 * cfg.sigma * cfg.sigma, kappa=cfg.r_D, terms=None,
     )
-    return Surface(grid=grid, solver=solver, sched_values=surf, diagnostics=diag)

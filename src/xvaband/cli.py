@@ -31,6 +31,7 @@ from .config import (
     MarketConfig,
     apply_overrides,
     load_market_config,
+    reporting_spot,
 )
 from .grid import SolverConfig, build_grid
 from .kernels import active_backend
@@ -54,7 +55,8 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nx", type=int, default=801, help="spatial node count")
     p.add_argument("--nt", type=int, default=400, help="time step count")
     p.add_argument("--width-sigmas", type=float, default=6.0)
-    p.add_argument("--theta", type=float, default=0.5)
+    p.add_argument("--theta", type=float, default=0.5,
+                   help="θ weight in [1/2, 1]; 0.5 is Crank–Nicolson")
     p.add_argument("--no-rannacher", action="store_true")
 
 
@@ -99,33 +101,24 @@ def _grid_from_args(args, claim: ClaimSpec, cfg: MarketConfig):
                       n_x=args.nx, n_t=args.nt)
 
 
-def _write_jsonl(path: str, records: list[dict]) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
-
-
 def cmd_price(args) -> int:
     claim = _claim_from_args(args)
     cfg = _market_from_args(args)
     solver = _solver_from_args(args)
     grid = _grid_from_args(args, claim, cfg)
     sol = solve_trade(claim, cfg, grid, solver, allow_arbitrage=args.allow_arbitrage)
-    spot = args.spot if args.spot is not None else (
-        claim.strike if claim.strike is not None else 1.0
-    )
+    spot = reporting_spot(claim, args.spot)
     report = report_from_solution(sol, spot)
     hedge = hedge_at(sol.seller, sol.benchmark, cfg, 0.0, spot)
     out = {"backend": active_backend(), **report.to_dict(),
            "hedge_seller_0": hedge.to_dict()}
     if args.log:
-        records: list[dict] = []
-        for label, surf in (("benchmark", sol.benchmark), ("seller", sol.seller),
-                            ("buyer", sol.buyer)):
-            for rec in surf.diagnostics.to_records():
-                records.append({"solve": label, **rec})
-        records.append({"event": "report", **report.to_dict()})
-        _write_jsonl(args.log, records)
+        with open(args.log, "w") as fh:
+            for label, surf in (("benchmark", sol.benchmark), ("seller", sol.seller),
+                                ("buyer", sol.buyer)):
+                for rec in surf.step_records():
+                    fh.write(json.dumps({"solve": label, **rec}) + "\n")
+            fh.write(json.dumps({"event": "report", **report.to_dict()}) + "\n")
     print(json.dumps(out, indent=2))
     return 0
 
@@ -199,7 +192,7 @@ def cmd_convergence(args) -> int:
     cfg = _market_from_args(args)
     solver = _solver_from_args(args)
     claim = _claim_from_args(args)
-    spot = args.spot if args.spot is not None else (claim.strike or 1.0)
+    spot = reporting_spot(claim, args.spot)
 
     # closed-form comparison for the default-free linear equation, then
     # self-convergence of the seller solve (Richardson estimate); each

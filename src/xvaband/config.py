@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,7 @@ __all__ = [
     "load_market_config",
     "market_config_from_dict",
     "apply_overrides",
+    "reporting_spot",
 ]
 
 
@@ -170,6 +171,13 @@ class ClaimSpec:
         return out
 
 
+def reporting_spot(claim: ClaimSpec, spot: float | None = None) -> float:
+    """The spot a report reads: ``spot``, else the strike, else 1.0."""
+    if spot is not None:
+        return spot
+    return claim.strike if claim.strike is not None else 1.0
+
+
 class ArbitrageViolationError(ValueError):
     """Raised when a market config admits arbitrage in the hedging market."""
 
@@ -235,13 +243,14 @@ def market_config_from_dict(raw: dict) -> MarketConfig:
     missing = sorted(known - set(raw))
     if missing:
         raise ValueError(f"missing market config keys: {', '.join(missing)}")
-    values = {}
-    for k in known:
-        v = raw[k]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ValueError(f"{k} must be a number, got {v!r}")
-        values[k] = float(v)
-    return MarketConfig(**values)
+    return MarketConfig(**{k: _number(k, raw[k]) for k in known})
+
+
+def _number(name: str, v) -> float:
+    """``v`` as a float; anything but an int or a float (bool included) raises."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ValueError(f"{name} must be a number, got {v!r}")
+    return float(v)
 
 
 def load_market_config(path: str | Path) -> MarketConfig:
@@ -253,10 +262,8 @@ def load_market_config(path: str | Path) -> MarketConfig:
 
 def apply_overrides(cfg: MarketConfig, overrides: dict[str, float]) -> MarketConfig:
     """Return a copy of cfg with named fields replaced; unknown names raise."""
-    import dataclasses
-
     known = {f.name for f in fields(MarketConfig)}
     unknown = sorted(set(overrides) - known)
     if unknown:
         raise ValueError(f"unknown market config fields: {', '.join(unknown)}")
-    return dataclasses.replace(cfg, **{k: float(v) for k, v in overrides.items()})
+    return replace(cfg, **{k: _number(k, v) for k, v in overrides.items()})

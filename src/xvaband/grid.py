@@ -75,16 +75,19 @@ class GridSpec:
 class SolverConfig:
     """Time-stepping settings: the theta weight and the Rannacher startup.
 
-    Each implicit step is solved exactly (see
-    :func:`xvaband.pde.march_schedule`), so no iteration tolerance is set.
+    ``theta_scheme`` lies in [1/2, 1]: theta < 1/2 is stable only while dt
+    lambda_max(A) <= 2 / (1 - 2 theta), and on a :func:`build_grid` lattice
+    dt lambda_max(A) is about 2 (n_x - 1)^2 / (144 n_t), some 22 at 801 x
+    400.  Each step is solved exactly (:func:`xvaband.pde.march_schedule`).
     """
 
     theta_scheme: float = 0.5
     rannacher: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.theta_scheme <= 1.0:
-            raise ValueError("theta_scheme must lie in [0, 1]")
+        if not 0.5 <= self.theta_scheme <= 1.0:
+            raise ValueError(
+                f"theta_scheme must lie in [1/2, 1], got {self.theta_scheme}")
 
 
 def build_grid(
@@ -154,19 +157,13 @@ def uniform_row_indices(grid: GridSpec, solver: SolverConfig) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SolveDiagnostics:
-    """Linear solves and tridiagonal factors (``dgttrf``) of every march step."""
+    """Linear solves and ``dgttrf`` factors of every march step."""
 
-    step_times: np.ndarray
     iterations: np.ndarray
     factors: np.ndarray
 
     def max_iterations(self) -> int:
         return int(self.iterations.max()) if self.iterations.size else 0
-
-    def to_records(self) -> list[dict]:
-        return [{"step": i, "t": float(t), "linear_solves": int(n), "factors": int(f)}
-                for i, (t, n, f) in enumerate(zip(self.step_times, self.iterations,
-                                                  self.factors))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,6 +194,13 @@ class Surface:
     @property
     def values(self) -> np.ndarray:
         return self.sched_values[uniform_row_indices(self.grid, self.solver)]
+
+    def step_records(self) -> list[dict]:
+        """One record per march step: the time it reaches and its counts."""
+        diag = self.diagnostics
+        return [{"step": i, "t": float(t), "linear_solves": int(n), "factors": int(f)}
+                for i, (t, n, f) in enumerate(zip(self.sched_times[1:], diag.iterations,
+                                                  diag.factors))]
 
     def _slice_at(self, t: float) -> np.ndarray:
         """Linear interpolation in t between the two bracketing uniform levels."""

@@ -18,7 +18,8 @@ the branch set that settled the step before, the usual warm start of
 Howard's algorithm in time stepping (Forsyth & Labahn, J. Comp. Finance
 11(2), 2007), so an unmoved set reuses its factor; and each step takes
 its explicit half from the last solve's right-hand side instead of
-applying A and G again (see :func:`march_schedule`).
+applying A and G again (see :func:`march_schedule`).  Only theta in
+[1/2, 1] is marched: it is stable on every lattice.
 
 Boundary rows impose zero second difference in x (payoffs here are
 asymptotically linear in S = e^x only at the call wing, but linearity in x
@@ -55,10 +56,6 @@ __all__ = [
 #: linear solves a march step may take; a step that cycles between branch
 #: sets (a frozen matrix that is not an M-matrix) stops here
 MAX_SOLVES_PER_STEP = 20
-#: a step takes its explicit half from the last solve only while
-#: rho = (1-theta) dt / (theta dt)_prev stays at most this: the recurrence
-#: scales that solve's rounding by rho (theta >= 1/3 keeps rho <= 2)
-_MAX_RHO = 2.0
 #: a branch flips only where its tested difference exceeds this share of
 #: its operands' size: below that the sign is rounding noise
 _FLIP_RTOL = 4.0 * np.finfo(float).eps
@@ -205,7 +202,7 @@ def march_schedule(
     b: float,
     kappa: float,
     terms: SemilinearTerms | None = None,
-) -> tuple[np.ndarray, np.ndarray, SolveDiagnostics]:
+) -> Surface:
     """Backward theta-scheme march over the full schedule.
 
     Each step from level k to k + 1 solves
@@ -220,11 +217,10 @@ def march_schedule(
         rhs0_k = u_k + rho_k (u_k - rhs0_{k-1}),
         rho_k = (1-theta_k) dt_k / (theta dt)_{k-1}.
 
-    A and G are applied directly only where no usable solve precedes the
-    step: the first step with theta < 1, and any step with rho_k > 2.
-    That is every step after one with theta dt = 0 (explicit Euler), and
-    every step at theta < 1/3, where the recurrence would scale the last
-    solve's rounding by rho_k.
+    theta >= 1/2 keeps rho_k <= 1, so the recurrence never amplifies the
+    last solve's rounding.  A and G are applied directly only where no
+    solve precedes the step: the first step of a march without Rannacher
+    startup at theta < 1.
 
     Policy iteration solves each step exactly: it starts from the branch
     set that settled the previous step (the first step takes the terminal
@@ -234,9 +230,9 @@ def march_schedule(
     not move reuses the last factor.  A step still flipping after
     :data:`MAX_SOLVES_PER_STEP` solves raises ``RuntimeError``.
 
-    Returns (sched_times, sched_values, diagnostics); sched_values[k] is
-    the full slice at sched_times[k], marching from T down to 0, and the
-    diagnostics count every step's linear solves and factors.
+    Returns the :class:`Surface` of the march: its rows are the full
+    slices at every schedule level from T down to 0, and its diagnostics
+    count every step's linear solves and factors.
     """
     times, thetas = time_schedule(grid, solver)
     dts = times[:-1] - times[1:]
@@ -257,7 +253,7 @@ def march_schedule(
         u_next = w_next[1:-1]
         if not c_e:
             rhs0 = u_next
-        elif c_e <= _MAX_RHO * last_theta_dt:
+        elif rhs0 is not None:
             rhs0 = u_next + (c_e / last_theta_dt) * (u_next - rhs0)
         else:
             rhs0 = u_next - c_e * _apply_reduced(lo, di, up, u_next)
@@ -293,9 +289,8 @@ def march_schedule(
                 f" {n_flips} nodes still flipped after {n_solves} linear solves")
         iters[k] = n_solves
 
-    diag = SolveDiagnostics(step_times=times[1:].copy(), iterations=iters,
-                            factors=n_factors)
-    return times, surf, diag
+    return Surface(grid=grid, solver=solver, sched_values=surf,
+                   diagnostics=SolveDiagnostics(iterations=iters, factors=n_factors))
 
 
 def terminal_slice(claim: ClaimSpec, grid: GridSpec) -> np.ndarray:
@@ -353,10 +348,8 @@ def solve_semilinear(
     a = cfg.r_D - 0.5 * cfg.sigma * cfg.sigma
     terms = SemilinearTerms(side=+1 if side == "seller" else -1, cfg=cfg,
                             dx=grid.dx, bench_sched=benchmark.sched_values)
-    _, sched_values, diag = march_schedule(
+    return march_schedule(
         terminal_slice(claim, grid), grid, solver,
         a_eff=a - m_fold, b=0.5 * cfg.sigma * cfg.sigma,
         kappa=cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg), terms=terms,
     )
-    return Surface(grid=grid, solver=solver, sched_values=sched_values,
-                   diagnostics=diag)

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 
-from .config import ClaimSpec, MarketConfig, apply_overrides
+from .config import ClaimSpec, MarketConfig, apply_overrides, reporting_spot
 from .grid import GridSpec, SolverConfig, build_grid
 from .xva import hedge_at, report_from_solution, solve_trade
 
@@ -107,12 +107,13 @@ def run_sweep(
     Per-point failures are captured in the row's ``error`` cell (numeric
     cells left empty) unless ``fail_fast`` is set.
     """
+    if threads is None:
+        threads = default_threads()
+    elif threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     grid = grid or build_grid(spec.claim, spec.base)
     solver = solver or SolverConfig()
-    threads = threads or default_threads()
-    spot = spec.spot
-    if spot is None:
-        spot = spec.claim.strike if spec.claim.strike is not None else 1.0
+    spot = reporting_spot(spec.claim, spec.spot)
     points = _points(spec)
     axis_names = list(points[0].keys())
     valid = {f.name for f in dataclass_fields(MarketConfig)}
@@ -127,7 +128,7 @@ def run_sweep(
     for overrides in points:
         try:
             cfg = apply_overrides(spec.base, overrides)
-        except (TypeError, ValueError):
+        except ValueError:
             continue  # solve_point reports the bad value on its own row
         key = (cfg.r_D, cfg.sigma)
         if key not in bench_cache:

@@ -19,7 +19,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .benchmark import benchmark_surface, closeout_C, closeout_I, collateral
-from .config import ClaimSpec, MarketConfig
+from .config import ClaimSpec, MarketConfig, reporting_spot
 from .grid import GridSpec, SolverConfig, Surface, build_grid
 from .pde import solve_semilinear
 
@@ -161,9 +161,7 @@ def compute_xva(
 ) -> XvaReport:
     """Time-0 adjustments of both sides at one spot (default: the strike)."""
     sol = solve_trade(claim, cfg, grid, solver, allow_arbitrage=allow_arbitrage)
-    if spot is None:
-        spot = claim.strike if claim.strike is not None else 1.0
-    return report_from_solution(sol, spot)
+    return report_from_solution(sol, reporting_spot(claim, spot))
 
 
 def hedge_at(

@@ -118,6 +118,14 @@ class TestPrice:
         assert err.startswith("error: sigma must be a number, got None")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["price", "convergence"])
+    def test_rejects_an_unstable_theta(self, config_path, capsys, command):
+        rc = main([command, "--config", config_path, *TINY_GRID, "--theta", "0.3"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: theta_scheme must lie in [1/2, 1]")
+        assert captured.out == ""
+
     def test_run_log(self, config_path, tmp_path, capsys):
         log = tmp_path / "run.jsonl"
         rc = main([
@@ -132,6 +140,11 @@ class TestPrice:
         assert all(r["linear_solves"] >= 1 for r in records if "solve" in r)
         assert all(0 <= r["factors"] <= r["linear_solves"]
                    for r in records if "solve" in r)
+        # each solve logs one record per step, in march order down to t = 0
+        steps = [r for r in records if r.get("solve") == "seller"]
+        assert [r["step"] for r in steps] == list(range(21))  # n_t + Rannacher
+        assert steps[-1]["t"] == 0.0
+        assert all(a["t"] > b["t"] for a, b in zip(steps, steps[1:]))
 
 
 class TestSweep:
@@ -210,6 +223,14 @@ class TestThreadsEnv:
         rc = main(["table2", *TINY_GRID])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: XVA_THREADS ")
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_table2_rejects_a_thread_flag_below_one(self, capsys, value):
+        rc = main(["table2", *TINY_GRID, "--threads", value])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: threads must be >= 1, got {value}")
+        assert captured.out == ""
 
 
 class TestConvergence:

@@ -17,7 +17,7 @@ from xvaband import (
     load_market_config,
     validate_no_arbitrage,
 )
-from xvaband.config import market_config_from_dict
+from xvaband.config import market_config_from_dict, reporting_spot
 
 
 # --- MarketConfig validation -------------------------------------------------
@@ -191,3 +191,23 @@ def test_apply_overrides():
     assert cfg.sigma == DEFAULT_MARKET.sigma
     with pytest.raises(ValueError, match="unknown market config fields"):
         apply_overrides(DEFAULT_MARKET, {"not_a_field": 1.0})
+
+
+@pytest.mark.parametrize("value", [None, True, "0.2", [0.2]])
+def test_apply_overrides_rejects_non_numbers(value):
+    want = f"alpha must be a number, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        apply_overrides(DEFAULT_MARKET, {"alpha": value})
+
+
+def test_apply_overrides_converts_ints():
+    cfg = apply_overrides(DEFAULT_MARKET, {"alpha": 1})
+    assert cfg.alpha == 1.0 and type(cfg.alpha) is float
+
+
+def test_reporting_spot_falls_back_to_the_strike_then_one():
+    put = ClaimSpec.put(strike=1.3, maturity=1.0)
+    custom = ClaimSpec.custom([(1.0, 0.5)], maturity=1.0)
+    assert reporting_spot(put, 0.9) == 0.9
+    assert reporting_spot(put) == 1.3
+    assert reporting_spot(custom) == 1.0

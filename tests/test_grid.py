@@ -88,10 +88,14 @@ class TestSolverConfig:
             dict(theta_scheme=float("inf")),
             dict(theta_scheme=-0.1),
             dict(theta_scheme=1.1),
+            # below 1/2 the scheme is unstable on the production lattice
+            dict(theta_scheme=0.0),
+            dict(theta_scheme=0.3),
+            dict(theta_scheme=0.49),
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="theta_scheme"):
             SolverConfig(**kwargs)
 
 
@@ -128,8 +132,7 @@ class TestSurface:
         return times[:, None] + self.GRID.x_nodes()[None, :]
 
     def _surface(self, solver=SolverConfig()):
-        diag = SolveDiagnostics(step_times=np.array([]), iterations=np.array([]),
-                                factors=np.array([]))
+        diag = SolveDiagnostics(iterations=np.array([]), factors=np.array([]))
         return Surface(grid=self.GRID, solver=solver,
                        sched_values=self._sched_values(solver), diagnostics=diag)
 
@@ -173,23 +176,21 @@ class TestSurface:
 
 class TestDiagnostics:
     def test_records_and_max(self):
-        diag = SolveDiagnostics(
-            step_times=np.array([1.0, 0.5, 0.0]),
-            iterations=np.array([2, 4, 3]),
-            factors=np.array([1, 0, 2]),
-        )
+        # n_t = 2 with the Rannacher half step: three steps to t = 0.75, 0.5, 0
+        grid = GridSpec(x_min=-1.0, x_max=1.0, n_x=5, n_t=2, maturity=1.0)
+        diag = SolveDiagnostics(iterations=np.array([2, 4, 3]),
+                                factors=np.array([1, 0, 2]))
+        surf = Surface(grid=grid, solver=SolverConfig(),
+                       sched_values=np.zeros((4, 5)), diagnostics=diag)
         assert diag.max_iterations() == 4
-        recs = diag.to_records()
+        recs = surf.step_records()
         assert [r["linear_solves"] for r in recs] == [2, 4, 3]
         assert [r["factors"] for r in recs] == [1, 0, 2]
         assert set(recs[0]) == {"step", "t", "linear_solves", "factors"}
-        assert recs[1]["t"] == 0.5
-        assert recs[0]["step"] == 0
+        assert [r["t"] for r in recs] == [0.75, 0.5, 0.0]
+        assert all(type(r["t"]) is float for r in recs)
+        assert [r["step"] for r in recs] == [0, 1, 2]
 
     def test_empty(self):
-        diag = SolveDiagnostics(
-            step_times=np.array([]), iterations=np.array([]),
-            factors=np.array([]),
-        )
+        diag = SolveDiagnostics(iterations=np.array([]), factors=np.array([]))
         assert diag.max_iterations() == 0
-        assert diag.to_records() == []

@@ -41,6 +41,14 @@ class TestSpecs:
         monkeypatch.delenv("XVA_THREADS")
         assert default_threads() >= 1
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_run_sweep_rejects_fewer_than_one_thread(self, call_claim, market,
+                                                     coarse_grid, threads):
+        spec = SweepSpec(claim=call_claim, base=market,
+                         axis1=SweepAxis("alpha", (0.5,)))
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            run_sweep(spec, coarse_grid, threads=threads)
+
 
 class TestRunSweep:
     def test_single_axis_layout(self, call_claim, market, coarse_grid):
