@@ -51,13 +51,17 @@ def _add_claim_args(p: argparse.ArgumentParser) -> None:
                    help="custom payoff knots as spot:value,spot:value,...")
 
 
-def _add_grid_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nx", type=int, default=801, help="spatial node count")
-    p.add_argument("--nt", type=int, default=400, help="time step count")
+def _add_scheme_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--width-sigmas", type=float, default=6.0)
     p.add_argument("--theta", type=float, default=0.5,
                    help="θ weight in [1/2, 1]; 0.5 is Crank–Nicolson")
     p.add_argument("--no-rannacher", action="store_true")
+
+
+def _add_grid_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--nx", type=int, default=801, help="spatial node count")
+    p.add_argument("--nt", type=int, default=400, help="time step count")
+    _add_scheme_args(p)
 
 
 def _add_market_args(p: argparse.ArgumentParser, config_required: bool) -> None:
@@ -319,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convergence", help="grid refinement study")
     _add_claim_args(p)
     _add_market_args(p, config_required=False)
-    _add_grid_args(p)
+    _add_scheme_args(p)  # the levels' node counts come from --base-nx/--base-nt
     p.add_argument("--spot", type=float, default=None)
     p.add_argument("--levels", type=int, default=4)
     p.add_argument("--base-nx", type=int, default=101)

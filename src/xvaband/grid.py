@@ -124,21 +124,27 @@ def build_grid(
     )
 
 
-def time_schedule(grid: GridSpec, solver: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """March times (decreasing from T to 0) and the per-step theta weights.
+def time_schedule(
+    grid: GridSpec, solver: SolverConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """March times (decreasing from T to 0), each step's length and theta weight.
 
     With Rannacher startup the first uniform interval [T - dt, T] is covered
-    by two fully implicit half steps; all remaining steps use theta_scheme.
+    by two fully implicit half steps of length dt/2; every other step has
+    length ``grid.dt`` and uses theta_scheme.  These lengths are exact; the
+    differences of the ``linspace`` times are an ulp off in places.
     """
     T, n_t, dt = grid.maturity, grid.n_t, grid.dt
     tail = np.linspace(T - dt, 0.0, n_t) if n_t > 1 else np.array([0.0])
     if solver.rannacher:
         times = np.concatenate(([T, T - 0.5 * dt], tail))
+        dts = np.concatenate(([0.5 * dt, 0.5 * dt], np.full(n_t - 1, dt)))
         thetas = np.concatenate(([1.0, 1.0], np.full(n_t - 1, solver.theta_scheme)))
     else:
         times = np.concatenate(([T], tail))
+        dts = np.full(n_t, dt)
         thetas = np.full(n_t, solver.theta_scheme)
-    return times, thetas
+    return times, dts, thetas
 
 
 def uniform_row_indices(grid: GridSpec, solver: SolverConfig) -> np.ndarray:

@@ -18,7 +18,8 @@ the branch set that settled the step before, the usual warm start of
 Howard's algorithm in time stepping (Forsyth & Labahn, J. Comp. Finance
 11(2), 2007), so an unmoved set reuses its factor; and each step takes
 its explicit half from the last solve's right-hand side instead of
-applying A and G again (see :func:`march_schedule`).  Only theta in
+applying A and G again (see :func:`march_schedule`).  Steps take the
+exact lengths of :func:`xvaband.grid.time_schedule`.  Only theta in
 [1/2, 1] is marched: it is stable on every lattice.
 
 Boundary rows impose zero second difference in x (payoffs here are
@@ -225,17 +226,20 @@ def march_schedule(
     Policy iteration solves each step exactly: it starts from the branch
     set that settled the previous step (the first step takes the terminal
     slice's), solves the linear system that set freezes, and repeats from
-    the solution's branches until no node flips.  Factors are kept while
-    theta dt and the branch set stay the same, so a step whose set did
-    not move reuses the last factor.  A step still flipping after
-    :data:`MAX_SOLVES_PER_STEP` solves raises ``RuntimeError``.
+    the solution's branches until no node flips.  One factor is kept and
+    redone only when theta dt changes or the branch set is a new object.
+    The steps take the exact lengths of :func:`time_schedule`, so theta dt
+    changes only between theta phases (never at the defaults, where 1 *
+    dt/2 and 1/2 * dt are the same float): a step whose set did not move
+    reuses the last factor, and the reference march factors once per
+    phase.  A step still flipping after :data:`MAX_SOLVES_PER_STEP` solves
+    raises ``RuntimeError``.
 
     Returns the :class:`Surface` of the march: its rows are the full
     slices at every schedule level from T down to 0, and its diagnostics
     count every step's linear solves and factors.
     """
-    times, thetas = time_schedule(grid, solver)
-    dts = times[:-1] - times[1:]
+    times, dts, thetas = time_schedule(grid, solver)
     lo, di, up = reduced_operator(grid.n_x, grid.dx, a_eff, b, kappa)
 
     surf = np.empty((dts.size + 1, grid.n_x))
@@ -244,7 +248,7 @@ def march_schedule(
     n_factors = np.zeros(dts.size, dtype=np.int64)
     level = terms.level_terms(0) if terms is not None else None
     branch = (None, None)
-    factors: dict[float, tuple] = {}  # theta dt -> (branch set and) factors
+    factor = (None, None, None)  # theta dt, branch set and LU of the last factor
     rhs0, last_theta_dt = None, 0.0
     for k, (dt, theta) in enumerate(zip(dts.tolist(), thetas.tolist())):
         theta_dt = theta * dt
@@ -261,28 +265,28 @@ def march_schedule(
                 rhs0 += c_e * terms.source(level, w_next)
         last_theta_dt = theta_dt
         if terms is None:
-            if theta_dt not in factors:
-                factors[theta_dt] = tridiag_factor(theta_dt * lo, 1.0 + theta_dt * di,
-                                                   theta_dt * up)
+            if factor[0] != theta_dt or factor[1] is not branch:
+                factor = (theta_dt, branch, tridiag_factor(
+                    theta_dt * lo, 1.0 + theta_dt * di, theta_dt * up))
                 n_factors[k] = 1
             # the solve overwrites its right-hand side; the next step reads rhs0
-            extend_slice(tridiag_solve(factors[theta_dt], rhs0.copy()), out=w_new)
+            extend_slice(tridiag_solve(factor[2], rhs0.copy()), out=w_new)
             continue
 
         level = terms.level_terms(k + 1)
         if k == 0:
             branch, _ = terms.branches(level, extend_slice(u_next, out=w_new))
         for n_solves in range(1, MAX_SOLVES_PER_STEP + 1):
-            kept = factors.get(theta_dt)
-            if kept is None or kept[0] is not branch[0] or kept[1] is not branch[1]:
-                kept = factors[theta_dt] = (*branch, tridiag_factor(
+            if factor[0] != theta_dt or factor[1] is not branch:
+                factor = (theta_dt, branch, tridiag_factor(
                     *terms.frozen_bands(branch, theta_dt, lo, di, up)))
                 n_factors[k] += 1
             rhs = rhs0 + theta_dt * terms.frozen_source(level, branch)
-            extend_slice(tridiag_solve(kept[2], rhs), out=w_new)
-            branch, n_flips = terms.branches(level, w_new, branch)
+            extend_slice(tridiag_solve(factor[2], rhs), out=w_new)
+            moved, n_flips = terms.branches(level, w_new, branch)
             if not n_flips:
                 break
+            branch = moved
         else:
             raise RuntimeError(
                 f"branch solve did not settle at step {k} (t = {times[k + 1]:.6g}):"

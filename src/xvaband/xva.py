@@ -80,12 +80,9 @@ class HedgeSnapshot:
 
 @dataclass(frozen=True, eq=False)
 class TradeSolution:
-    """Both wealth surfaces plus the shared reference surface."""
+    """The market, both wealth surfaces and the shared reference surface."""
 
-    claim: ClaimSpec
     cfg: MarketConfig
-    grid: GridSpec
-    solver: SolverConfig
     benchmark: Surface
     seller: Surface
     buyer: Surface
@@ -107,8 +104,7 @@ def solve_trade(
                               benchmark=bench, allow_arbitrage=allow_arbitrage)
     buyer = solve_semilinear(claim, cfg, grid, solver, side="buyer",
                              benchmark=bench, allow_arbitrage=allow_arbitrage)
-    return TradeSolution(claim=claim, cfg=cfg, grid=grid, solver=solver,
-                         benchmark=bench, seller=seller, buyer=buyer)
+    return TradeSolution(cfg=cfg, benchmark=bench, seller=seller, buyer=buyer)
 
 
 def funding_account_0(v_0: float, v_hat_0: float, cfg: MarketConfig) -> float:

@@ -120,7 +120,8 @@ class TestPrice:
 
     @pytest.mark.parametrize("command", ["price", "convergence"])
     def test_rejects_an_unstable_theta(self, config_path, capsys, command):
-        rc = main([command, "--config", config_path, *TINY_GRID, "--theta", "0.3"])
+        grid = {"price": TINY_GRID, "convergence": ["--base-nx", "51", "--base-nt", "10"]}
+        rc = main([command, "--config", config_path, *grid[command], "--theta", "0.3"])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: theta_scheme must lie in [1/2, 1]")
@@ -269,6 +270,14 @@ class TestConvergence:
         rc = main(["convergence", "--levels", "1"])
         assert rc == 1
         assert "levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--nx", "--nt"])
+    def test_rejects_the_node_count_flags(self, capsys, flag):
+        # the levels' node counts come from --base-nx and --base-nt only
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "--levels", "2", flag, "11"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 11" in capsys.readouterr().err
 
 
 class TestBench:

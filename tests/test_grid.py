@@ -102,22 +102,35 @@ class TestSolverConfig:
 class TestSchedule:
     def test_rannacher_schedule_inserts_half_level(self):
         grid = GridSpec(x_min=-1.0, x_max=1.0, n_x=5, n_t=4, maturity=1.0)
-        times, thetas = time_schedule(grid, SolverConfig(rannacher=True))
+        times, dts, thetas = time_schedule(grid, SolverConfig(rannacher=True))
         assert np.allclose(times, [1.0, 0.875, 0.75, 0.5, 0.25, 0.0])
         assert np.allclose(thetas, [1.0, 1.0, 0.5, 0.5, 0.5])
-        assert len(times) == len(thetas) + 1
+        assert len(times) == len(dts) + 1 == len(thetas) + 1
 
     def test_plain_schedule(self):
         grid = GridSpec(x_min=-1.0, x_max=1.0, n_x=5, n_t=4, maturity=1.0)
-        times, thetas = time_schedule(grid, SolverConfig(rannacher=False, theta_scheme=0.7))
+        times, dts, thetas = time_schedule(
+            grid, SolverConfig(rannacher=False, theta_scheme=0.7))
         assert np.allclose(times, [1.0, 0.75, 0.5, 0.25, 0.0])
         assert np.allclose(thetas, [0.7, 0.7, 0.7, 0.7])
+        assert len(dts) == len(thetas)
+
+    @pytest.mark.parametrize("rannacher", [True, False])
+    def test_step_lengths_are_exact(self, rannacher):
+        # differences of the linspace times are an ulp off dt on some steps;
+        # the lengths are not, so theta dt takes one value per theta phase
+        grid = GridSpec(x_min=-1.0, x_max=1.0, n_x=5, n_t=400, maturity=1.3)
+        times, dts, _ = time_schedule(grid, SolverConfig(rannacher=rannacher))
+        n_half = 2 if rannacher else 0
+        assert np.array_equal(dts[:n_half], [0.5 * grid.dt] * n_half)
+        assert np.array_equal(dts[n_half:], np.full(grid.n_t - n_half // 2, grid.dt))
+        assert np.allclose(times[:-1] - times[1:], dts, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("rannacher", [True, False])
     def test_uniform_rows_recover_the_time_grid(self, rannacher):
         grid = GridSpec(x_min=-1.0, x_max=1.0, n_x=5, n_t=7, maturity=1.0)
         solver = SolverConfig(rannacher=rannacher)
-        times, _ = time_schedule(grid, solver)
+        times = time_schedule(grid, solver)[0]
         rows = uniform_row_indices(grid, solver)
         assert rows.shape == (grid.n_t + 1,)
         assert np.allclose(times[rows], grid.t_nodes())
@@ -128,7 +141,7 @@ class TestSurface:
 
     def _sched_values(self, solver):
         # w(t, x) = t + x on every march level, linear in both directions
-        times, _ = time_schedule(self.GRID, solver)
+        times = time_schedule(self.GRID, solver)[0]
         return times[:, None] + self.GRID.x_nodes()[None, :]
 
     def _surface(self, solver=SolverConfig()):

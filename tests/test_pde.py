@@ -156,8 +156,7 @@ def _banded_march(w_terminal, grid, solver, a_eff, b, kappa, source_at):
     """Theta-scheme march that resolves each step by Picard iteration, with
     one banded solve per iteration and the source rebuilt from the driver
     at every evaluation: an independent reference for the branch solve."""
-    times, thetas = time_schedule(grid, solver)
-    dts = times[:-1] - times[1:]
+    _, dts, thetas = time_schedule(grid, solver)
     lo, di, up = reduced_operator(grid.n_x, grid.dx, a_eff, b, kappa)
     m = grid.n_x - 2
     surf = [np.asarray(w_terminal, dtype=float)]
@@ -320,6 +319,19 @@ class TestMarchSchedule:
         assert diag.factors.shape == (grid.n_t + 1,)
         assert diag.max_iterations() >= 1
 
+    @pytest.mark.parametrize("solver, n_factors", [
+        (SolverConfig(), 1), (SolverConfig(rannacher=False), 1),
+        (SolverConfig(theta_scheme=0.6), 2)], ids=["default", "no_rannacher", "theta_0.6"])
+    def test_reference_march_factors_once_per_theta_phase(
+        self, call_claim, market, solver, n_factors
+    ):
+        # the Rannacher half steps at theta = 1 have theta dt = dt/2, the
+        # same float as the Crank-Nicolson steps after them
+        grid = build_grid(call_claim, market, n_x=101, n_t=50)
+        bench = benchmark_surface(grid, call_claim, market, solver)
+        assert bench.diagnostics.factors.sum() == n_factors
+        assert bench.diagnostics.factors[0] == 1
+
     def test_without_rannacher(self, call_claim, market):
         solver = SolverConfig(rannacher=False)
         grid = build_grid(call_claim, market, n_x=101, n_t=8)
@@ -398,9 +410,10 @@ class TestSolveSemilinear:
         assert surf.diagnostics.iterations.mean() <= 2.0
         assert surf.diagnostics.max_iterations() <= 3
         # each step starts from the last settled branch set and reuses its
-        # factor: 0.64 (seller) and 0.61 (buyer) factors per step, against
-        # 0.81 and 0.80 from an extrapolated branch prediction
-        assert surf.diagnostics.factors.mean() <= 0.7
+        # factor: 0.525 (seller) and 0.515 (buyer) factors per step, against
+        # 0.64 and 0.61 if theta dt takes two values an ulp apart, and 0.81
+        # and 0.80 from an extrapolated branch prediction
+        assert surf.diagnostics.factors.mean() <= 0.55
 
     @pytest.mark.parametrize("h, n_t", [(20.0, 10), (40.0, 10), (10.0, 20)])
     @pytest.mark.parametrize("kind", ["call", "put"])
