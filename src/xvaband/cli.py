@@ -55,7 +55,6 @@ def _add_scheme_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--width-sigmas", type=float, default=6.0)
     p.add_argument("--theta", type=float, default=0.5,
                    help="θ weight in [1/2, 1]; 0.5 is Crank–Nicolson")
-    p.add_argument("--no-rannacher", action="store_true")
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
@@ -97,7 +96,7 @@ def _market_from_args(args) -> MarketConfig:
 
 
 def _solver_from_args(args) -> SolverConfig:
-    return SolverConfig(theta_scheme=args.theta, rannacher=not args.no_rannacher)
+    return SolverConfig(theta_scheme=args.theta)
 
 
 def _grid_from_args(args, claim: ClaimSpec, cfg: MarketConfig):
@@ -193,6 +192,10 @@ def cmd_table2(args) -> int:
 def cmd_convergence(args) -> int:
     if args.levels < 2:
         raise ValueError(f"--levels must be >= 2, got {args.levels}")
+    if args.base_nx % 2 == 0:
+        # build_grid would solve on base_nx + 1 nodes, and the levels would
+        # not halve dx
+        raise ValueError(f"--base-nx must be odd, got {args.base_nx}")
     cfg = _market_from_args(args)
     solver = _solver_from_args(args)
     claim = _claim_from_args(args)
@@ -217,9 +220,9 @@ def cmd_convergence(args) -> int:
             err = abs(bench.value_at(0.0, spot) - exact)
             errs.append(err)
             order = math.log2(errs[-2] / err) if lvl and err > 0.0 else None
-            linear.append({"case": "linear", "level": lvl, "n_x": n_x, "n_t": n_t,
-                           "value": bench.value_at(0.0, spot), "error": err,
-                           "order": order})
+            linear.append({"case": "linear", "level": lvl, "n_x": grid.n_x,
+                           "n_t": n_t, "value": bench.value_at(0.0, spot),
+                           "error": err, "order": order})
 
         sell = solve_semilinear(claim, cfg, grid, solver, side="seller",
                                 benchmark=bench,
@@ -230,7 +233,7 @@ def cmd_convergence(args) -> int:
         if lvl >= 2 and diff and diff > 0.0:
             prev = abs(vals[-2] - vals[-3])
             order = math.log2(prev / diff) if prev > 0.0 else None
-        semilinear.append({"case": "semilinear", "level": lvl, "n_x": n_x,
+        semilinear.append({"case": "semilinear", "level": lvl, "n_x": grid.n_x,
                            "n_t": n_t, "value": vals[-1], "error": diff,
                            "order": order})
     write_csv(linear + semilinear, args.out or sys.stdout)

@@ -3,14 +3,14 @@
 The spatial variable is x = ln S on a uniform grid centred at the log
 strike; the time grid is uniform on [0, T].
 
-The backward march optionally starts with two implicit half steps before
-switching to the weighted theta scheme (Rannacher startup), which restores
-second-order convergence in the presence of the payoff kink.  The march
-therefore visits one extra, non-uniform time level T - dt/2.  A
-:class:`Surface` stores the march's rows as it made them (T down to 0,
-the half level included), which is what the close-out marks of the
-semilinear solve read; :func:`uniform_row_indices` maps the uniform time
-levels onto those rows.
+The backward march starts with two implicit half steps before switching to
+the weighted theta scheme (Rannacher startup), which damps Crank-Nicolson's
+ringing at the payoff kink (Rannacher, Numer. Math. 43, 1984; Giles &
+Carter, J. Comp. Finance 9(4), 2006).  The march therefore visits one
+extra, non-uniform time level T - dt/2.  A :class:`Surface` stores the
+march's rows as it made them (T down to 0, the half level included), which
+is what the close-out marks of the semilinear solve read;
+:func:`uniform_row_indices` maps the uniform time levels onto those rows.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-stepping settings: the theta weight and the Rannacher startup.
+    """Time-stepping settings: the theta weight of the steps that follow the
+    Rannacher startup, which every march takes (:func:`time_schedule`).
 
     ``theta_scheme`` lies in [1/2, 1]: theta < 1/2 is stable only while dt
     lambda_max(A) <= 2 / (1 - 2 theta), and on a :func:`build_grid` lattice
@@ -82,7 +83,6 @@ class SolverConfig:
     """
 
     theta_scheme: float = 0.5
-    rannacher: bool = True
 
     def __post_init__(self) -> None:
         if not 0.5 <= self.theta_scheme <= 1.0:
@@ -129,36 +129,25 @@ def time_schedule(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """March times (decreasing from T to 0), each step's length and theta weight.
 
-    With Rannacher startup the first uniform interval [T - dt, T] is covered
-    by two fully implicit half steps of length dt/2; every other step has
+    The first uniform interval [T - dt, T] is covered by two fully implicit
+    half steps of length dt/2 (Rannacher startup); every other step has
     length ``grid.dt`` and uses theta_scheme.  These lengths are exact; the
     differences of the ``linspace`` times are an ulp off in places.
     """
     T, n_t, dt = grid.maturity, grid.n_t, grid.dt
-    tail = np.linspace(T - dt, 0.0, n_t) if n_t > 1 else np.array([0.0])
-    if solver.rannacher:
-        times = np.concatenate(([T, T - 0.5 * dt], tail))
-        dts = np.concatenate(([0.5 * dt, 0.5 * dt], np.full(n_t - 1, dt)))
-        thetas = np.concatenate(([1.0, 1.0], np.full(n_t - 1, solver.theta_scheme)))
-    else:
-        times = np.concatenate(([T], tail))
-        dts = np.full(n_t, dt)
-        thetas = np.full(n_t, solver.theta_scheme)
+    times = np.concatenate(([T, T - 0.5 * dt], np.linspace(T - dt, 0.0, n_t)))
+    dts = np.concatenate(([0.5 * dt, 0.5 * dt], np.full(n_t - 1, dt)))
+    thetas = np.concatenate(([1.0, 1.0], np.full(n_t - 1, solver.theta_scheme)))
     return times, dts, thetas
 
 
-def uniform_row_indices(grid: GridSpec, solver: SolverConfig) -> np.ndarray:
+def uniform_row_indices(grid: GridSpec) -> np.ndarray:
     """Indices into the march schedule that hold the uniform time levels.
 
-    Returned in increasing-t order, matching the public surface layout.
+    Returned in increasing-t order, matching the public surface layout:
+    the schedule rows are T, T - dt/2, T - dt, ..., 0.
     """
-    n_t = grid.n_t
-    if solver.rannacher:
-        # schedule rows: T, T - dt/2, T - dt, ..., 0
-        sched = np.concatenate(([0], np.arange(2, n_t + 2)))
-    else:
-        sched = np.arange(0, n_t + 1)
-    return sched[::-1].copy()
+    return np.append(np.arange(grid.n_t + 1, 1, -1), 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +188,7 @@ class Surface:
 
     @property
     def values(self) -> np.ndarray:
-        return self.sched_values[uniform_row_indices(self.grid, self.solver)]
+        return self.sched_values[uniform_row_indices(self.grid)]
 
     def step_records(self) -> list[dict]:
         """One record per march step: the time it reaches and its counts."""
@@ -211,7 +200,7 @@ class Surface:
     def _slice_at(self, t: float) -> np.ndarray:
         """Linear interpolation in t between the two bracketing uniform levels."""
         i0, i1, wt = _time_weights(self.grid, t)
-        rows = uniform_row_indices(self.grid, self.solver)
+        rows = uniform_row_indices(self.grid)
         return (1.0 - wt) * self.sched_values[rows[i0]] + wt * self.sched_values[rows[i1]]
 
     def value_at(self, t: float, s: float) -> float:

@@ -133,8 +133,9 @@ def symmetric_case_residual(
     grid: GridSpec,
     solver: SolverConfig | None = None,
 ) -> float:
-    """Max lattice distance between adjusted and reference surfaces when
-    every financing rate collapses to r_D and close-out losses vanish.
+    """Max lattice distance between the seller's and the buyer's adjusted
+    surfaces and the reference surface when every financing rate collapses
+    to r_D and close-out losses vanish.
 
     In that limit the adjusted equation reduces to the reference equation,
     so the residual measures pure solver noise.  Configs outside the limit
@@ -153,5 +154,8 @@ def symmetric_case_residual(
         )
     solver = solver or SolverConfig()
     bench = benchmark_surface(grid, claim, cfg, solver)
-    sell = solve_semilinear(claim, cfg, grid, solver, side="seller", benchmark=bench)
-    return float(np.max(np.abs(sell.values - bench.values)))
+    residual = 0.0
+    for side in ("seller", "buyer"):
+        surf = solve_semilinear(claim, cfg, grid, solver, side=side, benchmark=bench)
+        residual = max(residual, float(np.max(np.abs(surf.values - bench.values))))
+    return residual

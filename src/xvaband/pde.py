@@ -19,8 +19,9 @@ Howard's algorithm in time stepping (Forsyth & Labahn, J. Comp. Finance
 11(2), 2007), so an unmoved set reuses its factor; and each step takes
 its explicit half from the last solve's right-hand side instead of
 applying A and G again (see :func:`march_schedule`).  Steps take the
-exact lengths of :func:`xvaband.grid.time_schedule`.  Only theta in
-[1/2, 1] is marched: it is stable on every lattice.
+exact lengths of :func:`xvaband.grid.time_schedule`, whose Rannacher
+startup makes the first step fully implicit.  Only theta in [1/2, 1] is
+marched: it is stable on every lattice.
 
 Boundary rows impose zero second difference in x (payoffs here are
 asymptotically linear in S = e^x only at the call wing, but linearity in x
@@ -80,15 +81,6 @@ def reduced_operator(n_x: int, dx: float, a: float, b: float, kappa: float):
     return lo, di, up
 
 
-def _apply_reduced(lo, di, up, u):
-    """Reduced-operator product A u on the interior."""
-    au = np.empty_like(u)
-    au[1:-1] = lo[1:-1] * u[:-2] + di[1:-1] * u[1:-1] + up[1:-1] * u[2:]
-    au[0] = di[0] * u[0] + up[0] * u[1]
-    au[-1] = lo[-1] * u[-2] + di[-1] * u[-1]
-    return au
-
-
 def _settle(diff, a, b, old):
     """Branches ``diff > 0`` (``diff = +-(a - b)``) and their flips from
     ``old``: a node counts only where ``|diff|`` exceeds rounding of ``|a|
@@ -121,10 +113,11 @@ class SemilinearTerms:
 
         G = const_s - s (r_f+ - r_f-) (s (Y - w))^+ - s s_repo |w_x|.
 
-    :meth:`level_terms` gives ``(Y, const_s)`` of a march level and
-    :meth:`source` evaluates G.  A branch set ``(funding, slope)`` flags
-    the nodes where ``s (Y - w) > 0`` and where ``w_{i+1} > w_{i-1}``
-    (None for a kink of zero slope); frozen there, G is linear in w.
+    :meth:`level_terms` gives ``(Y, const_s)`` of a march level.  A branch
+    set ``(funding, slope)`` flags the nodes where ``s (Y - w) > 0`` and
+    where ``w_{i+1} > w_{i-1}`` (None for a kink of zero slope); frozen
+    there, G is linear in w: :meth:`frozen_source` is its constant part and
+    :meth:`frozen_bands` carries the rest into the step's matrix.
     """
 
     side: int
@@ -140,21 +133,6 @@ class SemilinearTerms:
     def level_terms(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(Y, const_s) on the interior nodes of march level k."""
         return financing_level(self.side, self.cfg, self.bench_sched[k, 1:-1])
-
-    def source(self, level: tuple[np.ndarray, np.ndarray],
-               w_full: np.ndarray) -> np.ndarray:
-        """Interior source G at one level for the full slice ``w_full``."""
-        y_level, const = level
-        w = w_full[1:-1]
-        kink = y_level - w if self.side > 0 else w - y_level  # s * y
-        np.maximum(kink, 0.0, out=kink)
-        kink *= -self.side * self._spread
-        g = const + kink
-        kink = w_full[2:] - w_full[:-2]
-        np.abs(kink, out=kink)
-        kink *= self._c_repo
-        g += kink
-        return g
 
     def branches(self, level, w_full: np.ndarray, old=(None, None)):
         """Branch set of ``w_full`` and the number of nodes that left ``old``."""
@@ -219,9 +197,8 @@ def march_schedule(
         rho_k = (1-theta_k) dt_k / (theta dt)_{k-1}.
 
     theta >= 1/2 keeps rho_k <= 1, so the recurrence never amplifies the
-    last solve's rounding.  A and G are applied directly only where no
-    solve precedes the step: the first step of a march without Rannacher
-    startup at theta < 1.
+    last solve's rounding.  The schedule opens with the fully implicit
+    Rannacher half steps, so a solve precedes every explicit half.
 
     Policy iteration solves each step exactly: it starts from the branch
     set that settled the previous step (the first step takes the terminal
@@ -246,23 +223,15 @@ def march_schedule(
     surf[0] = w_terminal
     iters = np.ones(dts.size, dtype=np.int64)
     n_factors = np.zeros(dts.size, dtype=np.int64)
-    level = terms.level_terms(0) if terms is not None else None
     branch = (None, None)
     factor = (None, None, None)  # theta dt, branch set and LU of the last factor
-    rhs0, last_theta_dt = None, 0.0
     for k, (dt, theta) in enumerate(zip(dts.tolist(), thetas.tolist())):
         theta_dt = theta * dt
         c_e = (1.0 - theta) * dt
-        w_next, w_new = surf[k], surf[k + 1]
-        u_next = w_next[1:-1]
-        if not c_e:
-            rhs0 = u_next
-        elif rhs0 is not None:
-            rhs0 = u_next + (c_e / last_theta_dt) * (u_next - rhs0)
-        else:
-            rhs0 = u_next - c_e * _apply_reduced(lo, di, up, u_next)
-            if terms is not None:
-                rhs0 += c_e * terms.source(level, w_next)
+        w_new = surf[k + 1]
+        u_next = surf[k, 1:-1]
+        # the schedule opens with theta = 1, so rhs0 exists once c_e > 0
+        rhs0 = u_next + (c_e / last_theta_dt) * (u_next - rhs0) if c_e else u_next
         last_theta_dt = theta_dt
         if terms is None:
             if factor[0] != theta_dt or factor[1] is not branch:

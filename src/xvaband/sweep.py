@@ -69,6 +69,10 @@ class SweepSpec:
     axis2: SweepAxis | None = None
     spot: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.axis2 is not None and self.axis2.name == self.axis1.name:
+            raise ValueError(f"both sweep axes name {self.axis1.name!r}")
+
 
 def default_threads() -> int:
     """Worker count: XVA_THREADS if set, else min(8, cpu count)."""

@@ -182,6 +182,14 @@ class TestSweep:
         assert lines[0].startswith("alpha,h_C_Q,")
         assert len(lines) == 5
 
+    def test_rejects_one_field_on_both_axes(self, config_path, capsys):
+        rc = main(["sweep", "--config", config_path, *TINY_GRID,
+                   "--axis", "alpha=0,0.5", "--axis2", "alpha=0.9,1.0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: both sweep axes name 'alpha'")
+        assert captured.out == ""
+
     def test_malformed_axis(self, config_path, capsys):
         rc = main(["sweep", "--config", config_path, *TINY_GRID, "--axis", "alpha"])
         assert rc == 1
@@ -243,6 +251,7 @@ class TestConvergence:
         assert lines[0] == "case,level,n_x,n_t,value,error,order"
         rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
         assert [r["case"] for r in rows] == ["linear"] * 2 + ["semilinear"] * 2
+        assert [r["n_x"] for r in rows] == ["101", "201"] * 2
         order = float(rows[1]["order"])
         assert 1.5 < order < 2.5
         assert rows[0]["error"] != ""  # closed-form error known at level 0
@@ -271,6 +280,16 @@ class TestConvergence:
         assert rc == 1
         assert "levels" in capsys.readouterr().err
 
+    def test_rejects_an_even_base_nx(self, capsys):
+        # build_grid would bump 100 to 101 nodes, and the printed n_x and
+        # orders would describe another lattice
+        rc = main(["convergence", "--levels", "3", "--base-nx", "100",
+                   "--base-nt", "50"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --base-nx must be odd, got 100")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag", ["--nx", "--nt"])
     def test_rejects_the_node_count_flags(self, capsys, flag):
         # the levels' node counts come from --base-nx and --base-nt only
@@ -278,6 +297,15 @@ class TestConvergence:
             main(["convergence", "--levels", "2", flag, "11"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 11" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["price", "convergence"])
+def test_rejects_the_removed_startup_switch(config_path, capsys, command):
+    # the Rannacher startup is the only schedule
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", config_path, "--no-rannacher"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-rannacher" in capsys.readouterr().err
 
 
 class TestBench:

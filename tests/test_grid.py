@@ -79,7 +79,6 @@ class TestSolverConfig:
     def test_defaults(self):
         solver = SolverConfig()
         assert solver.theta_scheme == 0.5
-        assert solver.rannacher is True
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -102,36 +101,34 @@ class TestSolverConfig:
 class TestSchedule:
     def test_rannacher_schedule_inserts_half_level(self):
         grid = GridSpec(x_min=-1.0, x_max=1.0, n_x=5, n_t=4, maturity=1.0)
-        times, dts, thetas = time_schedule(grid, SolverConfig(rannacher=True))
+        times, dts, thetas = time_schedule(grid, SolverConfig())
         assert np.allclose(times, [1.0, 0.875, 0.75, 0.5, 0.25, 0.0])
         assert np.allclose(thetas, [1.0, 1.0, 0.5, 0.5, 0.5])
         assert len(times) == len(dts) + 1 == len(thetas) + 1
+        # theta_scheme weights only the steps after the startup
+        thetas = time_schedule(grid, SolverConfig(theta_scheme=0.7))[2]
+        assert np.array_equal(thetas, [1.0, 1.0, 0.7, 0.7, 0.7])
 
-    def test_plain_schedule(self):
-        grid = GridSpec(x_min=-1.0, x_max=1.0, n_x=5, n_t=4, maturity=1.0)
-        times, dts, thetas = time_schedule(
-            grid, SolverConfig(rannacher=False, theta_scheme=0.7))
-        assert np.allclose(times, [1.0, 0.75, 0.5, 0.25, 0.0])
-        assert np.allclose(thetas, [0.7, 0.7, 0.7, 0.7])
-        assert len(dts) == len(thetas)
+    def test_single_step_is_the_startup_alone(self):
+        grid = GridSpec(x_min=-1.0, x_max=1.0, n_x=5, n_t=1, maturity=1.0)
+        times, dts, thetas = time_schedule(grid, SolverConfig(theta_scheme=0.7))
+        assert np.array_equal(times, [1.0, 0.5, 0.0])
+        assert np.array_equal(dts, [0.5, 0.5])
+        assert np.array_equal(thetas, [1.0, 1.0])
 
-    @pytest.mark.parametrize("rannacher", [True, False])
-    def test_step_lengths_are_exact(self, rannacher):
+    def test_step_lengths_are_exact(self):
         # differences of the linspace times are an ulp off dt on some steps;
         # the lengths are not, so theta dt takes one value per theta phase
         grid = GridSpec(x_min=-1.0, x_max=1.0, n_x=5, n_t=400, maturity=1.3)
-        times, dts, _ = time_schedule(grid, SolverConfig(rannacher=rannacher))
-        n_half = 2 if rannacher else 0
-        assert np.array_equal(dts[:n_half], [0.5 * grid.dt] * n_half)
-        assert np.array_equal(dts[n_half:], np.full(grid.n_t - n_half // 2, grid.dt))
+        times, dts, _ = time_schedule(grid, SolverConfig())
+        assert np.array_equal(dts[:2], [0.5 * grid.dt] * 2)
+        assert np.array_equal(dts[2:], np.full(grid.n_t - 1, grid.dt))
         assert np.allclose(times[:-1] - times[1:], dts, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("rannacher", [True, False])
-    def test_uniform_rows_recover_the_time_grid(self, rannacher):
+    def test_uniform_rows_recover_the_time_grid(self):
         grid = GridSpec(x_min=-1.0, x_max=1.0, n_x=5, n_t=7, maturity=1.0)
-        solver = SolverConfig(rannacher=rannacher)
-        times = time_schedule(grid, solver)[0]
-        rows = uniform_row_indices(grid, solver)
+        times = time_schedule(grid, SolverConfig())[0]
+        rows = uniform_row_indices(grid)
         assert rows.shape == (grid.n_t + 1,)
         assert np.allclose(times[rows], grid.t_nodes())
 
@@ -139,15 +136,14 @@ class TestSchedule:
 class TestSurface:
     GRID = GridSpec(x_min=-1.0, x_max=1.0, n_x=5, n_t=2, maturity=1.0)
 
-    def _sched_values(self, solver):
+    def _surface(self):
         # w(t, x) = t + x on every march level, linear in both directions
+        solver = SolverConfig()
         times = time_schedule(self.GRID, solver)[0]
-        return times[:, None] + self.GRID.x_nodes()[None, :]
-
-    def _surface(self, solver=SolverConfig()):
         diag = SolveDiagnostics(iterations=np.array([]), factors=np.array([]))
         return Surface(grid=self.GRID, solver=solver,
-                       sched_values=self._sched_values(solver), diagnostics=diag)
+                       sched_values=times[:, None] + self.GRID.x_nodes()[None, :],
+                       diagnostics=diag)
 
     def test_shape_mismatch_rejected(self):
         surf = self._surface()
@@ -155,14 +151,13 @@ class TestSurface:
             Surface(grid=surf.grid, solver=surf.solver,
                     sched_values=surf.sched_values[:, :-1],
                     diagnostics=surf.diagnostics)
-        # a schedule without the Rannacher half level has one row fewer
+        # rows on the uniform levels alone miss the Rannacher half level
         with pytest.raises(ValueError, match="shape"):
-            Surface(grid=surf.grid, solver=SolverConfig(rannacher=False),
-                    sched_values=surf.sched_values, diagnostics=surf.diagnostics)
+            Surface(grid=surf.grid, solver=surf.solver,
+                    sched_values=surf.values[::-1], diagnostics=surf.diagnostics)
 
-    @pytest.mark.parametrize("rannacher", [True, False])
-    def test_uniform_values_follow_the_time_grid(self, rannacher):
-        surf = self._surface(SolverConfig(rannacher=rannacher))
+    def test_uniform_values_follow_the_time_grid(self):
+        surf = self._surface()
         assert np.array_equal(surf.sched_times, time_schedule(surf.grid, surf.solver)[0])
         want = self.GRID.t_nodes()[:, None] + self.GRID.x_nodes()[None, :]
         assert np.allclose(surf.values, want, atol=1e-15)

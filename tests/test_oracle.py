@@ -17,6 +17,7 @@ from xvaband import (
 )
 from xvaband.benchmark import closeout_C, closeout_I
 from xvaband.driver import driver_value
+import xvaband.oracle as oracle
 from xvaband.oracle import TreeSpec, _solve_level
 
 
@@ -190,6 +191,21 @@ class TestSymmetricResidual:
     def test_zero_payoff_residual_is_zero(self, symmetric_market, small_grid, solver):
         claim = ClaimSpec.custom([(1.0, 0.0)], maturity=1.0)
         assert symmetric_case_residual(claim, symmetric_market, small_grid, solver) == 0.0
+
+    def test_checks_the_buyer_too(
+        self, call_claim, symmetric_market, small_grid, solver, monkeypatch
+    ):
+        solve = oracle.solve_semilinear
+
+        def buyer_off_by_1e_3(*args, **kwargs):
+            surf = solve(*args, **kwargs)
+            if kwargs["side"] == "buyer":
+                surf = replace(surf, sched_values=surf.sched_values + 1e-3)
+            return surf
+
+        monkeypatch.setattr(oracle, "solve_semilinear", buyer_off_by_1e_3)
+        res = symmetric_case_residual(call_claim, symmetric_market, small_grid, solver)
+        assert res == pytest.approx(1e-3, abs=1e-10)
 
     def test_rejects_asymmetric_configs(self, call_claim, market, small_grid):
         with pytest.raises(ValueError, match="symmetric"):

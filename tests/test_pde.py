@@ -35,6 +35,8 @@ KAPPA = 0.35
 # (1 - (1-theta) dt kappa) / (1 + theta dt kappa); frozen for dt=0.0025,
 # theta=0.5, kappa=0.35
 CONST_STEP_FACTOR = 0.9991253826450927
+# one implicit half step of length dt/2 multiplies it by 1 / (1 + dt/2 kappa)
+CONST_HALF_STEP_FACTOR = 1.0 / (1.0 + 0.5 * DT * KAPPA)
 
 #: every branch of the driver is reachable: asymmetric repo and collateral
 #: rates, partial collateral, and (with the payoff below) reference values
@@ -59,22 +61,25 @@ class _ConstSource(SemilinearTerms):
 
 
 def _step(w, terms=None, theta=0.5):
-    """One theta-scheme step of length DT, marched by march_schedule.
+    """The startup's two implicit half steps of length DT/2, then one theta
+    step of length DT, marched by march_schedule.
 
-    Returns (new slice, linear solves).
+    Returns (slices at the four levels, linear solves per step).
     """
-    grid = GridSpec(x_min=-0.5, x_max=0.5, n_x=w.size, n_t=1, maturity=DT)
-    solver = SolverConfig(theta_scheme=theta, rannacher=False)
-    surf = march_schedule(w, grid, solver, a_eff=-0.01, b=0.02, kappa=KAPPA,
-                          terms=terms)
-    return surf.sched_values[1], int(surf.diagnostics.iterations[0])
+    grid = GridSpec(x_min=-0.5, x_max=0.5, n_x=w.size, n_t=2, maturity=2 * DT)
+    surf = march_schedule(w, grid, SolverConfig(theta_scheme=theta),
+                          a_eff=-0.01, b=0.02, kappa=KAPPA, terms=terms)
+    return surf.sched_values, surf.diagnostics.iterations
 
 
 class TestCnStep:
     def test_constant_slice_decays_at_the_killing_rate(self):
         out, n_solves = _step(np.ones(101))
-        assert n_solves == 1
-        assert np.all(np.abs(out - CONST_STEP_FACTOR) < 1e-12)
+        assert np.all(n_solves == 1)
+        assert np.all(np.abs(out[1] - CONST_HALF_STEP_FACTOR) < 1e-12)
+        assert np.all(np.abs(out[2] - CONST_HALF_STEP_FACTOR ** 2) < 1e-12)
+        # the Crank-Nicolson step takes its explicit half from the last solve
+        assert np.all(np.abs(out[3] - CONST_STEP_FACTOR * out[2]) < 1e-12)
 
     def test_zero_slice_is_a_fixed_point(self):
         out, _ = _step(np.zeros(101))
@@ -83,32 +88,34 @@ class TestCnStep:
         grid_dx = 1.0 / 100
         for side in (+1, -1):
             terms = SemilinearTerms(side=side, cfg=KINK_MARKET, dx=grid_dx,
-                                    bench_sched=np.zeros((2, 101)))
+                                    bench_sched=np.zeros((4, 101)))
             out, _ = _step(np.zeros(101), terms=terms)
             assert np.all(out == 0.0)
 
     def test_source_balancing_the_killing_term_freezes_the_slice(self):
         # with G = kappa * 1 the decay of a constant unit slice is exactly
-        # cancelled, so the step must return ones
+        # cancelled, so every step must return ones
         flat = replace(KINK_MARKET, r_f_plus=KINK_MARKET.r_f_minus,
                        r_r_plus=KINK_MARKET.r_r_minus)
         terms = _ConstSource(side=+1, cfg=flat, dx=0.01,
-                             bench_sched=np.zeros((2, 101)))
+                             bench_sched=np.zeros((4, 101)))
         out, n_solves = _step(np.ones(101), terms=terms)
-        assert n_solves == 1
+        assert np.all(n_solves == 1)
         assert np.all(np.abs(out - 1.0) < 1e-12)
 
     def test_fully_implicit_step_ignores_the_explicit_source_weight(self):
-        # theta = 1: nothing of the known level 0 may enter the step, so a
-        # NaN reference row there must not reach the result
+        # the startup's first step is fully implicit: nothing of the known
+        # level 0 may enter it, so a NaN reference row there must not reach
+        # the result
         x = np.linspace(-0.5, 0.5, 101)
-        bench = np.stack([np.full(101, np.nan), np.exp(x) - 1.0])
-        for side in (+1, -1):
-            terms = SemilinearTerms(side=side, cfg=KINK_MARKET, dx=0.01,
-                                    bench_sched=bench)
-            out, _ = _step(np.maximum(np.exp(x) - 1.0, 0.0), terms=terms,
-                           theta=1.0)
-            assert np.isfinite(out).all()
+        bench = np.stack([np.full(101, np.nan), *[np.exp(x) - 1.0] * 3])
+        for theta in (0.5, 1.0):
+            for side in (+1, -1):
+                terms = SemilinearTerms(side=side, cfg=KINK_MARKET, dx=0.01,
+                                        bench_sched=bench)
+                out, _ = _step(np.maximum(np.exp(x) - 1.0, 0.0), terms=terms,
+                               theta=theta)
+                assert np.isfinite(out).all()
 
 
 def _driver_source(side, cfg, dx, bench_row, w_full):
@@ -208,101 +215,68 @@ class TestRearrangedSource:
         y_level, _ = terms.level_terms(1)
         w = rough()
         w[1:-1] += y_level
-        return terms, bench[1], w, dx
+        # the march's slices: edges on the linear extension of the interior
+        return terms, bench[1], extend_slice(w[1:-1]), dx
 
     @pytest.mark.parametrize("side", [+1, -1])
     def test_level_split_matches_the_driver_form(self, side):
-        for seed in range(5):
+        for seed in range(20):
             terms, bench_row, w, dx = self._case(side, seed)
+            level = terms.level_terms(1)
             # every kink is active: reference, funding balance and slope
             # take both signs
-            funding = terms.level_terms(1)[0] - w[1:-1]
+            funding = level[0] - w[1:-1]
             slope = w[2:] - w[:-2]
             for arr in (bench_row, funding, slope):
                 assert arr.min() < 0.0 < arr.max()
+            # G as the march sees it, frozen at the slice's own branch set:
+            # its constant part plus the linear part u - M u that the step's
+            # matrix M carries (theta dt = 1, A = 0)
+            branch, _ = terms.branches(level, w)
+            lo, di, up = terms.frozen_bands(branch, 1.0, 0.0, 0.0, 0.0)
+            u = w[1:-1]
+            mu = di * u
+            mu[1:] += lo[1:] * u[:-1]
+            mu[:-1] += up[:-1] * u[1:]
             # the march carries the linear rate in kappa, not in the source
-            got = (terms.source(terms.level_terms(1), w)
-                   - linear_rate(KINK_MARKET) * w[1:-1])
+            got = (terms.frozen_source(level, branch) + (u - mu)
+                   - linear_rate(KINK_MARKET) * u)
             want = _driver_source(side, KINK_MARKET, dx, bench_row, w)
             scale = _term_scale(KINK_MARKET, dx, bench_row, w)
             assert np.max(np.abs(got - want)) <= 1e-15 * scale
 
-    @staticmethod
-    def _marches(side, solver, n_t):
-        """The KINK trade's reference surface and one side marched by
-        march_schedule and by the banded Picard march; returns (grid,
-        reference, marched, banded)."""
-        grid = build_grid(KINK_CLAIM, KINK_MARKET, n_x=101, n_t=n_t)
-        bench = benchmark_surface(grid, KINK_CLAIM, KINK_MARKET, solver)
-        assert bench.values.min() < 0.0 < bench.values.max()
-        sign = +1 if side == "seller" else -1
-        m_fold, _ = repo_drift_split(KINK_MARKET)
-        kw = dict(a_eff=KINK_MARKET.r_D - 0.5 * KINK_MARKET.sigma ** 2 - m_fold,
-                  b=0.5 * KINK_MARKET.sigma ** 2)
-        kappa = KINK_MARKET.h_I_Q + KINK_MARKET.h_C_Q
-        w_t = terminal_slice(KINK_CLAIM, grid)
-
-        def source_at(level, w_full):
-            return _driver_source(sign, KINK_MARKET, grid.dx,
-                                  bench.sched_values[level], w_full)
-
-        want = _banded_march(w_t, grid, solver, kappa=kappa, source_at=source_at,
-                             **kw)
-        terms = SemilinearTerms(side=sign, cfg=KINK_MARKET, dx=grid.dx,
-                                bench_sched=bench.sched_values)
-        got = march_schedule(w_t, grid, solver, terms=terms,
-                             kappa=kappa + linear_rate(KINK_MARKET), **kw)
-        return grid, bench, got.sched_values, want
-
     @pytest.mark.parametrize("side", ["seller", "buyer"])
     def test_march_matches_a_banded_driver_march(self, side, solver):
-        grid, bench, got, want = self._marches(side, solver, n_t=50)
-        assert np.max(np.abs(got - want)) < 1e-12
-        surf = solve_semilinear(KINK_CLAIM, KINK_MARKET, grid, solver, side=side,
-                                benchmark=bench)
-        assert np.array_equal(surf.values[::-1], got[[0, *range(2, grid.n_t + 2)]])
-
-    @pytest.mark.parametrize("side", ["seller", "buyer"])
-    @pytest.mark.parametrize("solver", [SolverConfig(rannacher=False)],
-                             ids=["no_rannacher"])
-    def test_direct_explicit_half_matches_a_banded_driver_march(self, side, solver):
-        # without Rannacher the first step's explicit half has no solve
-        # before it, so A and G are applied directly there
-        grid, bench, got, want = self._marches(side, solver, n_t=100)
-        assert np.max(np.abs(got - want)) < 1e-12
+        # the banded march applies A and the driver form of G directly in
+        # every explicit half; march_schedule takes them from the last solve
+        grid = build_grid(KINK_CLAIM, KINK_MARKET, n_x=101, n_t=50)
+        bench = benchmark_surface(grid, KINK_CLAIM, KINK_MARKET, solver)
+        assert bench.values.min() < 0.0 < bench.values.max()
         m = KINK_MARKET
-        want_ref = _banded_march(terminal_slice(KINK_CLAIM, grid), grid, solver,
-                                 a_eff=m.r_D - 0.5 * m.sigma ** 2,
+        w_t = terminal_slice(KINK_CLAIM, grid)
+        want_ref = _banded_march(w_t, grid, solver, a_eff=m.r_D - 0.5 * m.sigma ** 2,
                                  b=0.5 * m.sigma ** 2, kappa=m.r_D,
                                  source_at=lambda level, w_full: 0.0)
         assert np.max(np.abs(bench.sched_values - want_ref)) < 1e-12
 
-    @pytest.mark.parametrize("solver, per_march", [
-        (SolverConfig(), 0), (SolverConfig(rannacher=False), 1)],
-        ids=["default", "no_rannacher"])
-    def test_explicit_half_is_evaluated_once_per_march_at_most(
-        self, solver, per_march, monkeypatch
-    ):
-        # every other step takes its explicit half from the last solve
-        calls = {"apply": 0, "source": 0}
+        sign = +1 if side == "seller" else -1
+        m_fold, _ = repo_drift_split(m)
+        kw = dict(a_eff=m.r_D - 0.5 * m.sigma ** 2 - m_fold, b=0.5 * m.sigma ** 2)
+        kappa = m.h_I_Q + m.h_C_Q
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def source_at(level, w_full):
+            return _driver_source(sign, m, grid.dx, bench.sched_values[level], w_full)
 
-        monkeypatch.setattr(pde, "_apply_reduced",
-                            counted("apply", pde._apply_reduced))
-        monkeypatch.setattr(SemilinearTerms, "source",
-                            counted("source", SemilinearTerms.source))
-        grid = build_grid(KINK_CLAIM, KINK_MARKET, n_x=101, n_t=50)
-        bench = benchmark_surface(grid, KINK_CLAIM, KINK_MARKET, solver)
-        for side in ("seller", "buyer"):
-            solve_semilinear(KINK_CLAIM, KINK_MARKET, grid, solver, side=side,
-                             benchmark=bench)
-        # one reference march and two semilinear ones
-        assert calls == {"apply": 3 * per_march, "source": 2 * per_march}
+        want = _banded_march(w_t, grid, solver, kappa=kappa, source_at=source_at,
+                             **kw)
+        terms = SemilinearTerms(side=sign, cfg=m, dx=grid.dx,
+                                bench_sched=bench.sched_values)
+        got = march_schedule(w_t, grid, solver, terms=terms,
+                             kappa=kappa + linear_rate(m), **kw).sched_values
+        assert np.max(np.abs(got - want)) < 1e-12
+        surf = solve_semilinear(KINK_CLAIM, m, grid, solver, side=side,
+                                benchmark=bench)
+        assert np.array_equal(surf.values[::-1], got[[0, *range(2, grid.n_t + 2)]])
 
 
 class TestMarchSchedule:
@@ -320,8 +294,8 @@ class TestMarchSchedule:
         assert diag.max_iterations() >= 1
 
     @pytest.mark.parametrize("solver, n_factors", [
-        (SolverConfig(), 1), (SolverConfig(rannacher=False), 1),
-        (SolverConfig(theta_scheme=0.6), 2)], ids=["default", "no_rannacher", "theta_0.6"])
+        (SolverConfig(), 1), (SolverConfig(theta_scheme=0.6), 2)],
+        ids=["default", "theta_0.6"])
     def test_reference_march_factors_once_per_theta_phase(
         self, call_claim, market, solver, n_factors
     ):
@@ -331,16 +305,6 @@ class TestMarchSchedule:
         bench = benchmark_surface(grid, call_claim, market, solver)
         assert bench.diagnostics.factors.sum() == n_factors
         assert bench.diagnostics.factors[0] == 1
-
-    def test_without_rannacher(self, call_claim, market):
-        solver = SolverConfig(rannacher=False)
-        grid = build_grid(call_claim, market, n_x=101, n_t=8)
-        surf = march_schedule(
-            terminal_slice(call_claim, grid), grid, solver,
-            a_eff=-0.01, b=0.02, kappa=0.0,
-        )
-        assert surf.sched_times.shape == (grid.n_t + 1,)
-        assert surf.sched_values.shape == (grid.n_t + 1, grid.n_x)
 
 
 class TestSolveSemilinear:
@@ -502,10 +466,10 @@ class TestSolveSemilinear:
     def test_rejects_benchmark_on_another_schedule(
         self, call_claim, market, small_grid
     ):
-        bench = benchmark_surface(
-            small_grid, call_claim, market, SolverConfig(rannacher=False)
-        )
-        with pytest.raises(ValueError, match="SolverConfig"):
+        # the same space nodes marched over another time schedule
+        other = replace(small_grid, n_t=small_grid.n_t // 2)
+        bench = benchmark_surface(other, call_claim, market, SolverConfig())
+        with pytest.raises(ValueError, match="GridSpec"):
             solve_semilinear(
                 call_claim, market, small_grid, SolverConfig(), benchmark=bench
             )

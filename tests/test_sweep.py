@@ -31,6 +31,13 @@ class TestSpecs:
         with pytest.raises(ValueError, match="no values"):
             SweepAxis("alpha", ())
 
+    def test_axes_must_name_two_fields(self, call_claim, market):
+        # one field on both axes would collapse each point to axis 2's value
+        with pytest.raises(ValueError, match="both sweep axes name 'alpha'"):
+            SweepSpec(claim=call_claim, base=market,
+                      axis1=SweepAxis("alpha", (0.0, 0.5)),
+                      axis2=SweepAxis("alpha", (0.9, 1.0)))
+
     def test_default_threads_env(self, monkeypatch):
         monkeypatch.setenv("XVA_THREADS", "3")
         assert default_threads() == 3
