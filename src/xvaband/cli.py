@@ -260,7 +260,8 @@ def cmd_bench(args) -> int:
         for side in ("seller", "buyer"):
             t0 = time.perf_counter()
             surf = solve_semilinear(claim, cfg, grid, solver, side=side,
-                                    benchmark=bench)
+                                    benchmark=bench,
+                                    allow_arbitrage=args.allow_arbitrage)
             secs[side].append(time.perf_counter() - t0)
             diag = surf.diagnostics
             solves[side] = (float(diag.iterations.mean()), diag.max_iterations(),

@@ -43,13 +43,32 @@ side enters ``const_s`` through the collateral rates alone.  The linear
 rate (:func:`linear_rate`) and the funding spread (:func:`funding_spread`)
 are the same for both sides, and ``s R(s z) = m z/sigma + s s_repo
 |z|/sigma`` with ``(m, s_repo)`` from :func:`repo_drift_split`.
+
+Split form.  Each of theta_I, theta_C and alpha v_hat is linear on each
+sign of v_hat (``alpha`` lies in [0, 1], so ``alpha v_hat`` has the sign of
+v_hat), so with ``p = max(v_hat, 0)`` and ``n = v_hat - p``,
+
+    k_I = 1 - L_I (1 - alpha),   k_C = 1 - L_C (1 - alpha),
+    theta_I = k_I p + n,         theta_C = p + k_C n,
+    s C(s alpha v_hat) = alpha (r_pos p + r_neg n),
+
+where ``(r_pos, r_neg)`` is ``(r_c+, r_c-)`` for the seller and ``(r_c-,
+r_c+)`` for the buyer.  Both level terms are then one linear form in
+``(p, n)``:
+
+    Y       = y_p p + y_n n,   y_p = 1 + k_I - alpha,   y_n = 1 + k_C - alpha,
+    const_s = c_p p + c_n n,
+    c_p = 2 h_I k_I + 2 h_C + r_D (1 + k_I) - alpha r_pos - r_f- y_p,
+    c_n = 2 h_I + 2 h_C k_C + r_D (1 + k_C) - alpha r_neg - r_f- y_n.
+
+:func:`financing_level` evaluates these two forms, eight array passes
+per level against about 25 for the close-outs term by term.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .benchmark import closeout_C, closeout_I
 from .config import MarketConfig
 
 __all__ = [
@@ -110,21 +129,25 @@ def financing_level(side: int, cfg: MarketConfig,
 
     ``Y = theta_I + theta_C - alpha v_hat`` is the funding balance at
     v = 0 and ``const_s`` the part of the level form that does not depend
-    on v or z (module docstring); side=+1 seller, -1 buyer.
+    on v or z; side=+1 seller, -1 buyer.  Both come from the split form of
+    the module docstring and are fresh arrays the caller may overwrite.
     """
-    th_i = closeout_I(v_hat, cfg.alpha, cfg.L_I)
-    th_c = closeout_C(v_hat, cfg.alpha, cfg.L_C)
-    th = th_i + th_c
-    a_vh = cfg.alpha * v_hat
-    y_level = th - a_vh
-    # s C(s u) = r_pos u^+ + r_neg min(u, 0): the side picks the rates
+    a = cfg.alpha
+    k_i = 1.0 - cfg.L_I * (1.0 - a)
+    k_c = 1.0 - cfg.L_C * (1.0 - a)
+    y_p = 1.0 + k_i - a
+    y_n = 1.0 + k_c - a
     r_pos, r_neg = ((cfg.r_c_plus, cfg.r_c_minus) if side > 0
                     else (cfg.r_c_minus, cfg.r_c_plus))
-    coll = r_pos * np.maximum(a_vh, 0.0) + r_neg * np.minimum(a_vh, 0.0)
-    # doubling is exact: this is 2 (h_I th_I + h_C th_C) bit for bit
-    const = (2.0 * cfg.h_I_Q) * th_i
-    const += (2.0 * cfg.h_C_Q) * th_c
-    const += cfg.r_D * th
-    const -= coll
-    const -= cfg.r_f_minus * y_level
+    c_p = (2.0 * cfg.h_I_Q * k_i + 2.0 * cfg.h_C_Q + cfg.r_D * (1.0 + k_i)
+           - a * r_pos - cfg.r_f_minus * y_p)
+    c_n = (2.0 * cfg.h_I_Q + 2.0 * cfg.h_C_Q * k_c + cfg.r_D * (1.0 + k_c)
+           - a * r_neg - cfg.r_f_minus * y_n)
+    p = np.maximum(v_hat, 0.0)
+    n = v_hat - p
+    y_level = y_p * p
+    y_level += y_n * n
+    const = c_p * p
+    n *= c_n
+    const += n
     return y_level, const

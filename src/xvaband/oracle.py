@@ -14,7 +14,9 @@ with f the driver of :mod:`xvaband.driver` and Z = (V_up - V_down) /
 (2 sqrt(dt)).  Z and v_hat come from the level above, so in the level form
 of that module only the funding kink depends on the unknown x = V.  For
 side s = +1 (seller) or -1 (buyer), with Y and const_s from
-:func:`xvaband.driver.financing_level`, the relation reads
+:func:`xvaband.driver.financing_level` (each a linear form in the positive
+and negative parts of the level's v_hat, the one level form the PDE march
+uses too), the relation reads
 
     A x + s c (s (Y - x))^+ = B,
     A = 1 + dt (h_I + h_C + (h_I + h_C + 2 r_D - r_f-)),

@@ -113,7 +113,9 @@ class SemilinearTerms:
 
         G = const_s - s (r_f+ - r_f-) (s (Y - w))^+ - s s_repo |w_x|.
 
-    :meth:`level_terms` gives ``(Y, const_s)`` of a march level.  A branch
+    :meth:`level_terms` gives ``(Y, const_s)`` of a march level, from the
+    split of the level's reference values into their positive and negative
+    parts (:func:`xvaband.driver.financing_level`).  A branch
     set ``(funding, slope)`` flags the nodes where ``s (Y - w) > 0`` and
     where ``w_{i+1} > w_{i-1}`` (None for a kink of zero slope); frozen
     there, G is linear in w: :meth:`frozen_source` is its constant part and
@@ -131,7 +133,8 @@ class SemilinearTerms:
         self._c_repo = -self.side * s_repo / (2.0 * self.dx)
 
     def level_terms(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(Y, const_s) on the interior nodes of march level k."""
+        """(Y, const_s) on the interior nodes of march level k: two linear
+        forms in the positive and negative parts of the reference slice."""
         return financing_level(self.side, self.cfg, self.bench_sched[k, 1:-1])
 
     def branches(self, level, w_full: np.ndarray, old=(None, None)):

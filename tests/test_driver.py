@@ -1,11 +1,14 @@
-"""The two wealth drivers, evaluated through ``driver_value``."""
+"""The two wealth drivers, evaluated through ``driver_value``, and the
+level form of ``financing_level``."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from xvaband.driver import driver_value, repo_drift_split
+from xvaband.benchmark import closeout_C, closeout_I
+from xvaband.driver import driver_value, financing_level, repo_drift_split
 
 
 # Hand-computed reference point for the seller driver at the desk default
@@ -146,3 +149,53 @@ def test_repo_drift_split_reconstructs_the_charge(market):
         direct = ((asym.r_D - asym.r_r_minus) * max(z, 0.0)
                   - (asym.r_D - asym.r_r_plus) * max(-z, 0.0)) / asym.sigma
         assert m * wx + s * abs(wx) == pytest.approx(direct, abs=1e-15)
+
+
+# --- level form --------------------------------------------------------------
+
+# Reference values with both signs, exact zeros and magnitudes 1e-6 to 1e3.
+_MAGS = np.logspace(-6.0, 3.0, 37)
+V_HAT = np.concatenate([_MAGS, -_MAGS, [0.0, 0.0, -0.0],
+                        np.random.default_rng(16).normal(size=40)])
+EPS = np.finfo(float).eps
+
+
+def _closeout_level(side, cfg, v_hat):
+    """``(Y, const_s)`` from the close-outs term by term, and the per-node
+    sums of the absolute values of the terms each one adds up."""
+    th_i = closeout_I(v_hat, cfg.alpha, cfg.L_I)
+    th_c = closeout_C(v_hat, cfg.alpha, cfg.L_C)
+    th = th_i + th_c
+    a_vh = cfg.alpha * v_hat
+    y = th - a_vh
+    r_pos, r_neg = ((cfg.r_c_plus, cfg.r_c_minus) if side > 0
+                    else (cfg.r_c_minus, cfg.r_c_plus))
+    coll = r_pos * np.maximum(a_vh, 0.0) + r_neg * np.minimum(a_vh, 0.0)
+    terms = (2.0 * cfg.h_I_Q * th_i, 2.0 * cfg.h_C_Q * th_c, cfg.r_D * th,
+             -coll, -cfg.r_f_minus * y)
+    y_scale = np.abs(th_i) + np.abs(th_c) + np.abs(a_vh)
+    return y, sum(terms), y_scale, sum(np.abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("side", [+1, -1], ids=["seller", "buyer"])
+def test_financing_level_matches_the_closeout_form(market, side):
+    # distinct collateral rates, so the side changes const_s
+    base = replace(market, r_c_plus=0.01, r_c_minus=0.05)
+    for alpha, l_i, l_c in itertools.product((0.0, 0.4, 1.0), (0.0, 0.5, 1.0),
+                                             (0.0, 0.5, 1.0)):
+        cfg = replace(base, alpha=alpha, L_I=l_i, L_C=l_c)
+        y, const = financing_level(side, cfg, V_HAT)
+        y_ref, const_ref, y_scale, c_scale = _closeout_level(side, cfg, V_HAT)
+        # largest error seen: 1.09 ulps of the scale for Y, 1.30 for const_s;
+        # at v_hat = 0 both forms give exact zeros
+        assert np.all(np.abs(y - y_ref) <= 4.0 * EPS * y_scale)
+        assert np.all(np.abs(const - const_ref) <= 4.0 * EPS * c_scale)
+
+
+def test_financing_level_returns_fresh_arrays(market):
+    # the tree writes into const_s in place
+    v_hat = V_HAT.copy()
+    y, const = financing_level(+1, market, v_hat)
+    assert not np.shares_memory(y, const)
+    assert not np.shares_memory(y, v_hat) and not np.shares_memory(const, v_hat)
+    np.testing.assert_array_equal(v_hat, V_HAT)
