@@ -24,9 +24,8 @@ from .config import (
     validate_no_arbitrage,
 )
 from .grid import GridSpec, SolverConfig, Surface, build_grid
-from .kernels import active_backend
 from .oracle import TreeSpec, symmetric_case_residual, tree_bsde_price
-from .pde import solve_semilinear
+from .pde import active_backend, solve_semilinear
 from .sweep import SweepAxis, SweepSpec, run_sweep, write_csv
 from .xva import (
     HedgeSnapshot,

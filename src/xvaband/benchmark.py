@@ -11,9 +11,10 @@ L_I*((1-alpha) v_hat)^+ (the uncollateralised positive part is haircut),
 and on a counterparty default theta_C = v_hat + L_C*((1-alpha) v_hat)^-.
 Both close-outs bracket v_hat: theta_I <= v_hat <= theta_C.
 
-:func:`benchmark_surface` marches the reference on the same schedule as
-the semilinear solve, so its :class:`xvaband.grid.Surface` holds v_hat at
-every level that solve reads, the Rannacher half level included.
+:func:`benchmark_surface` marches the reference with the semilinear
+solve's march, so its :class:`xvaband.grid.Surface` holds v_hat at every
+level that solve reads, the Rannacher half level included, and fixes
+that solve's lattice.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from scipy.stats import norm
 
 from .config import ClaimSpec, MarketConfig
 from .grid import GridSpec, SolverConfig, Surface
+from .pde import march_schedule, terminal_slice
 
 __all__ = [
     "bs_closed_form",
@@ -94,15 +96,11 @@ def benchmark_surface(
 
     Uses the same stepper, schedule, and boundary policy as the semilinear
     solve so that in the symmetric-rate zero-loss limit the two solves
-    coincide on the lattice up to rounding.
+    coincide on the lattice up to rounding.  Every
+    :func:`xvaband.pde.solve_semilinear` on the result reuses its ``grid``
+    and ``solver``.
     """
-    from .pde import march_schedule, terminal_slice
-
     solver = solver or SolverConfig()
-    if abs(claim.maturity - grid.maturity) > 1e-12:
-        raise ValueError(
-            f"claim maturity {claim.maturity} != grid maturity {grid.maturity}"
-        )
     a = cfg.r_D - 0.5 * cfg.sigma * cfg.sigma
     return march_schedule(
         terminal_slice(claim, grid), grid, solver,

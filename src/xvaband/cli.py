@@ -34,9 +34,8 @@ from .config import (
     reporting_spot,
 )
 from .grid import SolverConfig, build_grid
-from .kernels import active_backend
 from .oracle import TreeSpec, tree_bsde_price
-from .pde import solve_semilinear
+from .pde import active_backend, solve_semilinear
 from .sweep import SweepAxis, SweepSpec, run_sweep, write_csv
 from .xva import hedge_at, report_from_solution, solve_trade
 
@@ -224,8 +223,7 @@ def cmd_convergence(args) -> int:
                            "n_t": n_t, "value": bench.value_at(0.0, spot),
                            "error": err, "order": order})
 
-        sell = solve_semilinear(claim, cfg, grid, solver, side="seller",
-                                benchmark=bench,
+        sell = solve_semilinear(claim, cfg, bench, side="seller",
                                 allow_arbitrage=args.allow_arbitrage)
         vals.append(sell.value_at(0.0, spot))
         diff = abs(vals[-1] - vals[-2]) if lvl else None
@@ -259,8 +257,7 @@ def cmd_bench(args) -> int:
         secs["reference"].append(time.perf_counter() - t0)
         for side in ("seller", "buyer"):
             t0 = time.perf_counter()
-            surf = solve_semilinear(claim, cfg, grid, solver, side=side,
-                                    benchmark=bench,
+            surf = solve_semilinear(claim, cfg, bench, side=side,
                                     allow_arbitrage=args.allow_arbitrage)
             secs[side].append(time.perf_counter() - t0)
             diag = surf.diagnostics

@@ -145,6 +145,14 @@ class ClaimSpec:
         return cls(kind="custom", maturity=maturity,
                    knots=tuple((float(s), float(v)) for s, v in knots))
 
+    @property
+    def log_center(self) -> float:
+        """ln of the spot the claim is centred on: the strike, else (a custom
+        claim without one) the geometric mid-knot."""
+        if self.strike is not None and self.strike > 0.0:
+            return math.log(self.strike)
+        return 0.5 * (math.log(self.knots[0][0]) + math.log(self.knots[-1][0]))
+
     def payoff(self, s):
         """Terminal payoff evaluated at spot(s); accepts scalars or arrays."""
         s = np.asarray(s, dtype=float)
@@ -172,10 +180,11 @@ class ClaimSpec:
 
 
 def reporting_spot(claim: ClaimSpec, spot: float | None = None) -> float:
-    """The spot a report reads: ``spot``, else the strike, else 1.0."""
+    """The spot a report reads: ``spot``, else the strike, else the centre
+    of the claim's lattice (:attr:`ClaimSpec.log_center`)."""
     if spot is not None:
         return spot
-    return claim.strike if claim.strike is not None else 1.0
+    return claim.strike if claim.strike is not None else math.exp(claim.log_center)
 
 
 class ArbitrageViolationError(ValueError):

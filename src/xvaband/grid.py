@@ -1,7 +1,7 @@
 """Log-price lattice, solver settings, and value surfaces.
 
-The spatial variable is x = ln S on a uniform grid centred at the log
-strike; the time grid is uniform on [0, T].
+The spatial variable is x = ln S on a uniform grid centred at the claim's
+log strike (its mid-knot without one); the time grid is uniform on [0, T].
 
 The backward march starts with two implicit half steps before switching to
 the weighted theta scheme (Rannacher startup), which damps Crank-Nicolson's
@@ -97,7 +97,8 @@ def build_grid(
     n_x: int = 801,
     n_t: int = 400,
 ) -> GridSpec:
-    """Lattice centred at the log strike, wide enough for the terminal law.
+    """Lattice centred at :attr:`ClaimSpec.log_center`, wide enough for the
+    terminal law.
 
     The half-width is ``width_sigmas * sigma * sqrt(T)``.  n_x is bumped to
     the next odd value so the centre is exactly a node.
@@ -106,14 +107,7 @@ def build_grid(
         raise ValueError(f"width_sigmas must be positive, got {width_sigmas}")
     if n_x % 2 == 0:
         n_x += 1
-    if claim.strike is not None and claim.strike > 0.0:
-        center = math.log(claim.strike)
-    elif claim.knots:
-        # custom claim without strike: centre on the geometric mid-knot
-        ss = [k[0] for k in claim.knots]
-        center = 0.5 * (math.log(ss[0]) + math.log(ss[-1]))
-    else:
-        center = 0.0
+    center = claim.log_center
     half = width_sigmas * cfg.sigma * math.sqrt(claim.maturity)
     return GridSpec(
         x_min=center - half,

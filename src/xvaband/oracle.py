@@ -158,6 +158,6 @@ def symmetric_case_residual(
     bench = benchmark_surface(grid, claim, cfg, solver)
     residual = 0.0
     for side in ("seller", "buyer"):
-        surf = solve_semilinear(claim, cfg, grid, solver, side=side, benchmark=bench)
+        surf = solve_semilinear(claim, cfg, bench, side=side)
         residual = max(residual, float(np.max(np.abs(surf.values - bench.values))))
     return residual

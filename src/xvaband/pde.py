@@ -10,8 +10,10 @@ with kappa = r_D and G = 0 for the default-free reference value, and
 kappa = h_I_Q + h_C_Q + :func:`xvaband.driver.linear_rate` with G the
 close-out source plus the two kinks of the financing driver for the
 adjusted value; the linear repo part sits in a (see
-:func:`xvaband.driver.repo_drift_split`).  G is piecewise linear in w, so
-each implicit step is solved exactly by policy iteration (Howard's
+:func:`xvaband.driver.repo_drift_split`).  G reads its close-out and
+collateral marks off the reference surface, so :func:`solve_semilinear`
+takes that surface and marches on its lattice.  G is piecewise linear in
+w, so each implicit step is solved exactly by policy iteration (Howard's
 algorithm): freeze the branch of every kink, solve the tridiagonal system
 that gives, and repeat until no branch changes.  Each step starts from
 the branch set that settled the step before, the usual warm start of
@@ -26,8 +28,16 @@ marched: it is stable on every lattice.
 Boundary rows impose zero second difference in x (payoffs here are
 asymptotically linear in S = e^x only at the call wing, but linearity in x
 is the standard truncation closure and its error lives in the outer wings
-far from the reporting region).  Eliminating those rows leaves a strictly
-diagonally dominant tridiagonal system on the interior nodes.
+far from the reporting region).  :func:`reduced_operator` eliminates those
+rows, which leaves a strictly diagonally dominant tridiagonal system on
+the interior nodes, and :func:`extend_slice` restores them on every
+solved slice.  :func:`tridiag_factor` and :func:`tridiag_solve` run that
+system through LAPACK (``dgttrf``/``dgttrs``) in the band layout that
+:func:`reduced_operator` returns.
+
+Every solve, this march and the tree induction of :mod:`xvaband.oracle`,
+runs on numpy and scipy; :func:`active_backend` names that for reports and
+run logs.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .config import (
     ArbitrageViolationError,
@@ -45,14 +56,17 @@ from .config import (
 )
 from .driver import financing_level, funding_spread, linear_rate, repo_drift_split
 from .grid import GridSpec, SolveDiagnostics, SolverConfig, Surface, time_schedule
-from .kernels import extend_slice, tridiag_factor, tridiag_solve
 
 __all__ = [
     "SemilinearTerms",
+    "active_backend",
+    "extend_slice",
     "march_schedule",
     "reduced_operator",
     "solve_semilinear",
     "terminal_slice",
+    "tridiag_factor",
+    "tridiag_solve",
 ]
 
 #: linear solves a march step may take; a step that cycles between branch
@@ -63,12 +77,20 @@ MAX_SOLVES_PER_STEP = 20
 _FLIP_RTOL = 4.0 * np.finfo(float).eps
 
 
+def active_backend() -> str:
+    return "numpy"
+
+
 def reduced_operator(n_x: int, dx: float, a: float, b: float, kappa: float):
     """Tridiagonal coefficients of A on the interior after boundary elimination.
 
-    Returns (lo, di, up) of length n_x - 2.  Eliminating the zero-curvature
-    boundary rows cancels the diffusion coupling in the first and last
-    interior rows and leaves a one-sided convection difference there.
+    Returns (lo, di, up) of length n_x - 2: row i reads ``lo[i] u[i-1] +
+    di[i] u[i] + up[i] u[i+1]``, and ``lo[0]`` and ``up[-1]`` lie outside
+    the matrix (zero here; :func:`tridiag_factor` ignores them).
+    Eliminating the zero-curvature boundary rows cancels the diffusion
+    coupling in the first and last interior rows and leaves a one-sided
+    convection difference there; :func:`extend_slice` puts the edge nodes
+    back on the same linear extension.
     """
     m = n_x - 2
     if m < 3:
@@ -79,6 +101,37 @@ def reduced_operator(n_x: int, dx: float, a: float, b: float, kappa: float):
     lo[0], di[0], up[0] = 0.0, kappa + a / dx, -a / dx
     lo[-1], di[-1], up[-1] = a / dx, kappa - a / dx, 0.0
     return lo, di, up
+
+
+def tridiag_factor(lo: np.ndarray, di: np.ndarray, up: np.ndarray):
+    """LU factors (LAPACK ``dgttrf``) of a tridiagonal matrix of size >= 3,
+    in the band layout of :func:`reduced_operator`.
+
+    The factors serve any number of :func:`tridiag_solve` calls.
+    """
+    dl, d, du, du2, ipiv, info = dgttrf(lo[1:], di, up[:-1])
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular tridiagonal system (dgttrf info {info})")
+    return dl, d, du, du2, ipiv
+
+
+def tridiag_solve(lu, rhs: np.ndarray) -> np.ndarray:
+    """Solve with factors from :func:`tridiag_factor`, in place of ``rhs``."""
+    u, _ = dgttrs(*lu, rhs, overwrite_b=1)
+    return u
+
+
+def extend_slice(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Full slice from interior values via linear extrapolation at both ends,
+    the zero-curvature closure :func:`reduced_operator` eliminates.
+
+    Writes into ``out`` (length ``u.size + 2``) when given.
+    """
+    w = np.empty(u.size + 2) if out is None else out
+    w[1:-1] = u
+    w[0] = 2.0 * u[0] - u[1]
+    w[-1] = 2.0 * u[-1] - u[-2]
+    return w
 
 
 def _settle(diff, a, b, old):
@@ -270,35 +323,35 @@ def march_schedule(
 
 
 def terminal_slice(claim: ClaimSpec, grid: GridSpec) -> np.ndarray:
-    """Payoff evaluated on the spatial nodes."""
+    """Payoff evaluated on the spatial nodes; the claim must mature at the
+    grid's maturity."""
+    if abs(claim.maturity - grid.maturity) > 1e-12:
+        raise ValueError(
+            f"claim maturity {claim.maturity} != grid maturity {grid.maturity}"
+        )
     return np.asarray(claim.payoff(np.exp(grid.x_nodes())), dtype=float)
 
 
 def solve_semilinear(
     claim: ClaimSpec,
     cfg: MarketConfig,
-    grid: GridSpec,
-    solver: SolverConfig | None = None,
+    benchmark: Surface,
     side: str = "seller",
-    benchmark: Surface | None = None,
     allow_arbitrage: bool = False,
 ) -> Surface:
     """Solve the semilinear wealth PDE for one side of the trade.
 
-    ``benchmark`` is the reference :class:`Surface` and must be solved on
-    the same grid with the same solver settings (it is computed on demand
-    when omitted).  Configs that violate the no-arbitrage rate
-    ordering raise :class:`ArbitrageViolationError` unless
-    ``allow_arbitrage`` is set, in which case a warning is emitted and the
-    solve proceeds.
+    ``benchmark`` is the reference :class:`Surface`
+    (:func:`xvaband.benchmark.benchmark_surface`): its close-out marks and
+    collateral drive the source, and its grid and solver settings are the
+    solve's.  Configs that violate the no-arbitrage rate ordering raise
+    :class:`ArbitrageViolationError` unless ``allow_arbitrage`` is set, in
+    which case a warning is emitted and the solve proceeds.
     """
     if side not in ("seller", "buyer"):
         raise ValueError(f"side must be 'seller' or 'buyer', got {side!r}")
-    solver = solver or SolverConfig()
-    if abs(claim.maturity - grid.maturity) > 1e-12:
-        raise ValueError(
-            f"claim maturity {claim.maturity} != grid maturity {grid.maturity}"
-        )
+    grid = benchmark.grid
+    w_terminal = terminal_slice(claim, grid)
     violations = validate_no_arbitrage(cfg)
     if violations:
         if not allow_arbitrage:
@@ -310,22 +363,12 @@ def solve_semilinear(
             stacklevel=2,
         )
 
-    if benchmark is None:
-        from .benchmark import benchmark_surface
-
-        benchmark = benchmark_surface(grid, claim, cfg, solver)
-    if benchmark.grid != grid or benchmark.solver != solver:
-        raise ValueError(
-            "benchmark surface does not match the solve grid and solver settings "
-            "(same GridSpec and SolverConfig required)"
-        )
-
     m_fold, _ = repo_drift_split(cfg)
     a = cfg.r_D - 0.5 * cfg.sigma * cfg.sigma
     terms = SemilinearTerms(side=+1 if side == "seller" else -1, cfg=cfg,
                             dx=grid.dx, bench_sched=benchmark.sched_values)
     return march_schedule(
-        terminal_slice(claim, grid), grid, solver,
+        w_terminal, grid, benchmark.solver,
         a_eff=a - m_fold, b=0.5 * cfg.sigma * cfg.sigma,
         kappa=cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg), terms=terms,
     )

@@ -10,7 +10,8 @@ the two default-protection bond legs and posting collateral,
     funding_0 = theta_I(v_hat_0) + theta_C(v_hat_0) - v_0 - alpha*v_hat_0,
 
 which is also the argument the driver prices at the asymmetric funding
-rates.
+rates.  :func:`solve_trade` marches the reference once and both sides on
+its lattice.
 """
 
 from __future__ import annotations
@@ -96,14 +97,24 @@ def solve_trade(
     allow_arbitrage: bool = False,
     benchmark: Surface | None = None,
 ) -> TradeSolution:
-    """Solve reference, seller, and buyer surfaces on one shared grid."""
+    """Solve reference, seller, and buyer surfaces on one shared grid.
+
+    A given ``benchmark`` (say, one reference shared by the points of a
+    sweep) must be solved on ``grid`` with ``solver``; both sides read
+    their lattice from it.
+    """
     grid = grid or build_grid(claim, cfg)
     solver = solver or SolverConfig()
     bench = benchmark or benchmark_surface(grid, claim, cfg, solver)
-    seller = solve_semilinear(claim, cfg, grid, solver, side="seller",
-                              benchmark=bench, allow_arbitrage=allow_arbitrage)
-    buyer = solve_semilinear(claim, cfg, grid, solver, side="buyer",
-                             benchmark=bench, allow_arbitrage=allow_arbitrage)
+    if bench.grid != grid or bench.solver != solver:
+        raise ValueError(
+            "benchmark surface does not match the solve grid and solver settings "
+            "(same GridSpec and SolverConfig required)"
+        )
+    seller = solve_semilinear(claim, cfg, bench, side="seller",
+                              allow_arbitrage=allow_arbitrage)
+    buyer = solve_semilinear(claim, cfg, bench, side="buyer",
+                             allow_arbitrage=allow_arbitrage)
     return TradeSolution(cfg=cfg, benchmark=bench, seller=seller, buyer=buyer)
 
 

@@ -210,8 +210,7 @@ def test_criterion_3_symmetric_collapse(
         grid = build_grid(claim, symmetric_market)
         bench = benchmark_surface(grid, claim, symmetric_market, solver)
         for side in ("seller", "buyer"):
-            surf = solve_semilinear(claim, symmetric_market, grid, solver,
-                                    side=side, benchmark=bench)
+            surf = solve_semilinear(claim, symmetric_market, bench, side=side)
             worst = max(worst, float(abs(surf.values - bench.values).max()))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-8, f"adjusted surfaces drifted off the reference: {worst:.2e}"
@@ -248,8 +247,8 @@ def test_criterion_5_tree_vs_pde(
             cfg = replace(market, alpha=alpha, r_f_minus=rfm)
             spec = TreeSpec(n_steps=500, claim=call_claim, cfg=cfg)
             for side in ("seller", "buyer"):
-                surf = solve_semilinear(call_claim, cfg, grid, solver, side=side,
-                                        benchmark=bench, allow_arbitrage=True)
+                surf = solve_semilinear(call_claim, cfg, bench, side=side,
+                                        allow_arbitrage=True)
                 diff = abs(tree_bsde_price(spec, side=side) - surf.value_at(0.0, 1.0))
                 worst = max(worst, diff)
                 assert diff < 2e-3, (
@@ -277,8 +276,7 @@ def test_tree_vs_pde_band_width(call_claim, put_claim, market, solver):
             spec = TreeSpec(n_steps=2000, claim=claim, cfg=cfg)
             gap = {}
             for side in ("seller", "buyer"):
-                surf = solve_semilinear(claim, cfg, grid, solver, side=side,
-                                        benchmark=bench)
+                surf = solve_semilinear(claim, cfg, bench, side=side)
                 gap[side] = tree_bsde_price(spec, side=side) - surf.value_at(0.0, 1.0)
             band = abs(gap["seller"] - gap["buyer"])
             one_side = max(abs(g) for g in gap.values())
@@ -304,6 +302,11 @@ def test_criterion_6_band_properties(
         rep = report_from_solution(sol, 1.0)
         return rep.xva_sell, rep.xva_buy
 
+    # "band ordered" covers these markets: the base market with alpha in
+    # [0, 1] and r_f_minus in {0.08, 0.2}, all at its equal collateral rates
+    # r_c_plus = r_c_minus = 0.01.  With r_c_plus > r_c_minus, which
+    # validate_no_arbitrage accepts, the band can invert (README, "The
+    # seller-buyer gap").
     alphas = [round(0.1 * k, 1) for k in range(11)]
     bands = {}
     for alpha in alphas:

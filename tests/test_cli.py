@@ -2,8 +2,11 @@
 
 import importlib
 import json
+import math
+import os
 import shutil
 import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -68,6 +71,17 @@ class TestPrice:
         ])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["v_hat_0"] > 0.0
+
+    def test_strikeless_custom_claim_reports_at_its_lattice_centre(
+        self, config_path, capsys
+    ):
+        rc = main([
+            "price", "--config", config_path, "--claim", "custom",
+            "--knots", "100:0,200:100", *TINY_GRID,
+        ])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["spot"] == pytest.approx(math.sqrt(100.0 * 200.0), rel=1e-14)
 
     def test_set_override(self, config_path, capsys):
         rc = main([
@@ -357,6 +371,26 @@ class TestParser:
         )
         assert "price" in out.stdout
         assert "sweep" in out.stdout
+
+    def test_module_entry_in_a_fresh_interpreter(self, config_path):
+        # the documented no-install entry: python -m xvaband.cli, PYTHONPATH=src
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "xvaband.cli", "price", "--config",
+                 config_path, "--nx", "51", "--nt", "10", *argv],
+                capture_output=True, text=True, env=env, cwd=root, timeout=120,
+            )
+
+        ok = run()
+        assert ok.returncode == 0, ok.stderr
+        assert json.loads(ok.stdout)["band_width"] >= 0.0
+        bad = run("--set", "r_f_minus=0.01")
+        assert bad.returncode == 1
+        assert bad.stdout == ""
+        assert any(line.startswith("error: ") for line in bad.stderr.splitlines())
 
     def test_declared_script_entry_point(self, capsys):
         tomllib = pytest.importorskip("tomllib")

@@ -14,6 +14,7 @@ from xvaband import (
     DEFAULT_MARKET,
     MarketConfig,
     apply_overrides,
+    build_grid,
     load_market_config,
     validate_no_arbitrage,
 )
@@ -211,3 +212,14 @@ def test_reporting_spot_falls_back_to_the_strike_then_one():
     assert reporting_spot(put, 0.9) == 0.9
     assert reporting_spot(put) == 1.3
     assert reporting_spot(custom) == 1.0
+
+
+def test_reporting_spot_of_a_strikeless_claim_is_its_lattice_centre():
+    # a custom claim without a strike is centred on its geometric mid-knot;
+    # its default report spot must sit there too, not at 1.0 far outside
+    custom = ClaimSpec.custom([(100.0, 0.0), (200.0, 100.0)], maturity=1.0)
+    grid = build_grid(custom, DEFAULT_MARKET)
+    spot = reporting_spot(custom)
+    assert spot == pytest.approx(math.sqrt(100.0 * 200.0), rel=1e-14)
+    assert math.log(spot) == pytest.approx(0.5 * (grid.x_min + grid.x_max),
+                                           abs=1e-14)

@@ -69,11 +69,32 @@ def test_buyer_is_exact_reflection_of_seller(market):
 
 
 def test_symmetric_rates_make_both_drivers_equal(market):
+    # the seller-buyer gap is the rate spreads times the magnitudes of the
+    # funding balance y, the repo exposure z and the collateral alpha v_hat:
+    #   (r_f- - r_f+)|y| + (r_r- - r_r+)|z|/sigma + (r_c- - r_c+) alpha |v_hat|
+    # so symmetric rates (the first market) make both drivers equal
     sym = replace(market, r_f_minus=market.r_f_plus,
                   r_r_minus=market.r_r_plus, r_c_minus=market.r_c_plus)
+    markets = [
+        sym,
+        market,
+        replace(market, r_r_plus=0.03, r_r_minus=0.07, r_c_plus=0.005,
+                r_c_minus=0.02, alpha=0.4),
+        replace(market, r_c_plus=0.05, r_c_minus=0.01),
+    ]
     rng = np.random.default_rng(12)
-    for inp in _random_inputs(rng, 200):
-        assert f_buyer(inp, sym) == pytest.approx(f_seller(inp, sym), abs=1e-15)
+    for cfg in markets:
+        for inp in _random_inputs(rng, 200):
+            v, z, z_i, z_c, v_hat = inp
+            y = v + z_i + z_c - cfg.alpha * v_hat
+            gap = ((cfg.r_f_minus - cfg.r_f_plus) * abs(y)
+                   + (cfg.r_r_minus - cfg.r_r_plus) * abs(z) / cfg.sigma
+                   + (cfg.r_c_minus - cfg.r_c_plus) * cfg.alpha * abs(v_hat))
+            assert f_seller(inp, cfg) - f_buyer(inp, cfg) == pytest.approx(
+                gap, abs=1e-15)
+            if cfg is sym:
+                assert f_buyer(inp, cfg) == pytest.approx(f_seller(inp, cfg),
+                                                          abs=1e-15)
 
 
 def test_driver_value_matches_scalar_functions(market):

@@ -1,11 +1,11 @@
-"""The tridiagonal factor and solve, the reduced operator and the slice extension."""
+"""The tridiagonal factor and solve, the reduced operator and the slice extension
+of the march in :mod:`xvaband.pde`."""
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from xvaband.kernels import extend_slice, tridiag_factor, tridiag_solve
-from xvaband.pde import reduced_operator
+from xvaband.pde import extend_slice, reduced_operator, tridiag_factor, tridiag_solve
 
 
 class TestThomasSolve:

@@ -89,7 +89,8 @@ class TestTreePrice:
     ):
         # one light pairing here; the acceptance suite sweeps a 3x3 grid
         spec = TreeSpec(n_steps=500, claim=call_claim, cfg=market)
-        surf = solve_semilinear(call_claim, market, medium_grid, solver, side="seller")
+        bench = benchmark_surface(medium_grid, call_claim, market, solver)
+        surf = solve_semilinear(call_claim, market, bench, side="seller")
         assert tree_bsde_price(spec, side="seller") == pytest.approx(
             surf.value_at(0.0, 1.0), abs=2e-3
         )
@@ -104,8 +105,7 @@ class TestTreePrice:
         grid = build_grid(call_claim, cfg, n_x=401, n_t=200)
         bench = benchmark_surface(grid, call_claim, cfg, solver)
         for side in ("seller", "buyer"):
-            surf = solve_semilinear(call_claim, cfg, grid, solver, side=side,
-                                    benchmark=bench)
+            surf = solve_semilinear(call_claim, cfg, bench, side=side)
             price = tree_bsde_price(spec, side=side)
             assert price == pytest.approx(surf.value_at(0.0, 1.0), abs=2e-3)
             assert price == pytest.approx(_fixed_point_tree(spec, side), abs=1e-12)

@@ -21,9 +21,9 @@ from xvaband import (
 import xvaband.pde as pde
 from xvaband.driver import driver_value, linear_rate, repo_drift_split
 from xvaband.grid import time_schedule
-from xvaband.kernels import extend_slice
 from xvaband.pde import (
     SemilinearTerms,
+    extend_slice,
     march_schedule,
     reduced_operator,
     terminal_slice,
@@ -274,8 +274,7 @@ class TestRearrangedSource:
         got = march_schedule(w_t, grid, solver, terms=terms,
                              kappa=kappa + linear_rate(m), **kw).sched_values
         assert np.max(np.abs(got - want)) < 1e-12
-        surf = solve_semilinear(KINK_CLAIM, m, grid, solver, side=side,
-                                benchmark=bench)
+        surf = solve_semilinear(KINK_CLAIM, m, bench, side=side)
         assert np.array_equal(surf.values[::-1], got[[0, *range(2, grid.n_t + 2)]])
 
 
@@ -313,24 +312,20 @@ class TestSolveSemilinear:
     ):
         bench = benchmark_surface(small_grid, call_claim, symmetric_market, solver)
         for side in ("seller", "buyer"):
-            surf = solve_semilinear(
-                call_claim, symmetric_market, small_grid, solver,
-                side=side, benchmark=bench,
-            )
+            surf = solve_semilinear(call_claim, symmetric_market, bench, side=side)
             assert np.max(np.abs(surf.values - bench.values)) < 1e-10
 
     def test_zero_payoff_prices_to_zero(self, market, small_grid, solver):
         claim = ClaimSpec.custom([(1.0, 0.0)], maturity=1.0)
-        surf = solve_semilinear(claim, market, small_grid, solver, side="seller")
+        bench = benchmark_surface(small_grid, claim, market, solver)
+        surf = solve_semilinear(claim, market, bench, side="seller")
         assert np.all(surf.values == 0.0)
 
     def test_seller_value_sits_above_the_reference_here(
         self, call_claim, market, medium_grid, solver
     ):
         bench = benchmark_surface(medium_grid, call_claim, market, solver)
-        surf = solve_semilinear(
-            call_claim, market, medium_grid, solver, side="seller", benchmark=bench
-        )
+        surf = solve_semilinear(call_claim, market, bench, side="seller")
         assert surf.value_at(0.0, 1.0) > bench.value_at(0.0, 1.0)
 
     def test_comparison_principle_in_the_terminal_data(
@@ -342,18 +337,15 @@ class TestSolveSemilinear:
             [(0.01, 0.01), (1.0, 0.01), (5.0, 4.01)], maturity=1.0
         )
         bench = benchmark_surface(small_grid, call_claim, market, solver)
-        lo = solve_semilinear(
-            call_claim, market, small_grid, solver, side="seller", benchmark=bench
-        )
-        hi = solve_semilinear(
-            shifted, market, small_grid, solver, side="seller", benchmark=bench
-        )
+        lo = solve_semilinear(call_claim, market, bench, side="seller")
+        hi = solve_semilinear(shifted, market, bench, side="seller")
         assert np.min(hi.values - lo.values) > -1e-10
 
     def test_edges_stay_on_the_linear_extension(
         self, call_claim, market, small_grid, solver
     ):
-        surf = solve_semilinear(call_claim, market, small_grid, solver, side="seller")
+        bench = benchmark_surface(small_grid, call_claim, market, solver)
+        surf = solve_semilinear(call_claim, market, bench, side="seller")
         v = surf.values[:-1]  # last row is raw payoff data, not a solved slice
         left = np.abs(v[:, 0] - 2.0 * v[:, 1] + v[:, 2])
         right = np.abs(v[:, -1] - 2.0 * v[:, -2] + v[:, -3])
@@ -362,15 +354,17 @@ class TestSolveSemilinear:
 
     def test_bitwise_deterministic(self, call_claim, market, solver, backend):
         grid = build_grid(call_claim, market, n_x=201, n_t=50)
-        a = solve_semilinear(call_claim, market, grid, solver, side="buyer")
-        b = solve_semilinear(call_claim, market, grid, solver, side="buyer")
+        bench = benchmark_surface(grid, call_claim, market, solver)
+        a = solve_semilinear(call_claim, market, bench, side="buyer")
+        b = solve_semilinear(call_claim, market, bench, side="buyer")
         assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("side", ["seller", "buyer"])
     def test_base_market_call_takes_few_solves_per_step(
         self, call_claim, market, small_grid, solver, side
     ):
-        surf = solve_semilinear(call_claim, market, small_grid, solver, side=side)
+        bench = benchmark_surface(small_grid, call_claim, market, solver)
+        surf = solve_semilinear(call_claim, market, bench, side=side)
         assert surf.diagnostics.iterations.mean() <= 2.0
         assert surf.diagnostics.max_iterations() <= 3
         # each step starts from the last settled branch set and reuses its
@@ -389,8 +383,7 @@ class TestSolveSemilinear:
         grid = build_grid(claim, cfg, n_x=401, n_t=n_t)
         bench = benchmark_surface(grid, claim, cfg, solver)
         for side in ("seller", "buyer"):
-            surf = solve_semilinear(claim, cfg, grid, solver, side=side,
-                                    benchmark=bench)
+            surf = solve_semilinear(claim, cfg, bench, side=side)
             assert surf.diagnostics.max_iterations() <= 3
             assert np.isfinite(surf.values).all()
 
@@ -400,27 +393,23 @@ class TestSolveSemilinear:
         # not count as a flip, or the branch solve cycles
         grid = build_grid(BULL_CLAIM, KINK_MARKET, n_x=201, n_t=100)
         bench = benchmark_surface(grid, BULL_CLAIM, KINK_MARKET, solver)
-        surf = solve_semilinear(BULL_CLAIM, KINK_MARKET, grid, solver, side=side,
-                                benchmark=bench)
+        surf = solve_semilinear(BULL_CLAIM, KINK_MARKET, bench, side=side)
         assert surf.diagnostics.max_iterations() <= 3
         monkeypatch.setattr(pde, "_FLIP_RTOL", 0.0)
         with pytest.raises(RuntimeError, match="did not settle"):
-            solve_semilinear(BULL_CLAIM, KINK_MARKET, grid, solver, side=side,
-                             benchmark=bench)
+            solve_semilinear(BULL_CLAIM, KINK_MARKET, bench, side=side)
 
     def test_capped_step_names_its_step_time_and_flips(
         self, call_claim, market, small_grid, solver, monkeypatch
     ):
         bench = benchmark_surface(small_grid, call_claim, market, solver)
-        surf = solve_semilinear(call_claim, market, small_grid, solver,
-                                side="seller", benchmark=bench)
+        surf = solve_semilinear(call_claim, market, bench, side="seller")
         diag = surf.diagnostics
         assert diag.max_iterations() == 2
         k = int(np.argmax(diag.iterations == 2))
         monkeypatch.setattr(pde, "MAX_SOLVES_PER_STEP", 1)
         with pytest.raises(RuntimeError) as exc:
-            solve_semilinear(call_claim, market, small_grid, solver,
-                             side="seller", benchmark=bench)
+            solve_semilinear(call_claim, market, bench, side="seller")
         msg = str(exc.value)
         assert f"at step {k} (t = {surf.sched_times[k + 1]:.6g})" in msg
         n_flips = int(msg.split(": ")[1].split()[0])
@@ -445,55 +434,24 @@ class TestSolveSemilinear:
         assert 3.0 < ratio < 5.0
 
     def test_rejects_bad_side(self, call_claim, market, small_grid):
+        bench = benchmark_surface(small_grid, call_claim, market)
         with pytest.raises(ValueError, match="side"):
-            solve_semilinear(call_claim, market, small_grid, side="dealer")
+            solve_semilinear(call_claim, market, bench, side="dealer")
 
-    def test_rejects_maturity_mismatch(self, market, small_grid):
+    def test_rejects_maturity_mismatch(self, call_claim, market, small_grid):
+        # the reference matures at 1.0, the claim at 0.5
+        bench = benchmark_surface(small_grid, call_claim, market)
         claim = ClaimSpec.call(strike=1.0, maturity=0.5)
         with pytest.raises(ValueError, match="maturity"):
-            solve_semilinear(claim, market, small_grid)
-
-    def test_rejects_benchmark_on_another_grid(
-        self, call_claim, market, small_grid, solver
-    ):
-        other = build_grid(call_claim, market, n_x=101, n_t=100)
-        bench = benchmark_surface(other, call_claim, market, solver)
-        with pytest.raises(ValueError, match="grid"):
-            solve_semilinear(
-                call_claim, market, small_grid, solver, benchmark=bench
-            )
-
-    def test_rejects_benchmark_on_another_schedule(
-        self, call_claim, market, small_grid
-    ):
-        # the same space nodes marched over another time schedule
-        other = replace(small_grid, n_t=small_grid.n_t // 2)
-        bench = benchmark_surface(other, call_claim, market, SolverConfig())
-        with pytest.raises(ValueError, match="GridSpec"):
-            solve_semilinear(
-                call_claim, market, small_grid, SolverConfig(), benchmark=bench
-            )
-
-    def test_rejects_benchmark_with_another_theta(
-        self, call_claim, market, small_grid
-    ):
-        # same schedule, different weights: the reference marched another scheme
-        bench = benchmark_surface(
-            small_grid, call_claim, market, SolverConfig(theta_scheme=0.6)
-        )
-        with pytest.raises(ValueError, match="SolverConfig"):
-            solve_semilinear(
-                call_claim, market, small_grid, SolverConfig(), benchmark=bench
-            )
+            solve_semilinear(claim, market, bench)
 
     def test_arbitrage_configs_need_the_override(
         self, call_claim, market, small_grid, solver
     ):
         bad = replace(market, r_f_minus=0.2)
+        bench = benchmark_surface(small_grid, call_claim, bad, solver)
         with pytest.raises(ArbitrageViolationError):
-            solve_semilinear(call_claim, bad, small_grid, solver)
+            solve_semilinear(call_claim, bad, bench)
         with pytest.warns(RuntimeWarning, match="arbitrage"):
-            surf = solve_semilinear(
-                call_claim, bad, small_grid, solver, allow_arbitrage=True
-            )
+            surf = solve_semilinear(call_claim, bad, bench, allow_arbitrage=True)
         assert np.isfinite(surf.values).all()

@@ -8,6 +8,7 @@ import pytest
 
 from xvaband import (
     ClaimSpec,
+    SolverConfig,
     benchmark_surface,
     build_grid,
     closeout_C,
@@ -87,6 +88,37 @@ class TestReport:
         for name, value in rep.to_dict().items():
             if name != "spot":
                 assert value == 0.0, name
+
+
+class TestSolveTrade:
+    def test_rejects_benchmark_on_another_grid(
+        self, call_claim, market, small_grid, solver
+    ):
+        other = build_grid(call_claim, market, n_x=101, n_t=100)
+        bench = benchmark_surface(other, call_claim, market, solver)
+        with pytest.raises(ValueError, match="grid"):
+            solve_trade(call_claim, market, small_grid, solver, benchmark=bench)
+
+    def test_rejects_benchmark_on_another_schedule(
+        self, call_claim, market, small_grid
+    ):
+        # the same space nodes marched over another time schedule
+        other = replace(small_grid, n_t=small_grid.n_t // 2)
+        bench = benchmark_surface(other, call_claim, market, SolverConfig())
+        with pytest.raises(ValueError, match="GridSpec"):
+            solve_trade(call_claim, market, small_grid, SolverConfig(),
+                        benchmark=bench)
+
+    def test_rejects_benchmark_with_another_theta(
+        self, call_claim, market, small_grid
+    ):
+        # same schedule, different weights: the reference marched another scheme
+        bench = benchmark_surface(
+            small_grid, call_claim, market, SolverConfig(theta_scheme=0.6)
+        )
+        with pytest.raises(ValueError, match="SolverConfig"):
+            solve_trade(call_claim, market, small_grid, SolverConfig(),
+                        benchmark=bench)
 
 
 class TestRelative:
