@@ -118,10 +118,11 @@ class ClaimSpec:
             raise ValueError(f"kind must be call, put, or custom, got {self.kind!r}")
         if not math.isfinite(self.maturity) or self.maturity <= 0.0:
             raise ValueError(f"maturity must be positive, got {self.maturity}")
-        if self.kind in ("call", "put"):
-            if self.strike is None or not math.isfinite(self.strike) or self.strike <= 0.0:
-                raise ValueError(f"{self.kind} claim needs a positive strike")
-        else:
+        if self.strike is None and self.kind != "custom":
+            raise ValueError(f"{self.kind} claim needs a positive strike")
+        if self.strike is not None and not 0.0 < self.strike < math.inf:
+            raise ValueError(f"strike must be positive and finite, got {self.strike}")
+        if self.kind == "custom":
             if not self.knots:
                 raise ValueError("custom claim needs at least one payoff knot")
             ss = [k[0] for k in self.knots]
@@ -149,7 +150,7 @@ class ClaimSpec:
     def log_center(self) -> float:
         """ln of the spot the claim is centred on: the strike, else (a custom
         claim without one) the geometric mid-knot."""
-        if self.strike is not None and self.strike > 0.0:
+        if self.strike is not None:
             return math.log(self.strike)
         return 0.5 * (math.log(self.knots[0][0]) + math.log(self.knots[-1][0]))
 

@@ -151,9 +151,6 @@ class SolveDiagnostics:
     iterations: np.ndarray
     factors: np.ndarray
 
-    def max_iterations(self) -> int:
-        return int(self.iterations.max()) if self.iterations.size else 0
-
 
 @dataclass(frozen=True, eq=False)
 class Surface:

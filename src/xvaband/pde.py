@@ -15,7 +15,8 @@ collateral marks off the reference surface, so :func:`solve_semilinear`
 takes that surface and marches on its lattice.  G is piecewise linear in
 w, so each implicit step is solved exactly by policy iteration (Howard's
 algorithm): freeze the branch of every kink, solve the tridiagonal system
-that gives, and repeat until no branch changes.  Each step starts from
+of the linear PDE that leaves, whose convection a and rate kappa vary by
+node, and repeat until no branch changes.  Each step starts from
 the branch set that settled the step before, the usual warm start of
 Howard's algorithm in time stepping (Forsyth & Labahn, J. Comp. Finance
 11(2), 2007), so an unmoved set reuses its factor; and each step takes
@@ -29,10 +30,11 @@ Boundary rows impose zero second difference in x (payoffs here are
 asymptotically linear in S = e^x only at the call wing, but linearity in x
 is the standard truncation closure and its error lives in the outer wings
 far from the reporting region).  :func:`reduced_operator` eliminates those
-rows, which leaves a strictly diagonally dominant tridiagonal system on
-the interior nodes, and :func:`extend_slice` restores them on every
-solved slice.  :func:`tridiag_factor` and :func:`tridiag_solve` run that
-system through LAPACK (``dgttrf``/``dgttrs``) in the band layout that
+rows of every operator, the reference's and each frozen one (its edge
+rows make ``I + theta dt A`` no M-matrix, even at theta = 1), and
+:func:`extend_slice` restores them on every solved slice.
+:func:`tridiag_factor` and :func:`tridiag_solve` run the interior system
+through LAPACK (``dgttrf``/``dgttrs``) in the band layout that
 :func:`reduced_operator` returns.
 
 Every solve, this march and the tree induction of :mod:`xvaband.oracle`,
@@ -81,25 +83,29 @@ def active_backend() -> str:
     return "numpy"
 
 
-def reduced_operator(n_x: int, dx: float, a: float, b: float, kappa: float):
+def reduced_operator(n_x: int, dx: float, a, b: float, kappa):
     """Tridiagonal coefficients of A on the interior after boundary elimination.
 
-    Returns (lo, di, up) of length n_x - 2: row i reads ``lo[i] u[i-1] +
-    di[i] u[i] + up[i] u[i+1]``, and ``lo[0]`` and ``up[-1]`` lie outside
-    the matrix (zero here; :func:`tridiag_factor` ignores them).
-    Eliminating the zero-curvature boundary rows cancels the diffusion
-    coupling in the first and last interior rows and leaves a one-sided
-    convection difference there; :func:`extend_slice` puts the edge nodes
-    back on the same linear extension.
+    ``a`` and ``kappa`` are scalars or one value per interior node.  Row i
+    of (lo, di, up), each of length n_x - 2, reads ``lo[i] u[i-1] + di[i]
+    u[i] + up[i] u[i+1]``; ``lo[0]`` and ``up[-1]`` lie outside the matrix
+    (zero here; :func:`tridiag_factor` ignores them).  Eliminating the
+    zero-curvature boundary rows cancels the diffusion coupling in the
+    first and last interior rows and leaves a one-sided convection
+    difference there (``up[0]`` has the sign of ``-a[0]``, ``lo[-1]`` that
+    of ``a[-1]``); :func:`extend_slice` puts the edge nodes back on the
+    same linear extension.
     """
     m = n_x - 2
     if m < 3:
         raise ValueError(f"need n_x >= 5 for the boundary stencil, got n_x = {n_x}")
-    lo = np.full(m, a / (2.0 * dx) - b / (dx * dx))
-    di = np.full(m, 2.0 * b / (dx * dx) + kappa)
-    up = np.full(m, -a / (2.0 * dx) - b / (dx * dx))
-    lo[0], di[0], up[0] = 0.0, kappa + a / dx, -a / dx
-    lo[-1], di[-1], up[-1] = a / dx, kappa - a / dx, 0.0
+    a, kappa = np.full(m, a, dtype=float), np.full(m, kappa, dtype=float)
+    c, d = a / (2.0 * dx), b / (dx * dx)
+    lo = c - d
+    di = 2.0 * b / (dx * dx) + kappa
+    up = -d - c
+    lo[0], di[0], up[0] = 0.0, kappa[0] + a[0] / dx, -a[0] / dx
+    lo[-1], di[-1], up[-1] = a[-1] / dx, kappa[-1] - a[-1] / dx, 0.0
     return lo, di, up
 
 
@@ -172,18 +178,16 @@ class SemilinearTerms:
     set ``(funding, slope)`` flags the nodes where ``s (Y - w) > 0`` and
     where ``w_{i+1} > w_{i-1}`` (None for a kink of zero slope); frozen
     there, G is linear in w: :meth:`frozen_source` is its constant part and
-    :meth:`frozen_bands` carries the rest into the step's matrix.
+    :meth:`frozen_coefficients` the node-wise convection and rate of the rest.
     """
 
     side: int
     cfg: MarketConfig
-    dx: float
     bench_sched: np.ndarray  # (n_levels, n_x) reference slices in march order
 
     def __post_init__(self) -> None:
-        _, s_repo = repo_drift_split(self.cfg)
         self._spread = funding_spread(self.cfg)
-        self._c_repo = -self.side * s_repo / (2.0 * self.dx)
+        self._repo_shift = -self.side * repo_drift_split(self.cfg)[1]
 
     def level_terms(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(Y, const_s) on the interior nodes of march level k: two linear
@@ -198,28 +202,21 @@ class SemilinearTerms:
             y_level, w = level[0], w_full[1:-1]
             diff = y_level - w if self.side > 0 else w - y_level
             funding, n_fund = _settle(diff, y_level, w, old[0])
-        if self._c_repo:
+        if self._repo_shift:
             hi, lo = w_full[2:], w_full[:-2]
             slope, n_slope = _settle(hi - lo, hi, lo, old[1])
         return (funding, slope), n_fund + n_slope
 
-    def frozen_bands(self, branch, theta_dt: float, lo, di, up):
-        """Bands of ``u + theta_dt (A u - G(u))``, the kinks frozen at
-        ``branch``, for the bands ``(lo, di, up)`` of A."""
+    def frozen_coefficients(self, branch, a: float, kappa: float):
+        """Node-wise convection and rate of ``A u - G(u)``, the kinks frozen at
+        ``branch``: the funding branch lowers A's ``kappa`` by ``r_f+ - r_f-``,
+        the repo branch adds ``-s s_repo`` to A's ``a`` up-slope, ``+s s_repo`` down."""
         funding, slope = branch
-        lo, di, up = theta_dt * lo, 1.0 + theta_dt * di, theta_dt * up
         if funding is not None:
-            di -= (theta_dt * self._spread) * funding
+            kappa = np.where(funding, kappa - self._spread, kappa)
         if slope is not None:
-            q = np.where(slope, theta_dt * self._c_repo, -theta_dt * self._c_repo)
-            lo += q
-            up -= q
-            # the extrapolated edge nodes double the one-sided differences
-            up[0] -= q[0]
-            di[0] += 2.0 * q[0]
-            lo[-1] += q[-1]
-            di[-1] -= 2.0 * q[-1]
-        return lo, di, up
+            a = np.where(slope, a + self._repo_shift, a - self._repo_shift)
+        return a, kappa
 
     def frozen_source(self, level, branch) -> np.ndarray:
         """The part of G left on the right with the kinks frozen at ``branch``."""
@@ -259,21 +256,26 @@ def march_schedule(
     Policy iteration solves each step exactly: it starts from the branch
     set that settled the previous step (the first step takes the terminal
     slice's), solves the linear system that set freezes, and repeats from
-    the solution's branches until no node flips.  One factor is kept and
-    redone only when theta dt changes or the branch set is a new object.
-    The steps take the exact lengths of :func:`time_schedule`, so theta dt
-    changes only between theta phases (never at the defaults, where 1 *
-    dt/2 and 1/2 * dt are the same float): a step whose set did not move
-    reuses the last factor, and the reference march factors once per
-    phase.  A step still flipping after :data:`MAX_SOLVES_PER_STEP` solves
-    raises ``RuntimeError``.
+    the solution's branches until no node flips.  Every factor is of ``I
+    + theta dt A(a, kappa)``, at ``(a_eff, kappa)`` for the reference and
+    at :meth:`SemilinearTerms.frozen_coefficients` for a branch set.  One
+    factor is kept and redone only when theta dt changes or the branch set
+    is a new object.  The steps take the exact lengths of
+    :func:`time_schedule`, so theta dt changes only between theta phases
+    (never at the defaults, where 1 * dt/2 and 1/2 * dt are the same
+    float): a step whose set did not move reuses the last factor, and the
+    reference march factors once per phase.  A step still flipping after
+    :data:`MAX_SOLVES_PER_STEP` solves raises ``RuntimeError``.
 
     Returns the :class:`Surface` of the march: its rows are the full
     slices at every schedule level from T down to 0, and its diagnostics
     count every step's linear solves and factors.
     """
     times, dts, thetas = time_schedule(grid, solver)
-    lo, di, up = reduced_operator(grid.n_x, grid.dx, a_eff, b, kappa)
+
+    def factor_of(theta_dt, a, kap):  # LU of I + theta_dt A(a, kap)
+        lo, di, up = reduced_operator(grid.n_x, grid.dx, a, b, kap)
+        return tridiag_factor(theta_dt * lo, 1.0 + theta_dt * di, theta_dt * up)
 
     surf = np.empty((dts.size + 1, grid.n_x))
     surf[0] = w_terminal
@@ -291,8 +293,7 @@ def march_schedule(
         last_theta_dt = theta_dt
         if terms is None:
             if factor[0] != theta_dt or factor[1] is not branch:
-                factor = (theta_dt, branch, tridiag_factor(
-                    theta_dt * lo, 1.0 + theta_dt * di, theta_dt * up))
+                factor = (theta_dt, branch, factor_of(theta_dt, a_eff, kappa))
                 n_factors[k] = 1
             # the solve overwrites its right-hand side; the next step reads rhs0
             extend_slice(tridiag_solve(factor[2], rhs0.copy()), out=w_new)
@@ -303,8 +304,8 @@ def march_schedule(
             branch, _ = terms.branches(level, extend_slice(u_next, out=w_new))
         for n_solves in range(1, MAX_SOLVES_PER_STEP + 1):
             if factor[0] != theta_dt or factor[1] is not branch:
-                factor = (theta_dt, branch, tridiag_factor(
-                    *terms.frozen_bands(branch, theta_dt, lo, di, up)))
+                factor = (theta_dt, branch, factor_of(
+                    theta_dt, *terms.frozen_coefficients(branch, a_eff, kappa)))
                 n_factors[k] += 1
             rhs = rhs0 + theta_dt * terms.frozen_source(level, branch)
             extend_slice(tridiag_solve(factor[2], rhs), out=w_new)
@@ -364,11 +365,8 @@ def solve_semilinear(
         )
 
     m_fold, _ = repo_drift_split(cfg)
-    a = cfg.r_D - 0.5 * cfg.sigma * cfg.sigma
-    terms = SemilinearTerms(side=+1 if side == "seller" else -1, cfg=cfg,
-                            dx=grid.dx, bench_sched=benchmark.sched_values)
+    b = 0.5 * cfg.sigma * cfg.sigma
+    terms = SemilinearTerms(+1 if side == "seller" else -1, cfg, benchmark.sched_values)
     return march_schedule(
-        w_terminal, grid, benchmark.solver,
-        a_eff=a - m_fold, b=0.5 * cfg.sigma * cfg.sigma,
-        kappa=cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg), terms=terms,
-    )
+        w_terminal, grid, benchmark.solver, a_eff=cfg.r_D - b - m_fold, b=b,
+        kappa=cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg), terms=terms)

@@ -231,6 +231,14 @@ class TestTables:
         sell = [float(line.split(",")[5]) for line in lines[1:]]
         assert all(s > 0.0 for s in sell)
 
+    @pytest.mark.parametrize("command", ["table1", "table2"])
+    def test_rejects_the_arbitrage_flag(self, capsys, command):
+        # the canned tables always price past the rate ordering
+        with pytest.raises(SystemExit) as exc:
+            main([command, *TINY_GRID, "--allow-arbitrage"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --allow-arbitrage" in capsys.readouterr().err
+
 
 class TestThreadsEnv:
     def test_price_ignores_a_bad_thread_count(self, config_path, capsys, monkeypatch):

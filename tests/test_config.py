@@ -99,6 +99,10 @@ def test_custom_payoff_interpolates_and_extrapolates():
     dict(kind="custom", knots=((2.0, 0.0), (1.0, 1.0))),   # decreasing
     dict(kind="custom", knots=((-1.0, 0.0), (1.0, 1.0))),  # non-positive spot
     dict(kind="custom", knots=((1.0, float("nan")),)),
+    # a custom claim's strike is checked as a call's is
+    dict(kind="custom", strike=-1.0, knots=((0.5, 0.0), (2.0, 1.0))),
+    dict(kind="custom", strike=0.0, knots=((0.5, 0.0), (2.0, 1.0))),
+    dict(kind="custom", strike=float("nan"), knots=((0.5, 0.0), (2.0, 1.0))),
 ])
 def test_claim_validation_rejects(kwargs):
     with pytest.raises(ValueError):

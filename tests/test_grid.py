@@ -190,7 +190,7 @@ class TestDiagnostics:
                                 factors=np.array([1, 0, 2]))
         surf = Surface(grid=grid, solver=SolverConfig(),
                        sched_values=np.zeros((4, 5)), diagnostics=diag)
-        assert diag.max_iterations() == 4
+        assert diag.iterations.max() == 4
         recs = surf.step_records()
         assert [r["linear_solves"] for r in recs] == [2, 4, 3]
         assert [r["factors"] for r in recs] == [1, 0, 2]
@@ -198,7 +198,3 @@ class TestDiagnostics:
         assert [r["t"] for r in recs] == [0.75, 0.5, 0.0]
         assert all(type(r["t"]) is float for r in recs)
         assert [r["step"] for r in recs] == [0, 1, 2]
-
-    def test_empty(self):
-        diag = SolveDiagnostics(iterations=np.array([]), factors=np.array([]))
-        assert diag.max_iterations() == 0

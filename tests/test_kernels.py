@@ -62,6 +62,27 @@ class TestReducedOperator:
         want = self.KAPPA * x - self.A
         assert np.allclose(self._apply(x), want, atol=1e-13)
 
+    def test_node_wise_constants_match_the_scalar_call_bitwise(self):
+        m = self.N_X - 2
+        want = reduced_operator(self.N_X, self.DX, self.A, self.B, self.KAPPA)
+        for a, kappa in ((np.full(m, self.A), self.KAPPA),
+                         (self.A, np.full(m, self.KAPPA)),
+                         (np.full(m, self.A), np.full(m, self.KAPPA))):
+            got = reduced_operator(self.N_X, self.DX, a, self.B, kappa)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    def test_node_wise_coefficients_act_row_by_row(self):
+        # each row reads its own node's convection and rate, edge rows too
+        rng = np.random.default_rng(0)
+        m = self.N_X - 2
+        a = rng.uniform(-0.1, 0.1, m)
+        kappa = rng.uniform(0.0, 0.5, m)
+        lo, di, up = reduced_operator(self.N_X, self.DX, a, self.B, kappa)
+        for i in (0, 4, m - 1):
+            row = reduced_operator(self.N_X, self.DX, a[i], self.B, kappa[i])
+            assert [band[i] for band in (lo, di, up)] == [band[i] for band in row]
+
     def test_rejects_tiny_grids(self):
         with pytest.raises(ValueError, match="n_x"):
             reduced_operator(4, 0.1, 0.0, 0.01, 0.0)

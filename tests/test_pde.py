@@ -85,9 +85,8 @@ class TestCnStep:
         out, _ = _step(np.zeros(101))
         assert np.all(out == 0.0)
         # a zero reference gives the wealth equation a zero source at w = 0
-        grid_dx = 1.0 / 100
         for side in (+1, -1):
-            terms = SemilinearTerms(side=side, cfg=KINK_MARKET, dx=grid_dx,
+            terms = SemilinearTerms(side=side, cfg=KINK_MARKET,
                                     bench_sched=np.zeros((4, 101)))
             out, _ = _step(np.zeros(101), terms=terms)
             assert np.all(out == 0.0)
@@ -97,8 +96,7 @@ class TestCnStep:
         # cancelled, so every step must return ones
         flat = replace(KINK_MARKET, r_f_plus=KINK_MARKET.r_f_minus,
                        r_r_plus=KINK_MARKET.r_r_minus)
-        terms = _ConstSource(side=+1, cfg=flat, dx=0.01,
-                             bench_sched=np.zeros((4, 101)))
+        terms = _ConstSource(side=+1, cfg=flat, bench_sched=np.zeros((4, 101)))
         out, n_solves = _step(np.ones(101), terms=terms)
         assert np.all(n_solves == 1)
         assert np.all(np.abs(out - 1.0) < 1e-12)
@@ -111,8 +109,7 @@ class TestCnStep:
         bench = np.stack([np.full(101, np.nan), *[np.exp(x) - 1.0] * 3])
         for theta in (0.5, 1.0):
             for side in (+1, -1):
-                terms = SemilinearTerms(side=side, cfg=KINK_MARKET, dx=0.01,
-                                        bench_sched=bench)
+                terms = SemilinearTerms(side=side, cfg=KINK_MARKET, bench_sched=bench)
                 out, _ = _step(np.maximum(np.exp(x) - 1.0, 0.0), terms=terms,
                                theta=theta)
                 assert np.isfinite(out).all()
@@ -210,8 +207,7 @@ class TestRearrangedSource:
             return np.interp(x, knots, rng.uniform(-1.0, 1.0, knots.size))
 
         bench = np.stack([rough(), rough()])
-        terms = SemilinearTerms(side=side, cfg=KINK_MARKET, dx=dx,
-                                bench_sched=bench)
+        terms = SemilinearTerms(side=side, cfg=KINK_MARKET, bench_sched=bench)
         y_level, _ = terms.level_terms(1)
         w = rough()
         w[1:-1] += y_level
@@ -230,16 +226,17 @@ class TestRearrangedSource:
             for arr in (bench_row, funding, slope):
                 assert arr.min() < 0.0 < arr.max()
             # G as the march sees it, frozen at the slice's own branch set:
-            # its constant part plus the linear part u - M u that the step's
-            # matrix M carries (theta dt = 1, A = 0)
+            # its constant part minus the operator M u whose node-wise
+            # convection and rate carry the rest (A = 0 has none of its own)
             branch, _ = terms.branches(level, w)
-            lo, di, up = terms.frozen_bands(branch, 1.0, 0.0, 0.0, 0.0)
+            a, kappa = terms.frozen_coefficients(branch, 0.0, 0.0)
+            lo, di, up = reduced_operator(w.size, dx, a, 0.0, kappa)
             u = w[1:-1]
             mu = di * u
             mu[1:] += lo[1:] * u[:-1]
             mu[:-1] += up[:-1] * u[1:]
             # the march carries the linear rate in kappa, not in the source
-            got = (terms.frozen_source(level, branch) + (u - mu)
+            got = (terms.frozen_source(level, branch) - mu
                    - linear_rate(KINK_MARKET) * u)
             want = _driver_source(side, KINK_MARKET, dx, bench_row, w)
             scale = _term_scale(KINK_MARKET, dx, bench_row, w)
@@ -269,8 +266,7 @@ class TestRearrangedSource:
 
         want = _banded_march(w_t, grid, solver, kappa=kappa, source_at=source_at,
                              **kw)
-        terms = SemilinearTerms(side=sign, cfg=m, dx=grid.dx,
-                                bench_sched=bench.sched_values)
+        terms = SemilinearTerms(side=sign, cfg=m, bench_sched=bench.sched_values)
         got = march_schedule(w_t, grid, solver, terms=terms,
                              kappa=kappa + linear_rate(m), **kw).sched_values
         assert np.max(np.abs(got - want)) < 1e-12
@@ -290,7 +286,7 @@ class TestMarchSchedule:
         diag = surf.diagnostics
         assert diag.iterations.shape == (grid.n_t + 1,)
         assert diag.factors.shape == (grid.n_t + 1,)
-        assert diag.max_iterations() >= 1
+        assert diag.iterations.max() >= 1
 
     @pytest.mark.parametrize("solver, n_factors", [
         (SolverConfig(), 1), (SolverConfig(theta_scheme=0.6), 2)],
@@ -366,7 +362,7 @@ class TestSolveSemilinear:
         bench = benchmark_surface(small_grid, call_claim, market, solver)
         surf = solve_semilinear(call_claim, market, bench, side=side)
         assert surf.diagnostics.iterations.mean() <= 2.0
-        assert surf.diagnostics.max_iterations() <= 3
+        assert surf.diagnostics.iterations.max() <= 3
         # each step starts from the last settled branch set and reuses its
         # factor: 0.525 (seller) and 0.515 (buyer) factors per step, against
         # 0.64 and 0.61 if theta dt takes two values an ulp apart, and 0.81
@@ -384,7 +380,7 @@ class TestSolveSemilinear:
         bench = benchmark_surface(grid, claim, cfg, solver)
         for side in ("seller", "buyer"):
             surf = solve_semilinear(claim, cfg, bench, side=side)
-            assert surf.diagnostics.max_iterations() <= 3
+            assert surf.diagnostics.iterations.max() <= 3
             assert np.isfinite(surf.values).all()
 
     @pytest.mark.parametrize("side", ["seller", "buyer"])
@@ -394,7 +390,7 @@ class TestSolveSemilinear:
         grid = build_grid(BULL_CLAIM, KINK_MARKET, n_x=201, n_t=100)
         bench = benchmark_surface(grid, BULL_CLAIM, KINK_MARKET, solver)
         surf = solve_semilinear(BULL_CLAIM, KINK_MARKET, bench, side=side)
-        assert surf.diagnostics.max_iterations() <= 3
+        assert surf.diagnostics.iterations.max() <= 3
         monkeypatch.setattr(pde, "_FLIP_RTOL", 0.0)
         with pytest.raises(RuntimeError, match="did not settle"):
             solve_semilinear(BULL_CLAIM, KINK_MARKET, bench, side=side)
@@ -405,7 +401,7 @@ class TestSolveSemilinear:
         bench = benchmark_surface(small_grid, call_claim, market, solver)
         surf = solve_semilinear(call_claim, market, bench, side="seller")
         diag = surf.diagnostics
-        assert diag.max_iterations() == 2
+        assert diag.iterations.max() == 2
         k = int(np.argmax(diag.iterations == 2))
         monkeypatch.setattr(pde, "MAX_SOLVES_PER_STEP", 1)
         with pytest.raises(RuntimeError) as exc:
