@@ -102,7 +102,8 @@ def benchmark_surface(
     """
     solver = solver or SolverConfig()
     a = cfg.r_D - 0.5 * cfg.sigma * cfg.sigma
-    return march_schedule(
+    (surf,) = march_schedule(
         terminal_slice(claim, grid), grid, solver,
         a_eff=a, b=0.5 * cfg.sigma * cfg.sigma, kappa=cfg.r_D, terms=None,
     )
+    return surf

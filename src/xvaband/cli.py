@@ -7,8 +7,9 @@ sweep        one- or two-axis market sweep, CSV to a file or stdout
 table1       canned funding-account table over alpha x r_f_minus
 table2       canned funding-account table over r_f_minus at alpha = 0.9
 convergence  grid-refinement study (closed-form and self-convergence)
-bench        median time of the reference, seller and buyer solves and
-             of one side of a 2000-step tree
+bench        median time of the reference, seller and buyer solves, of
+             the two-side solve that ``price`` runs and of one side of a
+             2000-step tree
 
 The sweep worker count honours the XVA_THREADS environment variable.
 """
@@ -35,7 +36,7 @@ from .config import (
 )
 from .grid import SolverConfig, build_grid
 from .oracle import TreeSpec, tree_bsde_price
-from .pde import active_backend, solve_semilinear
+from .pde import active_backend, solve_semilinear, solve_sides
 from .sweep import SweepAxis, SweepSpec, run_sweep, write_csv
 from .xva import hedge_at, report_from_solution, solve_trade
 
@@ -247,8 +248,15 @@ def cmd_bench(args) -> int:
     # the step count of the perfbench ``tree`` workload
     tree = TreeSpec(n_steps=2000, claim=claim, cfg=cfg)
     secs: dict[str, list[float]] = {"reference": [], "seller": [], "buyer": [],
-                                    "tree": []}
-    solves: dict[str, tuple[float, int, float]] = {}
+                                    "sides": [], "tree": []}
+    counts: dict[str, str] = {}
+
+    def solve_counts(surf) -> str:
+        diag = surf.diagnostics
+        return (f"linear solves per step (mean, max) {diag.iterations.mean():.2f},"
+                f" {diag.iterations.max()}, factors per step (mean)"
+                f" {diag.factors.mean():.2f}")
+
     for _ in range(args.repeat):
         t0 = time.perf_counter()
         bench = benchmark_surface(grid, claim, cfg, solver)
@@ -258,21 +266,22 @@ def cmd_bench(args) -> int:
             surf = solve_semilinear(claim, cfg, bench, side=side,
                                     allow_arbitrage=args.allow_arbitrage)
             secs[side].append(time.perf_counter() - t0)
-            diag = surf.diagnostics
-            solves[side] = (float(diag.iterations.mean()), int(diag.iterations.max()),
-                            float(diag.factors.mean()))
+            counts[side] = solve_counts(surf)
             t0 = time.perf_counter()
             tree_bsde_price(tree, side=side)
             secs["tree"].append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        sides = solve_sides(claim, cfg, bench, allow_arbitrage=args.allow_arbitrage)
+        secs["sides"].append(time.perf_counter() - t0)
+        counts["sides"] = "; ".join(f"{side} {solve_counts(surf)}"
+                                    for side, surf in zip(("seller", "buyer"), sides))
 
     print(f"grid: {grid.n_x} x {grid.n_t}, repeat: {args.repeat}, "
           f"backend: {active_backend()}")
     for layer, times in secs.items():
         line = f"{layer:>9}: {float(np.median(times)) * 1e3:9.2f} ms median"
-        if layer in solves:
-            mean, worst, factors = solves[layer]
-            line += (f", linear solves per step (mean, max) {mean:.2f}, {worst},"
-                     f" factors per step (mean) {factors:.2f}")
+        if layer in counts:
+            line += f", {counts[layer]}"
         elif layer == "tree":
             line += f" per side, {tree.n_steps} steps"
         print(line)
@@ -330,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_convergence)
 
-    p = sub.add_parser("bench", help="time the reference, seller, buyer and tree solves")
+    p = sub.add_parser("bench", help="time the reference, seller, buyer, two-side "
+                                     "and tree solves")
     _add_market_args(p, config_required=False)
     _add_grid_args(p)
     p.add_argument("--repeat", type=int, default=3)

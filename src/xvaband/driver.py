@@ -61,8 +61,11 @@ r_c+)`` for the buyer.  Both level terms are then one linear form in
     c_p = 2 h_I k_I + 2 h_C + r_D (1 + k_I) - alpha r_pos - r_f- y_p,
     c_n = 2 h_I + 2 h_C k_C + r_D (1 + k_C) - alpha r_neg - r_f- y_n.
 
-:func:`financing_level` evaluates these two forms, eight array passes
-per level against about 25 for the close-outs term by term.
+:func:`level_coefficients` computes the coefficients once per market and
+side, and :func:`financing_level` applies them to a level's ``(p, n)``:
+eight array passes per level against about 25 for the close-outs term by
+term.  ``Y`` is the same for both sides, so one call serves the seller and
+the buyer together when it is given each node's side.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ __all__ = [
     "driver_value",
     "financing_level",
     "funding_spread",
+    "level_coefficients",
     "linear_rate",
     "repo_drift_split",
 ]
@@ -123,26 +127,38 @@ def funding_spread(cfg: MarketConfig) -> float:
     return cfg.r_f_plus - cfg.r_f_minus
 
 
-def financing_level(side: int, cfg: MarketConfig,
-                    v_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(Y, const_s)`` of the level form for the reference values ``v_hat``.
+def level_coefficients(cfg: MarketConfig, side) -> tuple:
+    """``(y_p, y_n, c_p, c_n)``, the split form's coefficients of ``Y`` and
+    ``const_s`` for side=+1 (seller) or -1 (buyer).
 
-    ``Y = theta_I + theta_C - alpha v_hat`` is the funding balance at
-    v = 0 and ``const_s`` the part of the level form that does not depend
-    on v or z; side=+1 seller, -1 buyer.  Both come from the split form of
-    the module docstring and are fresh arrays the caller may overwrite.
+    ``side`` may be an array, say one side per node: ``y_p`` and ``y_n`` are
+    the same for every side, and ``c_p``, ``c_n`` take the shape of ``side``.
     """
     a = cfg.alpha
     k_i = 1.0 - cfg.L_I * (1.0 - a)
     k_c = 1.0 - cfg.L_C * (1.0 - a)
     y_p = 1.0 + k_i - a
     y_n = 1.0 + k_c - a
-    r_pos, r_neg = ((cfg.r_c_plus, cfg.r_c_minus) if side > 0
-                    else (cfg.r_c_minus, cfg.r_c_plus))
+    seller = np.greater(side, 0)
+    r_pos = np.where(seller, cfg.r_c_plus, cfg.r_c_minus)
+    r_neg = np.where(seller, cfg.r_c_minus, cfg.r_c_plus)
     c_p = (2.0 * cfg.h_I_Q * k_i + 2.0 * cfg.h_C_Q + cfg.r_D * (1.0 + k_i)
            - a * r_pos - cfg.r_f_minus * y_p)
     c_n = (2.0 * cfg.h_I_Q + 2.0 * cfg.h_C_Q * k_c + cfg.r_D * (1.0 + k_c)
            - a * r_neg - cfg.r_f_minus * y_n)
+    return y_p, y_n, c_p, c_n
+
+
+def financing_level(coefficients: tuple,
+                    v_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Y, const_s)`` of the level form for the reference values ``v_hat``,
+    from :func:`level_coefficients` of one side or of one side per node.
+
+    ``Y = theta_I + theta_C - alpha v_hat`` is the funding balance at
+    v = 0 and ``const_s`` the part of the level form that does not depend
+    on v or z.  Both are fresh arrays the caller may overwrite.
+    """
+    y_p, y_n, c_p, c_n = coefficients
     p = np.maximum(v_hat, 0.0)
     n = v_hat - p
     y_level = y_p * p

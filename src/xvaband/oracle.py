@@ -15,8 +15,9 @@ with f the driver of :mod:`xvaband.driver` and Z = (V_up - V_down) /
 of that module only the funding kink depends on the unknown x = V.  For
 side s = +1 (seller) or -1 (buyer), with Y and const_s from
 :func:`xvaband.driver.financing_level` (each a linear form in the positive
-and negative parts of the level's v_hat, the one level form the PDE march
-uses too), the relation reads
+and negative parts of the level's v_hat, with the side's
+:func:`xvaband.driver.level_coefficients` taken once per price: the one
+level form the PDE march uses too), the relation reads
 
     A x + s c (s (Y - x))^+ = B,
     A = 1 + dt (h_I + h_C + (h_I + h_C + 2 r_D - r_f-)),
@@ -42,7 +43,13 @@ import numpy as np
 
 from .benchmark import benchmark_surface
 from .config import ClaimSpec, MarketConfig
-from .driver import financing_level, funding_spread, linear_rate, repo_drift_split
+from .driver import (
+    financing_level,
+    funding_spread,
+    level_coefficients,
+    linear_rate,
+    repo_drift_split,
+)
 from .grid import GridSpec, SolverConfig
 from .pde import solve_semilinear
 
@@ -70,14 +77,16 @@ def _node_slopes(cfg: MarketConfig, dt: float) -> tuple[float, float]:
     return 1.0 + dt * (cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg)), dt * funding_spread(cfg)
 
 
-def _solve_level(e, z, wh, dt: float, cfg: MarketConfig, side: int) -> np.ndarray:
-    """Node values of one level from E[V'], Z and v_hat, by the branch solve.
+def _solve_level(e, z, wh, dt: float, cfg: MarketConfig, side: int,
+                 coefficients: tuple) -> np.ndarray:
+    """Node values of one level from E[V'], Z and v_hat, by the branch solve;
+    ``coefficients`` are the side's :func:`level_coefficients`.
 
     Assumes min(A, A - c) > 0 (checked by :func:`tree_bsde_price`).
     """
     a, c = _node_slopes(cfg, dt)
     m, s_repo = repo_drift_split(cfg)
-    y, b = financing_level(side, cfg, wh)
+    y, b = financing_level(coefficients, wh)
     b -= (m * z + (side * s_repo) * np.abs(z)) / cfg.sigma
     b *= dt
     b += e
@@ -89,6 +98,7 @@ def _solve_level(e, z, wh, dt: float, cfg: MarketConfig, side: int) -> np.ndarra
 def _tree_reference(v, dt, sq_dt, cfg: MarketConfig, side: int) -> float:
     """Roll the payoff slice ``v`` back to the root; ``v`` is overwritten."""
     half_disc = 0.5 * math.exp(-cfg.r_D * dt)
+    coefficients = level_coefficients(cfg, side)
     vh = v.copy()
     for k in range(v.size - 2, -1, -1):
         hi = v[1:k + 2]
@@ -96,7 +106,7 @@ def _tree_reference(v, dt, sq_dt, cfg: MarketConfig, side: int) -> float:
         e = 0.5 * (hi + lo)
         z = (hi - lo) / (2.0 * sq_dt)
         wh = half_disc * (vh[1:k + 2] + vh[0:k + 1])
-        v[0:k + 1] = _solve_level(e, z, wh, dt, cfg, side)
+        v[0:k + 1] = _solve_level(e, z, wh, dt, cfg, side, coefficients)
         vh[0:k + 1] = wh
     return float(v[0])
 

@@ -12,19 +12,34 @@ close-out source plus the two kinks of the financing driver for the
 adjusted value; the linear repo part sits in a (see
 :func:`xvaband.driver.repo_drift_split`).  G reads its close-out and
 collateral marks off the reference surface, so :func:`solve_semilinear`
-takes that surface and marches on its lattice.  G is piecewise linear in
-w, so each implicit step is solved exactly by policy iteration (Howard's
-algorithm): freeze the branch of every kink, solve the tridiagonal system
-of the linear PDE that leaves, whose convection a and rate kappa vary by
-node, and repeat until no branch changes.  Each step starts from
-the branch set that settled the step before, the usual warm start of
-Howard's algorithm in time stepping (Forsyth & Labahn, J. Comp. Finance
-11(2), 2007), so an unmoved set reuses its factor; and each step takes
-its explicit half from the last solve's right-hand side instead of
-applying A and G again (see :func:`march_schedule`).  Steps take the
-exact lengths of :func:`xvaband.grid.time_schedule`, whose Rannacher
-startup makes the first step fully implicit.  Only theta in [1/2, 1] is
-marched: it is stable on every lattice.
+(one side) and :func:`solve_sides` (both) take that surface and march on
+its lattice.  G is piecewise linear in w, so each implicit step is solved
+exactly by policy iteration (Howard's algorithm): freeze the branch of
+every kink, solve the tridiagonal system of the linear PDE that leaves,
+whose convection a and rate kappa vary by node, and repeat until no
+branch changes.  Each step starts from the branch set that settled the
+step before, the usual warm start of Howard's algorithm in time stepping
+(Forsyth & Labahn, J. Comp. Finance 11(2), 2007), so an unmoved set
+reuses its factor; and each step takes its explicit half from the last
+solve's right-hand side instead of applying A and G again (see
+:func:`march_schedule`).  Steps take the exact lengths of
+:func:`xvaband.grid.time_schedule`, whose Rannacher startup makes the
+first step fully implicit.  Only theta in [1/2, 1] is marched: it is
+stable on every lattice.
+
+The seller and the buyer march in one loop.  Their full slices sit side
+by side in one row, and the interior of that row is one block-diagonal
+tridiagonal system whose blocks meet at identity rows with no coupling
+(the two slices' edge nodes), so no pivot crosses a block.  A step takes
+the reference row, forms the level terms, the right-hand side, the edges
+and the branch check once for both sides, each a numpy call on the
+stacked row, and solves both blocks with one ``dgttrs``.  Each block is
+factored on its own and its factors are written into the stacked arrays
+at its offset; once one side has settled a step, only the side still
+flipping is re-solved, through a ``dgttrs`` on its own block.  Each
+side's surface is bitwise the one it gets marched alone.  The numpy calls
+on 800-node arrays cost mostly fixed overhead, so one call on both sides
+costs little more than one on either.
 
 Boundary rows impose zero second difference in x (payoffs here are
 asymptotically linear in S = e^x only at the call wing, but linearity in x
@@ -56,7 +71,13 @@ from .config import (
     MarketConfig,
     validate_no_arbitrage,
 )
-from .driver import financing_level, funding_spread, linear_rate, repo_drift_split
+from .driver import (
+    financing_level,
+    funding_spread,
+    level_coefficients,
+    linear_rate,
+    repo_drift_split,
+)
 from .grid import GridSpec, SolveDiagnostics, SolverConfig, Surface, time_schedule
 
 __all__ = [
@@ -66,6 +87,7 @@ __all__ = [
     "march_schedule",
     "reduced_operator",
     "solve_semilinear",
+    "solve_sides",
     "terminal_slice",
     "tridiag_factor",
     "tridiag_solve",
@@ -135,95 +157,183 @@ def extend_slice(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """
     w = np.empty(u.size + 2) if out is None else out
     w[1:-1] = u
-    w[0] = 2.0 * u[0] - u[1]
-    w[-1] = 2.0 * u[-1] - u[-2]
+    _close_edges(w, w.size)
     return w
 
 
+def _close_edges(w: np.ndarray, n_x: int) -> None:
+    """Put the edge nodes of each full slice of ``n_x`` nodes in the row
+    ``w`` on the linear extension of its interior, in place."""
+    for o in range(0, w.size, n_x):
+        w[o] = 2.0 * w[o + 1] - w[o + 2]
+        w[o + n_x - 1] = 2.0 * w[o + n_x - 2] - w[o + n_x - 3]
+
+
+def _span(lo: int, hi: int, n_x: int) -> slice:
+    """The nodes of slices ``lo:hi`` of a stacked row's interior: their
+    interior nodes and the edge nodes between them."""
+    return slice(lo * n_x, hi * n_x - 2)
+
+
 def _settle(diff, a, b, old):
-    """Branches ``diff > 0`` (``diff = +-(a - b)``) and their flips from
-    ``old``: a node counts only where ``|diff|`` exceeds rounding of ``|a|
-    + |b|``.  Without a flip ``old`` itself is returned."""
-    new = diff > 0.0
-    if old is None:
-        return new, 0
-    flip = new != old
+    """Flip the branches ``old`` in place where ``diff > 0`` (``diff = +-(a -
+    b)``) disagrees with them: a node counts only where ``|diff|`` exceeds
+    rounding of ``|a| + |b|``.  Returns the flipped nodes, None without
+    any."""
+    flip = diff > 0.0
+    flip ^= old
     if not np.count_nonzero(flip):
-        return old, 0
+        return None
     idx = flip.nonzero()[0]
     idx = idx[np.abs(diff[idx]) > _FLIP_RTOL * (np.abs(a[idx]) + np.abs(b[idx]))]
     if not idx.size:
-        return old, 0
-    new = old.copy()
-    new[idx] = ~old[idx]
-    return new, idx.size
+        return None
+    old[idx] = ~old[idx]
+    return idx
 
 
 @dataclass(eq=False)
 class SemilinearTerms:
-    """Close-out source and financing driver of one side of the wealth PDE.
+    """Close-out source and financing driver of the wealth PDE for the sides
+    ``sides`` (+1 seller, -1 buyer), marched side by side.
 
-    For side ``s = +1`` (seller) or ``-1`` (buyer) the marched source is
-    :func:`xvaband.driver.driver_value` plus the intensity-adjusted
-    financing ``h_j z_j`` of the default legs, the settlement inflow ``h_I
-    theta_I + h_C theta_C`` and ``m_fold w_x``, the linear repo part taken
-    out of the convection.  In the level form of :mod:`xvaband.driver`
-    this is ``-linear_rate w``, which the march's kappa carries, plus
+    For side ``s`` the marched source is :func:`xvaband.driver.driver_value`
+    plus the intensity-adjusted financing ``h_j z_j`` of the default legs,
+    the settlement inflow ``h_I theta_I + h_C theta_C`` and ``m_fold w_x``,
+    the linear repo part taken out of the convection.  In the level form of
+    :mod:`xvaband.driver` this is ``-linear_rate w``, which the march's
+    kappa carries, plus
 
         G = const_s - s (r_f+ - r_f-) (s (Y - w))^+ - s s_repo |w_x|.
 
-    :meth:`level_terms` gives ``(Y, const_s)`` of a march level, from the
-    split of the level's reference values into their positive and negative
-    parts (:func:`xvaband.driver.financing_level`).  A branch
-    set ``(funding, slope)`` flags the nodes where ``s (Y - w) > 0`` and
-    where ``w_{i+1} > w_{i-1}`` (None for a kink of zero slope); frozen
-    there, G is linear in w: :meth:`frozen_source` is its constant part and
-    :meth:`frozen_coefficients` the node-wise convection and rate of the rest.
+    Every array here lies on the interior of the march's stacked row (see
+    :func:`march_schedule`): side j's interior nodes from ``j n_x`` on, and
+    between two sides the edge nodes where their slices meet, which carry
+    no branch.  :meth:`level_terms` gives ``(Y, const_s)`` of a march level
+    for every side at once (:func:`xvaband.driver.financing_level` with each
+    node's side coefficients).  A branch set ``(funding, slope)`` flags the
+    nodes where ``s (Y - w) > 0`` and where ``w_{i+1} > w_{i-1}`` (None for
+    a kink of zero slope); frozen there, G is linear in w:
+    :meth:`frozen_source` is its constant part and
+    :meth:`frozen_coefficients` the node-wise convection and rate of the
+    rest.  Methods that take ``lo, hi`` act on ``sides[lo:hi]`` alone, and
+    their ``w`` is the full stacked row.
     """
 
-    side: int
+    sides: tuple[int, ...]
     cfg: MarketConfig
     bench_sched: np.ndarray  # (n_levels, n_x) reference slices in march order
 
     def __post_init__(self) -> None:
+        self._n_x = n_x = self.bench_sched.shape[1]
+        side = np.repeat(np.array(self.sides, dtype=float), n_x)
+        self._coefficients = level_coefficients(self.cfg, side[1:-1])
+        side[n_x - 1:-1:n_x] = side[n_x::n_x] = 0.0
+        #: each node's side, 0 on the edges where two sides meet
+        self._sign = side[1:-1]
+        self._row = np.empty(side.size)  # the reference row once per side
+        self._rows = self._row.reshape(len(self.sides), n_x)
         self._spread = funding_spread(self.cfg)
-        self._repo_shift = -self.side * repo_drift_split(self.cfg)[1]
+        self._s_repo = repo_drift_split(self.cfg)[1]
 
     def level_terms(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(Y, const_s) on the interior nodes of march level k: two linear
-        forms in the positive and negative parts of the reference slice."""
-        return financing_level(self.side, self.cfg, self.bench_sched[k, 1:-1])
+        """(Y, const_s) on the interior nodes of march level k."""
+        self._rows[:] = self.bench_sched[k]
+        return financing_level(self._coefficients, self._row[1:-1])
 
-    def branches(self, level, w_full: np.ndarray, old=(None, None)):
-        """Branch set of ``w_full`` and the number of nodes that left ``old``."""
+    def _differences(self, level, w, span: slice):
+        """``(diff, a, b)`` of the funding and of the slope kink on the nodes
+        ``span`` of the row ``w``; None for a kink of zero slope.  ``diff`` is
+        0 where two sides meet."""
         funding = slope = None
-        n_fund = n_slope = 0
         if self._spread:
-            y_level, w = level[0], w_full[1:-1]
-            diff = y_level - w if self.side > 0 else w - y_level
-            funding, n_fund = _settle(diff, y_level, w, old[0])
-        if self._repo_shift:
-            hi, lo = w_full[2:], w_full[:-2]
-            slope, n_slope = _settle(hi - lo, hi, lo, old[1])
-        return (funding, slope), n_fund + n_slope
+            y_level, u = level[0][span], w[1:-1][span]
+            diff = y_level - u
+            diff *= self._sign[span]
+            funding = diff, y_level, u
+        if self._s_repo:
+            up, down = w[2:][span], w[:-2][span]
+            diff = up - down
+            if span.stop - span.start > self._n_x:  # more than one side
+                m = self._n_x - 2
+                diff[m::self._n_x] = diff[m + 1::self._n_x] = 0.0
+            slope = diff, up, down
+        return funding, slope
 
-    def frozen_coefficients(self, branch, a: float, kappa: float):
-        """Node-wise convection and rate of ``A u - G(u)``, the kinks frozen at
-        ``branch``: the funding branch lowers A's ``kappa`` by ``r_f+ - r_f-``,
-        the repo branch adds ``-s s_repo`` to A's ``a`` up-slope, ``+s s_repo`` down."""
+    def branches(self, level, w: np.ndarray):
+        """Branch set of the full stacked row ``w``."""
+        return tuple(None if d is None else d[0] > 0.0 for d in
+                     self._differences(level, w, _span(0, len(self.sides), self._n_x)))
+
+    def settle(self, level, w: np.ndarray, branch, lo: int, hi: int):
+        """Move the sides ``lo:hi`` of ``branch`` in place to the branches of
+        the row ``w``; returns ``(side index, flips)`` of every side that
+        moved."""
+        span = _span(lo, hi, self._n_x)
+        flipped = []
+        for d, old in zip(self._differences(level, w, span), branch):
+            if d is not None:
+                idx = _settle(*d, old[span])
+                if idx is not None:
+                    flipped.append(idx)
+        if not flipped:
+            return []
+        per_side = np.bincount(np.concatenate(flipped) // self._n_x, minlength=hi - lo)
+        return [(j, n) for j, n in enumerate(per_side.tolist(), lo) if n]
+
+    def frozen_coefficients(self, branch, j: int, a: float, kappa: float):
+        """Node-wise convection and rate of side j's ``A u - G(u)``, the kinks
+        frozen at ``branch``: the funding branch lowers A's ``kappa`` by ``r_f+
+        - r_f-``, the repo branch adds ``-s s_repo`` to A's ``a`` up-slope,
+        ``+s s_repo`` down."""
         funding, slope = branch
+        span = _span(j, j + 1, self._n_x)
         if funding is not None:
-            kappa = np.where(funding, kappa - self._spread, kappa)
+            kappa = np.where(funding[span], kappa - self._spread, kappa)
         if slope is not None:
-            a = np.where(slope, a + self._repo_shift, a - self._repo_shift)
+            shift = -self.sides[j] * self._s_repo
+            a = np.where(slope[span], a + shift, a - shift)
         return a, kappa
 
-    def frozen_source(self, level, branch) -> np.ndarray:
-        """The part of G left on the right with the kinks frozen at ``branch``."""
+    def frozen_source(self, level, branch, span: slice) -> np.ndarray:
+        """The part of G on the nodes ``span`` left on the right with the kinks
+        frozen at ``branch``."""
         y_level, const = level
         if branch[0] is None:
-            return const
-        return const - (self._spread * y_level) * branch[0]
+            return const[span]
+        return const[span] - (self._spread * y_level[span]) * branch[0][span]
+
+
+class _BlockFactors:
+    """``dgttrf`` factors of a march's block-diagonal system, block j on
+    rows ``j (m + 2)`` to ``j (m + 2) + m - 1`` and identity rows between
+    blocks.  Each block is factored on its own (:meth:`put`); with more than
+    one block its factors are also written into the stacked arrays at its
+    offset, so one ``dgttrs`` solves every block with each block's own
+    arithmetic.
+    """
+
+    def __init__(self, n_blocks: int, m: int) -> None:
+        self.m = m
+        self.blocks = [None] * n_blocks
+        #: theta dt of each block's factors; None once its branch set moved
+        self.theta_dt = [None] * n_blocks
+        n = n_blocks * (m + 2) - 2
+        self.stacked = None if n_blocks == 1 else (
+            np.zeros(n - 1), np.ones(n), np.zeros(n - 1), np.zeros(n - 2),
+            np.arange(1, n + 1, dtype=np.int32))
+
+    def put(self, j: int, theta_dt: float, lu) -> None:
+        self.blocks[j], self.theta_dt[j] = lu, theta_dt
+        if self.stacked is not None:
+            o = j * (self.m + 2)
+            for dst, src in zip(self.stacked, lu):
+                dst[o:o + src.size] = src
+            self.stacked[4][o:o + self.m] += o  # pivot rows count from 1
+
+    def solve(self, lo: int, hi: int, rhs: np.ndarray) -> None:
+        """Solve blocks ``lo:hi``, every block or one, in place of ``rhs``."""
+        tridiag_solve(self.blocks[lo] if hi - lo == 1 else self.stacked, rhs)
 
 
 def march_schedule(
@@ -234,17 +344,19 @@ def march_schedule(
     b: float,
     kappa: float,
     terms: SemilinearTerms | None = None,
-) -> Surface:
-    """Backward theta-scheme march over the full schedule.
+) -> tuple[Surface, ...]:
+    """Backward theta-scheme march over the full schedule, of the reference
+    equation or of every side of ``terms`` at once.
 
     Each step from level k to k + 1 solves
 
         (I + theta dt A) u - theta dt G_{k+1}(u)
             = (I - (1-theta) dt A) u_k + (1-theta) dt G_k(u_k) =: rhs0_k
 
-    on the interior, with G the source of ``terms`` (none for the linear
-    reference equation).  The last solve already holds the explicit half:
-    it left ``(theta dt)_{k-1} (A u_k - G_k(u_k)) = rhs0_{k-1} - u_k``, so
+    on the interior, with G the source of a side of ``terms`` (none for the
+    linear reference equation).  The last solve already holds the explicit
+    half: it left ``(theta dt)_{k-1} (A u_k - G_k(u_k)) = rhs0_{k-1} -
+    u_k``, so
 
         rhs0_k = u_k + rho_k (u_k - rhs0_{k-1}),
         rho_k = (1-theta_k) dt_k / (theta dt)_{k-1}.
@@ -253,74 +365,115 @@ def march_schedule(
     last solve's rounding.  The schedule opens with the fully implicit
     Rannacher half steps, so a solve precedes every explicit half.
 
-    Policy iteration solves each step exactly: it starts from the branch
-    set that settled the previous step (the first step takes the terminal
-    slice's), solves the linear system that set freezes, and repeats from
-    the solution's branches until no node flips.  Every factor is of ``I
-    + theta dt A(a, kappa)``, at ``(a_eff, kappa)`` for the reference and
-    at :meth:`SemilinearTerms.frozen_coefficients` for a branch set.  One
-    factor is kept and redone only when theta dt changes or the branch set
-    is a new object.  The steps take the exact lengths of
+    The march has one block per side (one for the reference), each starting
+    from ``w_terminal``.  The blocks' full slices sit side by side in one
+    row of ``n_blocks * n_x`` values, whose interior is one block-diagonal
+    tridiagonal system: the edge nodes where two blocks meet are identity
+    rows with no coupling, which the edge closure overwrites after each
+    solve.  Each step forms the level terms, the right-hand side, the solve,
+    the edges and the branch check once for all blocks, as numpy calls on
+    contiguous spans of that row.
+
+    Policy iteration solves each step exactly: each side starts from the
+    branch set that settled its previous step (the first step takes the
+    terminal slice's), solves the linear system that set freezes, and
+    repeats from the solution's branches until no node flips.  The first
+    solve of a step covers every block, and so does every solve after it
+    while every side still flips; once a side has settled, only the sides
+    still flipping are solved again, each through its own block of the
+    factors.
+    Every factor is of one block's ``I + theta dt A(a, kappa)``, at
+    ``(a_eff, kappa)`` for the reference and at
+    :meth:`SemilinearTerms.frozen_coefficients` for a side's branch set.
+    Each block keeps its factor and redoes it only when theta dt changes or
+    its branch set moved.  The steps take the exact lengths of
     :func:`time_schedule`, so theta dt changes only between theta phases
-    (never at the defaults, where 1 * dt/2 and 1/2 * dt are the same
-    float): a step whose set did not move reuses the last factor, and the
-    reference march factors once per phase.  A step still flipping after
+    (never at the defaults, where 1 * dt/2 and 1/2 * dt are the same float):
+    a step whose set did not move reuses the last factor, and the reference
+    march factors once per phase.  A side still flipping after
     :data:`MAX_SOLVES_PER_STEP` solves raises ``RuntimeError``.
 
-    Returns the :class:`Surface` of the march: its rows are the full
-    slices at every schedule level from T down to 0, and its diagnostics
-    count every step's linear solves and factors.
+    Returns one :class:`Surface` per block, its rows a view of the stacked
+    march: the full slices at every schedule level from T down to 0, and
+    diagnostics that count every step's linear solves and factors.
     """
     times, dts, thetas = time_schedule(grid, solver)
+    n_x = grid.n_x
+    n_blocks = 1 if terms is None else len(terms.sides)
+    factors = _BlockFactors(n_blocks, n_x - 2)
+    branch = level = None
 
-    def factor_of(theta_dt, a, kap):  # LU of I + theta_dt A(a, kap)
-        lo, di, up = reduced_operator(grid.n_x, grid.dx, a, b, kap)
-        return tridiag_factor(theta_dt * lo, 1.0 + theta_dt * di, theta_dt * up)
+    def refactor(j, theta_dt):  # LU of block j's I + theta_dt A(a, kappa)
+        a, kap = ((a_eff, kappa) if terms is None
+                  else terms.frozen_coefficients(branch, j, a_eff, kappa))
+        lo, di, up = reduced_operator(n_x, grid.dx, a, b, kap)
+        factors.put(j, theta_dt,
+                    tridiag_factor(theta_dt * lo, 1.0 + theta_dt * di, theta_dt * up))
 
-    surf = np.empty((dts.size + 1, grid.n_x))
-    surf[0] = w_terminal
-    iters = np.ones(dts.size, dtype=np.int64)
-    n_factors = np.zeros(dts.size, dtype=np.int64)
-    branch = (None, None)
-    factor = (None, None, None)  # theta dt, branch set and LU of the last factor
+    surf = np.empty((dts.size + 1, n_blocks * n_x))
+    slices = surf.reshape(dts.size + 1, n_blocks, n_x)
+    slices[0] = w_terminal
+    rhs0 = np.empty(n_blocks * n_x - 2)
+    iters = np.ones((n_blocks, dts.size), dtype=np.int64)
+    n_factors = np.zeros((n_blocks, dts.size), dtype=np.int64)
     for k, (dt, theta) in enumerate(zip(dts.tolist(), thetas.tolist())):
         theta_dt = theta * dt
         c_e = (1.0 - theta) * dt
-        w_new = surf[k + 1]
         u_next = surf[k, 1:-1]
-        # the schedule opens with theta = 1, so rhs0 exists once c_e > 0
-        rhs0 = u_next + (c_e / last_theta_dt) * (u_next - rhs0) if c_e else u_next
-        last_theta_dt = theta_dt
-        if terms is None:
-            if factor[0] != theta_dt or factor[1] is not branch:
-                factor = (theta_dt, branch, factor_of(theta_dt, a_eff, kappa))
-                n_factors[k] = 1
-            # the solve overwrites its right-hand side; the next step reads rhs0
-            extend_slice(tridiag_solve(factor[2], rhs0.copy()), out=w_new)
-            continue
-
-        level = terms.level_terms(k + 1)
-        if k == 0:
-            branch, _ = terms.branches(level, extend_slice(u_next, out=w_new))
-        for n_solves in range(1, MAX_SOLVES_PER_STEP + 1):
-            if factor[0] != theta_dt or factor[1] is not branch:
-                factor = (theta_dt, branch, factor_of(
-                    theta_dt, *terms.frozen_coefficients(branch, a_eff, kappa)))
-                n_factors[k] += 1
-            rhs = rhs0 + theta_dt * terms.frozen_source(level, branch)
-            extend_slice(tridiag_solve(factor[2], rhs), out=w_new)
-            moved, n_flips = terms.branches(level, w_new, branch)
-            if not n_flips:
-                break
-            branch = moved
+        w_new = surf[k + 1]
+        # the schedule opens with theta = 1, so rhs0 holds the last step's once c_e > 0
+        if c_e:
+            np.subtract(u_next, rhs0, out=rhs0)
+            rhs0 *= c_e / last_theta_dt
+            rhs0 += u_next
         else:
-            raise RuntimeError(
-                f"branch solve did not settle at step {k} (t = {times[k + 1]:.6g}):"
-                f" {n_flips} nodes still flipped after {n_solves} linear solves")
-        iters[k] = n_solves
+            rhs0[:] = u_next
+        last_theta_dt = theta_dt
+        if terms is not None:
+            level = terms.level_terms(k + 1)
+            if k == 0:
+                w_new[:] = surf[0]
+                _close_edges(w_new, n_x)
+                branch = terms.branches(level, w_new)
 
-    return Surface(grid=grid, solver=solver, sched_values=surf,
-                   diagnostics=SolveDiagnostics(iterations=iters, factors=n_factors))
+        groups = [(0, n_blocks)]
+        for n_solves in range(1, MAX_SOLVES_PER_STEP + 1):
+            moved = []
+            for lo, hi in groups:
+                for j in range(lo, hi):
+                    if factors.theta_dt[j] != theta_dt:
+                        refactor(j, theta_dt)
+                        n_factors[j, k] += 1
+                span = _span(lo, hi, n_x)
+                rhs = w_new[1:-1][span]
+                if terms is None:
+                    rhs[:] = rhs0[span]
+                else:
+                    np.multiply(theta_dt, terms.frozen_source(level, branch, span), out=rhs)
+                    rhs += rhs0[span]
+                factors.solve(lo, hi, rhs)
+                _close_edges(w_new[lo * n_x:hi * n_x], n_x)
+                if terms is not None:
+                    moved += terms.settle(level, w_new, branch, lo, hi)
+            if not moved:
+                break
+            groups = ([(0, n_blocks)] if len(moved) == n_blocks
+                      else [(j, j + 1) for j, _ in moved])
+            for j, _ in moved:
+                factors.theta_dt[j] = None
+                iters[j, k] = n_solves + 1
+        else:
+            j, n_flips = moved[0]
+            side = "seller" if terms.sides[j] > 0 else "buyer"
+            raise RuntimeError(
+                f"branch solve of the {side} did not settle at step {k}"
+                f" (t = {times[k + 1]:.6g}): {n_flips} nodes still flipped after"
+                f" {n_solves} linear solves")
+
+    return tuple(
+        Surface(grid=grid, solver=solver, sched_values=slices[:, j],
+                diagnostics=SolveDiagnostics(iterations=iters[j], factors=n_factors[j]))
+        for j in range(n_blocks))
 
 
 def terminal_slice(claim: ClaimSpec, grid: GridSpec) -> np.ndarray:
@@ -331,6 +484,29 @@ def terminal_slice(claim: ClaimSpec, grid: GridSpec) -> np.ndarray:
             f"claim maturity {claim.maturity} != grid maturity {grid.maturity}"
         )
     return np.asarray(claim.payoff(np.exp(grid.x_nodes())), dtype=float)
+
+
+def _solve_sides(claim, cfg, benchmark, sides, allow_arbitrage):
+    grid = benchmark.grid
+    w_terminal = terminal_slice(claim, grid)
+    violations = validate_no_arbitrage(cfg)
+    if violations:
+        if not allow_arbitrage:
+            raise ArbitrageViolationError(violations)
+        warnings.warn(
+            "solving despite arbitrage in the rate configuration: "
+            + "; ".join(violations),
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+    m_fold, _ = repo_drift_split(cfg)
+    b = 0.5 * cfg.sigma * cfg.sigma
+    terms = SemilinearTerms(tuple(+1 if side == "seller" else -1 for side in sides),
+                            cfg, benchmark.sched_values)
+    return march_schedule(
+        w_terminal, grid, benchmark.solver, a_eff=cfg.r_D - b - m_fold, b=b,
+        kappa=cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg), terms=terms)
 
 
 def solve_semilinear(
@@ -351,22 +527,20 @@ def solve_semilinear(
     """
     if side not in ("seller", "buyer"):
         raise ValueError(f"side must be 'seller' or 'buyer', got {side!r}")
-    grid = benchmark.grid
-    w_terminal = terminal_slice(claim, grid)
-    violations = validate_no_arbitrage(cfg)
-    if violations:
-        if not allow_arbitrage:
-            raise ArbitrageViolationError(violations)
-        warnings.warn(
-            "solving despite arbitrage in the rate configuration: "
-            + "; ".join(violations),
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    (surf,) = _solve_sides(claim, cfg, benchmark, (side,), allow_arbitrage)
+    return surf
 
-    m_fold, _ = repo_drift_split(cfg)
-    b = 0.5 * cfg.sigma * cfg.sigma
-    terms = SemilinearTerms(+1 if side == "seller" else -1, cfg, benchmark.sched_values)
-    return march_schedule(
-        w_terminal, grid, benchmark.solver, a_eff=cfg.r_D - b - m_fold, b=b,
-        kappa=cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg), terms=terms)
+
+def solve_sides(
+    claim: ClaimSpec,
+    cfg: MarketConfig,
+    benchmark: Surface,
+    allow_arbitrage: bool = False,
+) -> tuple[Surface, Surface]:
+    """The seller's and the buyer's surfaces, marched side by side.
+
+    One march of two blocks (:func:`march_schedule`); each surface equals
+    the one :func:`solve_semilinear` gives its side, and the rate ordering
+    is checked, or warned about, once for both.
+    """
+    return _solve_sides(claim, cfg, benchmark, ("seller", "buyer"), allow_arbitrage)

@@ -49,12 +49,18 @@ SWEEP_COLUMNS = (
 
 @dataclass(frozen=True)
 class SweepAxis:
-    """One swept market field and its values, in emission order."""
+    """One swept market field and its values, in emission order.
+
+    The values are stored as a tuple of Python floats, whatever sequence of
+    numbers (numpy's included) they are given as, so their CSV cells are
+    the floats' repr.
+    """
 
     name: str
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.values:
             raise ValueError(f"axis {self.name!r} has no values")
 

@@ -10,8 +10,8 @@ the two default-protection bond legs and posting collateral,
     funding_0 = theta_I(v_hat_0) + theta_C(v_hat_0) - v_0 - alpha*v_hat_0,
 
 which is also the argument the driver prices at the asymmetric funding
-rates.  :func:`solve_trade` marches the reference once and both sides on
-its lattice.
+rates.  :func:`solve_trade` marches the reference once and then both
+sides in one march on its lattice (:func:`xvaband.pde.solve_sides`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from dataclasses import asdict, dataclass
 from .benchmark import benchmark_surface, closeout_C, closeout_I, collateral
 from .config import ClaimSpec, MarketConfig, reporting_spot
 from .grid import GridSpec, SolverConfig, Surface, build_grid
-from .pde import solve_semilinear
+# solve_semilinear stays bound here: the perfbench tracer wraps it by this name
+from .pde import solve_semilinear, solve_sides  # noqa: F401
 
 __all__ = [
     "XvaReport",
@@ -97,7 +98,8 @@ def solve_trade(
     allow_arbitrage: bool = False,
     benchmark: Surface | None = None,
 ) -> TradeSolution:
-    """Solve reference, seller, and buyer surfaces on one shared grid.
+    """Solve reference, seller, and buyer surfaces on one shared grid; the
+    two sides march side by side.
 
     A given ``benchmark`` (say, one reference shared by the points of a
     sweep) must be solved on ``grid`` with ``solver``; both sides read
@@ -111,10 +113,7 @@ def solve_trade(
             "benchmark surface does not match the solve grid and solver settings "
             "(same GridSpec and SolverConfig required)"
         )
-    seller = solve_semilinear(claim, cfg, bench, side="seller",
-                              allow_arbitrage=allow_arbitrage)
-    buyer = solve_semilinear(claim, cfg, bench, side="buyer",
-                             allow_arbitrage=allow_arbitrage)
+    seller, buyer = solve_sides(claim, cfg, bench, allow_arbitrage=allow_arbitrage)
     return TradeSolution(cfg=cfg, benchmark=bench, seller=seller, buyer=buyer)
 
 

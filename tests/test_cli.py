@@ -345,6 +345,12 @@ class TestBench:
                     == (layer != "reference"))
             assert (("factors per step (mean)" in line)
                     == (layer != "reference"))
+        (line,) = [ln for ln in lines if ln.strip().startswith("sides:")]
+        assert "ms median" in line
+        seller, buyer = line.split("; ")
+        for side, part in (("seller", seller), ("buyer", buyer)):
+            assert f"{side} linear solves per step (mean, max)" in part
+            assert "factors per step (mean)" in part
         (line,) = [ln for ln in lines if ln.strip().startswith("tree:")]
         assert "ms median per side, 2000 steps" in line
 

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from xvaband.benchmark import closeout_C, closeout_I
-from xvaband.driver import driver_value, financing_level, repo_drift_split
+from xvaband.driver import (
+    driver_value,
+    financing_level,
+    level_coefficients,
+    repo_drift_split,
+)
 
 
 # Hand-computed reference point for the seller driver at the desk default
@@ -205,7 +210,7 @@ def test_financing_level_matches_the_closeout_form(market, side):
     for alpha, l_i, l_c in itertools.product((0.0, 0.4, 1.0), (0.0, 0.5, 1.0),
                                              (0.0, 0.5, 1.0)):
         cfg = replace(base, alpha=alpha, L_I=l_i, L_C=l_c)
-        y, const = financing_level(side, cfg, V_HAT)
+        y, const = financing_level(level_coefficients(cfg, side), V_HAT)
         y_ref, const_ref, y_scale, c_scale = _closeout_level(side, cfg, V_HAT)
         # largest error seen: 1.09 ulps of the scale for Y, 1.30 for const_s;
         # at v_hat = 0 both forms give exact zeros
@@ -213,10 +218,22 @@ def test_financing_level_matches_the_closeout_form(market, side):
         assert np.all(np.abs(const - const_ref) <= 4.0 * EPS * c_scale)
 
 
+def test_financing_level_of_one_side_per_node(market):
+    # the two-side march reads both sides' level terms from one call
+    cfg = replace(market, r_c_plus=0.01, r_c_minus=0.05, alpha=0.4)
+    sides = np.repeat([1.0, -1.0], V_HAT.size)
+    y, const = financing_level(level_coefficients(cfg, sides), np.tile(V_HAT, 2))
+    for k, side in enumerate((+1, -1)):
+        y_s, const_s = financing_level(level_coefficients(cfg, side), V_HAT)
+        part = slice(k * V_HAT.size, (k + 1) * V_HAT.size)
+        assert np.array_equal(y[part], y_s)
+        assert np.array_equal(const[part], const_s)
+
+
 def test_financing_level_returns_fresh_arrays(market):
     # the tree writes into const_s in place
     v_hat = V_HAT.copy()
-    y, const = financing_level(+1, market, v_hat)
+    y, const = financing_level(level_coefficients(market, +1), v_hat)
     assert not np.shares_memory(y, const)
     assert not np.shares_memory(y, v_hat) and not np.shares_memory(const, v_hat)
     np.testing.assert_array_equal(v_hat, V_HAT)

@@ -16,7 +16,7 @@ from xvaband import (
     tree_bsde_price,
 )
 from xvaband.benchmark import closeout_C, closeout_I
-from xvaband.driver import driver_value
+from xvaband.driver import driver_value, level_coefficients
 import xvaband.oracle as oracle
 from xvaband.oracle import TreeSpec, _solve_level
 
@@ -152,7 +152,7 @@ class TestNodeEquation:
             e = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3], size=n)
             wh = e * (1.0 + 0.3 * rng.normal(size=n))
             z = rng.normal(size=n) * np.abs(e)
-            x = _solve_level(e, z, wh, dt, cfg, side)
+            x = _solve_level(e, z, wh, dt, cfg, side, level_coefficients(cfg, side))
             th_i = closeout_I(wh, alpha, cfg.L_I)
             th_c = closeout_C(wh, alpha, cfg.L_C)
             f = driver_value(side, x, z, th_i - x, th_c - x, wh, cfg)

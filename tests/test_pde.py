@@ -19,6 +19,7 @@ from xvaband import (
     solve_semilinear,
 )
 import xvaband.pde as pde
+from xvaband.pde import solve_sides
 from xvaband.driver import driver_value, linear_rate, repo_drift_split
 from xvaband.grid import time_schedule
 from xvaband.pde import (
@@ -67,8 +68,8 @@ def _step(w, terms=None, theta=0.5):
     Returns (slices at the four levels, linear solves per step).
     """
     grid = GridSpec(x_min=-0.5, x_max=0.5, n_x=w.size, n_t=2, maturity=2 * DT)
-    surf = march_schedule(w, grid, SolverConfig(theta_scheme=theta),
-                          a_eff=-0.01, b=0.02, kappa=KAPPA, terms=terms)
+    (surf,) = march_schedule(w, grid, SolverConfig(theta_scheme=theta),
+                             a_eff=-0.01, b=0.02, kappa=KAPPA, terms=terms)
     return surf.sched_values, surf.diagnostics.iterations
 
 
@@ -86,7 +87,7 @@ class TestCnStep:
         assert np.all(out == 0.0)
         # a zero reference gives the wealth equation a zero source at w = 0
         for side in (+1, -1):
-            terms = SemilinearTerms(side=side, cfg=KINK_MARKET,
+            terms = SemilinearTerms(sides=(side,), cfg=KINK_MARKET,
                                     bench_sched=np.zeros((4, 101)))
             out, _ = _step(np.zeros(101), terms=terms)
             assert np.all(out == 0.0)
@@ -96,7 +97,7 @@ class TestCnStep:
         # cancelled, so every step must return ones
         flat = replace(KINK_MARKET, r_f_plus=KINK_MARKET.r_f_minus,
                        r_r_plus=KINK_MARKET.r_r_minus)
-        terms = _ConstSource(side=+1, cfg=flat, bench_sched=np.zeros((4, 101)))
+        terms = _ConstSource(sides=(+1,), cfg=flat, bench_sched=np.zeros((4, 101)))
         out, n_solves = _step(np.ones(101), terms=terms)
         assert np.all(n_solves == 1)
         assert np.all(np.abs(out - 1.0) < 1e-12)
@@ -109,7 +110,7 @@ class TestCnStep:
         bench = np.stack([np.full(101, np.nan), *[np.exp(x) - 1.0] * 3])
         for theta in (0.5, 1.0):
             for side in (+1, -1):
-                terms = SemilinearTerms(side=side, cfg=KINK_MARKET, bench_sched=bench)
+                terms = SemilinearTerms(sides=(side,), cfg=KINK_MARKET, bench_sched=bench)
                 out, _ = _step(np.maximum(np.exp(x) - 1.0, 0.0), terms=terms,
                                theta=theta)
                 assert np.isfinite(out).all()
@@ -207,7 +208,7 @@ class TestRearrangedSource:
             return np.interp(x, knots, rng.uniform(-1.0, 1.0, knots.size))
 
         bench = np.stack([rough(), rough()])
-        terms = SemilinearTerms(side=side, cfg=KINK_MARKET, bench_sched=bench)
+        terms = SemilinearTerms(sides=(side,), cfg=KINK_MARKET, bench_sched=bench)
         y_level, _ = terms.level_terms(1)
         w = rough()
         w[1:-1] += y_level
@@ -228,15 +229,15 @@ class TestRearrangedSource:
             # G as the march sees it, frozen at the slice's own branch set:
             # its constant part minus the operator M u whose node-wise
             # convection and rate carry the rest (A = 0 has none of its own)
-            branch, _ = terms.branches(level, w)
-            a, kappa = terms.frozen_coefficients(branch, 0.0, 0.0)
+            branch = terms.branches(level, w)
+            a, kappa = terms.frozen_coefficients(branch, 0, 0.0, 0.0)
             lo, di, up = reduced_operator(w.size, dx, a, 0.0, kappa)
             u = w[1:-1]
             mu = di * u
             mu[1:] += lo[1:] * u[:-1]
             mu[:-1] += up[:-1] * u[1:]
             # the march carries the linear rate in kappa, not in the source
-            got = (terms.frozen_source(level, branch) - mu
+            got = (terms.frozen_source(level, branch, slice(None)) - mu
                    - linear_rate(KINK_MARKET) * u)
             want = _driver_source(side, KINK_MARKET, dx, bench_row, w)
             scale = _term_scale(KINK_MARKET, dx, bench_row, w)
@@ -266,9 +267,10 @@ class TestRearrangedSource:
 
         want = _banded_march(w_t, grid, solver, kappa=kappa, source_at=source_at,
                              **kw)
-        terms = SemilinearTerms(side=sign, cfg=m, bench_sched=bench.sched_values)
-        got = march_schedule(w_t, grid, solver, terms=terms,
-                             kappa=kappa + linear_rate(m), **kw).sched_values
+        terms = SemilinearTerms(sides=(sign,), cfg=m, bench_sched=bench.sched_values)
+        (got,) = march_schedule(w_t, grid, solver, terms=terms,
+                                kappa=kappa + linear_rate(m), **kw)
+        got = got.sched_values
         assert np.max(np.abs(got - want)) < 1e-12
         surf = solve_semilinear(KINK_CLAIM, m, bench, side=side)
         assert np.array_equal(surf.values[::-1], got[[0, *range(2, grid.n_t + 2)]])
@@ -278,7 +280,7 @@ class TestMarchSchedule:
     def test_shapes_and_diagnostics(self, call_claim, market, solver):
         grid = build_grid(call_claim, market, n_x=101, n_t=8)
         w_t = terminal_slice(call_claim, grid)
-        surf = march_schedule(w_t, grid, solver, a_eff=-0.01, b=0.02, kappa=0.0)
+        (surf,) = march_schedule(w_t, grid, solver, a_eff=-0.01, b=0.02, kappa=0.0)
         assert (surf.grid, surf.solver) == (grid, solver)
         assert surf.sched_times.shape == (grid.n_t + 2,)  # extra Rannacher half level
         assert surf.sched_values.shape == (grid.n_t + 2, grid.n_x)
@@ -411,6 +413,26 @@ class TestSolveSemilinear:
         n_flips = int(msg.split(": ")[1].split()[0])
         assert n_flips >= 1
         assert f"{n_flips} nodes still flipped after 1 linear solves" in msg
+
+    @pytest.mark.parametrize("claim, cfg", [
+        (ClaimSpec.call(strike=1.0, maturity=1.0), DEFAULT_MARKET),
+        (KINK_CLAIM, KINK_MARKET), (BULL_CLAIM, KINK_MARKET)],
+        ids=["base_call", "kink", "bull_spread"])
+    def test_two_side_march_equals_the_one_side_marches(self, claim, cfg, solver):
+        # the blocks of the stacked system share no pivot, so each side's
+        # surface, solves and factors are bitwise those of its own march,
+        # also where one side settles a step before the other
+        grid = build_grid(claim, cfg, n_x=201, n_t=100)
+        bench = benchmark_surface(grid, claim, cfg, solver)
+        both = solve_sides(claim, cfg, bench)
+        iters = []
+        for side, got in zip(("seller", "buyer"), both):
+            want = solve_semilinear(claim, cfg, bench, side=side)
+            assert np.array_equal(got.sched_values, want.sched_values)
+            assert np.array_equal(got.diagnostics.iterations, want.diagnostics.iterations)
+            assert np.array_equal(got.diagnostics.factors, want.diagnostics.factors)
+            iters.append(got.diagnostics.iterations)
+        assert np.any(iters[0] != iters[1])
 
     def test_one_halving_shrinks_the_error_about_fourfold(
         self, call_claim, market, solver

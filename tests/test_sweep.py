@@ -2,6 +2,7 @@
 
 import io
 
+import numpy as np
 import pytest
 
 from xvaband import (
@@ -37,6 +38,16 @@ class TestSpecs:
             SweepSpec(claim=call_claim, base=market,
                       axis1=SweepAxis("alpha", (0.0, 0.5)),
                       axis2=SweepAxis("alpha", (0.9, 1.0)))
+
+    @pytest.mark.parametrize("values", [tuple(np.linspace(0.2, 0.4, 2)),
+                                        np.array([0.2, 0.4])],
+                             ids=["numpy_scalars", "numpy_array"])
+    def test_axis_values_are_floats(self, values):
+        # a numpy scalar's repr would reach the CSV as np.float64(0.2)
+        axis = SweepAxis("alpha", values)
+        assert axis.values == (0.2, 0.4)
+        assert all(type(v) is float for v in axis.values)
+        assert _csv_text([{"alpha": axis.values[0]}]) == "alpha\n0.2\n"
 
     def test_default_threads_env(self, monkeypatch):
         monkeypatch.setenv("XVA_THREADS", "3")

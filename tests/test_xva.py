@@ -1,6 +1,7 @@
 """Adjustment reports, funding balances, and replication weights."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from xvaband import (
     hedge_at,
     solve_trade,
 )
+import xvaband.pde as pde
 from xvaband.xva import _relative, report_from_solution
 
 N_D1_ATM = 0.5596176923702425  # Phi((r + sigma^2/2)/sigma) at r=0.01, sigma=0.2, T=1
@@ -119,6 +121,36 @@ class TestSolveTrade:
         with pytest.raises(ValueError, match="SolverConfig"):
             solve_trade(call_claim, market, small_grid, SolverConfig(),
                         benchmark=bench)
+
+
+    def test_warns_once_per_arbitrageable_trade(
+        self, call_claim, market, small_grid, solver
+    ):
+        bad = replace(market, r_f_minus=0.2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve_trade(call_claim, bad, small_grid, solver, allow_arbitrage=True)
+        rate_warnings = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(rate_warnings) == 1
+        assert "arbitrage" in str(rate_warnings[0].message)
+
+    def test_capped_step_names_its_side(
+        self, call_claim, market, small_grid, solver, monkeypatch
+    ):
+        sol = solve_trade(call_claim, market, small_grid, solver)
+        iters = np.stack([sol.seller.diagnostics.iterations,
+                          sol.buyer.diagnostics.iterations])
+        k = int(np.argmax((iters > 1).any(axis=0)))
+        # the first side still flipping at step k is named
+        side = "seller" if iters[0, k] > 1 else "buyer"
+        monkeypatch.setattr(pde, "MAX_SOLVES_PER_STEP", 1)
+        with pytest.raises(RuntimeError,
+                           match=f"branch solve of the {side} did not settle at step {k} "):
+            solve_trade(call_claim, market, small_grid, solver, benchmark=sol.benchmark)
+        k = int(np.argmax(iters[1] > 1))
+        with pytest.raises(RuntimeError,
+                           match=f"branch solve of the buyer did not settle at step {k} "):
+            pde.solve_semilinear(call_claim, market, sol.benchmark, side="buyer")
 
 
 class TestRelative:
