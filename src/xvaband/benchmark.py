@@ -96,9 +96,9 @@ def benchmark_surface(
 
     Uses the same stepper, schedule, and boundary policy as the semilinear
     solve so that in the symmetric-rate zero-loss limit the two solves
-    coincide on the lattice up to rounding.  Every
-    :func:`xvaband.pde.solve_semilinear` on the result reuses its ``grid``
-    and ``solver``.
+    coincide on the lattice up to rounding.  The wealth solves on the
+    result (:func:`xvaband.pde.solve_sides`) reuse its ``grid`` and
+    ``solver``.
     """
     solver = solver or SolverConfig()
     a = cfg.r_D - 0.5 * cfg.sigma * cfg.sigma

@@ -51,7 +51,7 @@ from .driver import (
     repo_drift_split,
 )
 from .grid import GridSpec, SolverConfig
-from .pde import solve_semilinear
+from .pde import solve_sides
 
 __all__ = ["TreeSpec", "tree_bsde_price", "symmetric_case_residual"]
 
@@ -166,8 +166,5 @@ def symmetric_case_residual(
         )
     solver = solver or SolverConfig()
     bench = benchmark_surface(grid, claim, cfg, solver)
-    residual = 0.0
-    for side in ("seller", "buyer"):
-        surf = solve_semilinear(claim, cfg, bench, side=side)
-        residual = max(residual, float(np.max(np.abs(surf.values - bench.values))))
-    return residual
+    return max(float(np.max(np.abs(surf.values - bench.values)))
+               for surf in solve_sides(claim, cfg, bench))

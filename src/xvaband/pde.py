@@ -33,21 +33,22 @@ tridiagonal system whose blocks meet at identity rows with no coupling
 (the two slices' edge nodes), so no pivot crosses a block.  A step takes
 the reference row, forms the level terms, the right-hand side, the edges
 and the branch check once for both sides, each a numpy call on the
-stacked row, and solves both blocks with one ``dgttrs``.  Each block is
-factored on its own and its factors are written into the stacked arrays
-at its offset; once one side has settled a step, only the side still
-flipping is re-solved, through a ``dgttrs`` on its own block.  Each
-side's surface is bitwise the one it gets marched alone.  The numpy calls
-on 800-node arrays cost mostly fixed overhead, so one call on both sides
-costs little more than one on either.
+stacked row, and solves both blocks with one ``dgttrs``.  The march keeps
+one buffer of that system's bands and one ``dgttrf`` factor of it: a side
+whose branch set moved rewrites its own block's rows, and one factor
+covers every block again.  Once one side has settled a step, only the
+side still flipping is re-solved, through a ``dgttrs`` on views of its
+block's rows of the factor.  Each side's surface is bitwise the one it
+gets marched alone.  The numpy calls on 800-node arrays cost mostly fixed
+overhead, so one call on both sides costs little more than one on either.
 
 Boundary rows impose zero second difference in x (payoffs here are
 asymptotically linear in S = e^x only at the call wing, but linearity in x
 is the standard truncation closure and its error lives in the outer wings
 far from the reporting region).  :func:`reduced_operator` eliminates those
 rows of every operator, the reference's and each frozen one (its edge
-rows make ``I + theta dt A`` no M-matrix, even at theta = 1), and
-:func:`extend_slice` restores them on every solved slice.
+rows make ``I + theta dt A`` no M-matrix, even at theta = 1), and the
+march puts them back on the linear extension of every solved slice.
 :func:`tridiag_factor` and :func:`tridiag_solve` run the interior system
 through LAPACK (``dgttrf``/``dgttrs``) in the band layout that
 :func:`reduced_operator` returns.
@@ -83,7 +84,6 @@ from .grid import GridSpec, SolveDiagnostics, SolverConfig, Surface, time_schedu
 __all__ = [
     "SemilinearTerms",
     "active_backend",
-    "extend_slice",
     "march_schedule",
     "reduced_operator",
     "solve_semilinear",
@@ -115,8 +115,8 @@ def reduced_operator(n_x: int, dx: float, a, b: float, kappa):
     zero-curvature boundary rows cancels the diffusion coupling in the
     first and last interior rows and leaves a one-sided convection
     difference there (``up[0]`` has the sign of ``-a[0]``, ``lo[-1]`` that
-    of ``a[-1]``); :func:`extend_slice` puts the edge nodes back on the
-    same linear extension.
+    of ``a[-1]``); the march puts the edge nodes back on the same linear
+    extension.
     """
     m = n_x - 2
     if m < 3:
@@ -149,21 +149,10 @@ def tridiag_solve(lu, rhs: np.ndarray) -> np.ndarray:
     return u
 
 
-def extend_slice(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Full slice from interior values via linear extrapolation at both ends,
-    the zero-curvature closure :func:`reduced_operator` eliminates.
-
-    Writes into ``out`` (length ``u.size + 2``) when given.
-    """
-    w = np.empty(u.size + 2) if out is None else out
-    w[1:-1] = u
-    _close_edges(w, w.size)
-    return w
-
-
 def _close_edges(w: np.ndarray, n_x: int) -> None:
     """Put the edge nodes of each full slice of ``n_x`` nodes in the row
-    ``w`` on the linear extension of its interior, in place."""
+    ``w`` on the linear extension of its interior, in place: the
+    zero-curvature closure :func:`reduced_operator` eliminates."""
     for o in range(0, w.size, n_x):
         w[o] = 2.0 * w[o + 1] - w[o + 2]
         w[o + n_x - 1] = 2.0 * w[o + n_x - 2] - w[o + n_x - 3]
@@ -173,6 +162,15 @@ def _span(lo: int, hi: int, n_x: int) -> slice:
     """The nodes of slices ``lo:hi`` of a stacked row's interior: their
     interior nodes and the edge nodes between them."""
     return slice(lo * n_x, hi * n_x - 2)
+
+
+def _span_factors(lu, span: slice):
+    """The factors of the whole blocks on the rows ``span`` of the
+    block-diagonal factors ``lu``, as if factored alone: views of its
+    arrays, the pivot rows counted from the span's first row."""
+    dl, d, du, du2, ipiv = lu
+    lo, hi = span.start, span.stop
+    return dl[lo:hi - 1], d[span], du[lo:hi - 1], du2[lo:hi - 2], ipiv[span] - lo
 
 
 def _settle(diff, a, b, old):
@@ -304,38 +302,6 @@ class SemilinearTerms:
         return const[span] - (self._spread * y_level[span]) * branch[0][span]
 
 
-class _BlockFactors:
-    """``dgttrf`` factors of a march's block-diagonal system, block j on
-    rows ``j (m + 2)`` to ``j (m + 2) + m - 1`` and identity rows between
-    blocks.  Each block is factored on its own (:meth:`put`); with more than
-    one block its factors are also written into the stacked arrays at its
-    offset, so one ``dgttrs`` solves every block with each block's own
-    arithmetic.
-    """
-
-    def __init__(self, n_blocks: int, m: int) -> None:
-        self.m = m
-        self.blocks = [None] * n_blocks
-        #: theta dt of each block's factors; None once its branch set moved
-        self.theta_dt = [None] * n_blocks
-        n = n_blocks * (m + 2) - 2
-        self.stacked = None if n_blocks == 1 else (
-            np.zeros(n - 1), np.ones(n), np.zeros(n - 1), np.zeros(n - 2),
-            np.arange(1, n + 1, dtype=np.int32))
-
-    def put(self, j: int, theta_dt: float, lu) -> None:
-        self.blocks[j], self.theta_dt[j] = lu, theta_dt
-        if self.stacked is not None:
-            o = j * (self.m + 2)
-            for dst, src in zip(self.stacked, lu):
-                dst[o:o + src.size] = src
-            self.stacked[4][o:o + self.m] += o  # pivot rows count from 1
-
-    def solve(self, lo: int, hi: int, rhs: np.ndarray) -> None:
-        """Solve blocks ``lo:hi``, every block or one, in place of ``rhs``."""
-        tridiag_solve(self.blocks[lo] if hi - lo == 1 else self.stacked, rhs)
-
-
 def march_schedule(
     w_terminal: np.ndarray,
     grid: GridSpec,
@@ -380,13 +346,17 @@ def march_schedule(
     repeats from the solution's branches until no node flips.  The first
     solve of a step covers every block, and so does every solve after it
     while every side still flips; once a side has settled, only the sides
-    still flipping are solved again, each through its own block of the
-    factors.
-    Every factor is of one block's ``I + theta dt A(a, kappa)``, at
-    ``(a_eff, kappa)`` for the reference and at
-    :meth:`SemilinearTerms.frozen_coefficients` for a side's branch set.
-    Each block keeps its factor and redoes it only when theta dt changes or
-    its branch set moved.  The steps take the exact lengths of
+    still flipping are solved again, each through views of its block's
+    rows of the factor.
+
+    The march holds one linear system: one buffer of the bands of every
+    block's ``I + theta dt A(a, kappa)``, at ``(a_eff, kappa)`` for the
+    reference and at :meth:`SemilinearTerms.frozen_coefficients` for a
+    side's branch set, and one ``dgttrf`` factor of the whole.  A block's
+    rows are rebuilt when its branch set moved, every block's when theta dt
+    changes, and then one factor covers the system again; no pivot crosses
+    an identity row, so each block's rows of it are the factor of that
+    block alone.  The steps take the exact lengths of
     :func:`time_schedule`, so theta dt changes only between theta phases
     (never at the defaults, where 1 * dt/2 and 1/2 * dt are the same float):
     a step whose set did not move reuses the last factor, and the reference
@@ -395,20 +365,18 @@ def march_schedule(
 
     Returns one :class:`Surface` per block, its rows a view of the stacked
     march: the full slices at every schedule level from T down to 0, and
-    diagnostics that count every step's linear solves and factors.
+    diagnostics that count every step's linear solves and the rebuilds of
+    the block's rows, its factors.
     """
     times, dts, thetas = time_schedule(grid, solver)
     n_x = grid.n_x
     n_blocks = 1 if terms is None else len(terms.sides)
-    factors = _BlockFactors(n_blocks, n_x - 2)
-    branch = level = None
-
-    def refactor(j, theta_dt):  # LU of block j's I + theta_dt A(a, kappa)
-        a, kap = ((a_eff, kappa) if terms is None
-                  else terms.frozen_coefficients(branch, j, a_eff, kappa))
-        lo, di, up = reduced_operator(n_x, grid.dx, a, b, kap)
-        factors.put(j, theta_dt,
-                    tridiag_factor(theta_dt * lo, 1.0 + theta_dt * di, theta_dt * up))
+    branch = level = lu = bands_theta_dt = None
+    # I + theta dt A of every block, lo/di/up rows in the layout of
+    # reduced_operator; the identity rows between blocks are never rewritten
+    bands = np.zeros((3, n_blocks * n_x - 2))
+    bands[1] = 1.0
+    block_bands = [bands[:, _span(j, j + 1, n_x)] for j in range(n_blocks)]
 
     surf = np.empty((dts.size + 1, n_blocks * n_x))
     slices = surf.reshape(dts.size + 1, n_blocks, n_x)
@@ -435,15 +403,24 @@ def march_schedule(
                 w_new[:] = surf[0]
                 _close_edges(w_new, n_x)
                 branch = terms.branches(level, w_new)
+        if theta_dt != bands_theta_dt:  # stale: the blocks whose rows are out of date
+            stale, bands_theta_dt = range(n_blocks), theta_dt
 
         groups = [(0, n_blocks)]
         for n_solves in range(1, MAX_SOLVES_PER_STEP + 1):
+            if stale:
+                for j in stale:
+                    a, kap = ((a_eff, kappa) if terms is None
+                              else terms.frozen_coefficients(branch, j, a_eff, kappa))
+                    rows = block_bands[j]
+                    for row, op in zip(rows, reduced_operator(n_x, grid.dx, a, b, kap)):
+                        np.multiply(theta_dt, op, out=row)
+                    rows[1] += 1.0
+                    n_factors[j, k] += 1
+                lu = tridiag_factor(*bands)
+                stale = ()
             moved = []
             for lo, hi in groups:
-                for j in range(lo, hi):
-                    if factors.theta_dt[j] != theta_dt:
-                        refactor(j, theta_dt)
-                        n_factors[j, k] += 1
                 span = _span(lo, hi, n_x)
                 rhs = w_new[1:-1][span]
                 if terms is None:
@@ -451,16 +428,15 @@ def march_schedule(
                 else:
                     np.multiply(theta_dt, terms.frozen_source(level, branch, span), out=rhs)
                     rhs += rhs0[span]
-                factors.solve(lo, hi, rhs)
+                tridiag_solve(lu if hi - lo == n_blocks else _span_factors(lu, span), rhs)
                 _close_edges(w_new[lo * n_x:hi * n_x], n_x)
                 if terms is not None:
                     moved += terms.settle(level, w_new, branch, lo, hi)
             if not moved:
                 break
-            groups = ([(0, n_blocks)] if len(moved) == n_blocks
-                      else [(j, j + 1) for j, _ in moved])
-            for j, _ in moved:
-                factors.theta_dt[j] = None
+            stale = [j for j, _ in moved]
+            groups = [(0, n_blocks)] if len(moved) == n_blocks else [(j, j + 1) for j in stale]
+            for j in stale:
                 iters[j, k] = n_solves + 1
         else:
             j, n_flips = moved[0]

@@ -58,15 +58,6 @@ def config_json(tmp_path_factory):
     return str(path)
 
 
-@pytest.fixture(params=["numpy"])
-def backend(request):
-    """The solver path a test runs on; numpy/scipy is the only one."""
-    from xvaband import active_backend
-
-    assert active_backend() == request.param
-    return request.param
-
-
 @pytest.fixture
 def ignore_rate_warnings():
     """Silence the deliberate rate-ordering warnings in override solves."""

@@ -1,11 +1,11 @@
-"""The tridiagonal factor and solve, the reduced operator and the slice extension
+"""The tridiagonal factor and solve, the reduced operator and the edge closure
 of the march in :mod:`xvaband.pde`."""
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from xvaband.pde import extend_slice, reduced_operator, tridiag_factor, tridiag_solve
+from xvaband.pde import _close_edges, reduced_operator, tridiag_factor, tridiag_solve
 
 
 class TestThomasSolve:
@@ -88,18 +88,23 @@ class TestReducedOperator:
             reduced_operator(4, 0.1, 0.0, 0.01, 0.0)
 
 
-class TestExtendSlice:
+class TestCloseEdges:
     def test_linear_extension(self):
-        w = extend_slice(np.array([1.0, 2.0, 3.0]))
+        w = np.array([np.nan, 1.0, 2.0, 3.0, np.nan])
+        _close_edges(w, w.size)
         assert np.array_equal(w, [0.0, 1.0, 2.0, 3.0, 4.0])
 
     def test_preserves_affine_data(self):
-        u = 0.7 * np.arange(5, 12.0) - 1.3
-        w = extend_slice(u)
+        w = np.full(9, np.nan)
+        w[1:-1] = 0.7 * np.arange(5, 12.0) - 1.3
+        _close_edges(w, w.size)
         assert np.allclose(np.diff(w), 0.7, atol=1e-14)
 
-    def test_writes_into_a_given_buffer(self):
-        out = np.full(5, np.nan)
-        w = extend_slice(np.array([1.0, 2.0, 3.0]), out=out)
-        assert w is out
-        assert np.array_equal(out, [0.0, 1.0, 2.0, 3.0, 4.0])
+    def test_closes_each_slice_of_a_stacked_row(self):
+        # two slices side by side, as the two-side march holds them: each
+        # slice's edges extend its own interior, not across the seam
+        w = np.full(10, np.nan)
+        w[1:4] = [1.0, 2.0, 3.0]
+        w[6:9] = [5.0, 3.0, 1.0]
+        _close_edges(w, 5)
+        assert np.array_equal(w, [0.0, 1.0, 2.0, 3.0, 4.0, 7.0, 5.0, 3.0, 1.0, -1.0])

@@ -195,15 +195,13 @@ class TestSymmetricResidual:
     def test_checks_the_buyer_too(
         self, call_claim, symmetric_market, small_grid, solver, monkeypatch
     ):
-        solve = oracle.solve_semilinear
+        solve = oracle.solve_sides
 
         def buyer_off_by_1e_3(*args, **kwargs):
-            surf = solve(*args, **kwargs)
-            if kwargs["side"] == "buyer":
-                surf = replace(surf, sched_values=surf.sched_values + 1e-3)
-            return surf
+            seller, buyer = solve(*args, **kwargs)
+            return seller, replace(buyer, sched_values=buyer.sched_values + 1e-3)
 
-        monkeypatch.setattr(oracle, "solve_semilinear", buyer_off_by_1e_3)
+        monkeypatch.setattr(oracle, "solve_sides", buyer_off_by_1e_3)
         res = symmetric_case_residual(call_claim, symmetric_market, small_grid, solver)
         assert res == pytest.approx(1e-3, abs=1e-10)
 
