@@ -6,7 +6,8 @@ price        one claim, JSON report on stdout
 sweep        one- or two-axis market sweep, CSV to a file or stdout
 table1       canned funding-account table over alpha x r_f_minus
 table2       canned funding-account table over r_f_minus at alpha = 0.9
-convergence  grid-refinement study (closed-form and self-convergence)
+convergence  grid-refinement study (closed-form error of the reference,
+             self-convergence of the seller and of the buyer)
 bench        median time of the reference, seller and buyer solves, of
              the two-side solve that ``price`` runs and of one side of a
              2000-step tree
@@ -82,14 +83,19 @@ def _claim_from_args(args) -> ClaimSpec:
     return ClaimSpec(kind=args.claim, strike=args.strike, maturity=args.maturity)
 
 
-def _market_from_args(args) -> MarketConfig:
+def _market_from_args(args, owned: tuple[str, ...] = ()) -> MarketConfig:
+    """The market of ``--config`` and ``--set``; ``owned`` names the fields
+    the command sweeps or fixes itself, which ``--set`` may not override."""
     cfg = load_market_config(args.config) if args.config else DEFAULT_MARKET
     overrides: dict[str, float] = {}
     for item in args.set:
         name, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"--set expects FIELD=VALUE, got {item!r}")
-        overrides[name.strip()] = float(value)
+        name = name.strip()
+        if name in owned:
+            raise ValueError(f"--set {name}: {args.command} sweeps or fixes {name!r} itself")
+        overrides[name] = float(value)
     return apply_overrides(cfg, overrides) if overrides else cfg
 
 
@@ -134,16 +140,12 @@ def _sweep_axis(text: str) -> SweepAxis:
 
 def cmd_sweep(args) -> int:
     claim = _claim_from_args(args)
-    cfg = _market_from_args(args)
+    axis1 = _sweep_axis(args.axis)
+    axis2 = _sweep_axis(args.axis2) if args.axis2 else None
+    cfg = _market_from_args(args, tuple(a.name for a in (axis1, axis2) if a))
     solver = _solver_from_args(args)
     grid = _grid_from_args(args, claim, cfg)
-    spec = SweepSpec(
-        claim=claim,
-        base=cfg,
-        axis1=_sweep_axis(args.axis),
-        axis2=_sweep_axis(args.axis2) if args.axis2 else None,
-        spot=args.spot,
-    )
+    spec = SweepSpec(claim=claim, base=cfg, axis1=axis1, axis2=axis2, spot=args.spot)
     rows = run_sweep(spec, grid, solver, threads=args.threads,
                      allow_arbitrage=args.allow_arbitrage,
                      fail_fast=args.fail_fast)
@@ -170,7 +172,7 @@ def _canned_table(args, base: MarketConfig, axis1: SweepAxis,
 
 
 def cmd_table1(args) -> int:
-    base = _market_from_args(args)
+    base = _market_from_args(args, ("alpha", "r_f_minus"))
     return _canned_table(
         args, base,
         SweepAxis("alpha", (0.0, 0.25, 0.75, 1.0)),
@@ -179,7 +181,8 @@ def cmd_table1(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    base = apply_overrides(_market_from_args(args), {"alpha": 0.9})
+    base = apply_overrides(_market_from_args(args, ("alpha", "r_f_minus")),
+                           {"alpha": 0.9})
     return _canned_table(
         args, base,
         SweepAxis("r_f_minus", (0.08, 0.1, 0.15, 0.2)),
@@ -200,14 +203,13 @@ def cmd_convergence(args) -> int:
     spot = reporting_spot(claim, args.spot)
 
     # closed-form comparison for the default-free linear equation, then
-    # self-convergence of the seller solve (Richardson estimate); each
-    # level's grid and reference surface serve both
+    # self-convergence of the seller and the buyer (Richardson estimate);
+    # each level's grid and reference surface serve all three
     exact = (bs_closed_form(0.0, spot, claim, cfg.r_D, cfg.sigma)
              if claim.kind in ("call", "put") else None)
     linear: list[dict] = []
-    semilinear: list[dict] = []
+    sides: dict[str, list[dict]] = {"seller": [], "buyer": []}
     errs: list[float] = []
-    vals: list[float] = []
     for lvl in range(args.levels):
         n_x = (args.base_nx - 1) * 2 ** lvl + 1
         n_t = args.base_nt * 2 ** lvl
@@ -222,18 +224,17 @@ def cmd_convergence(args) -> int:
                            "n_t": n_t, "value": bench.value_at(0.0, spot),
                            "error": err, "order": order})
 
-        sell = solve_semilinear(claim, cfg, bench, side="seller",
-                                allow_arbitrage=args.allow_arbitrage)
-        vals.append(sell.value_at(0.0, spot))
-        diff = abs(vals[-1] - vals[-2]) if lvl else None
-        order = None
-        if lvl >= 2 and diff and diff > 0.0:
-            prev = abs(vals[-2] - vals[-3])
-            order = math.log2(prev / diff) if prev > 0.0 else None
-        semilinear.append({"case": "semilinear", "level": lvl, "n_x": grid.n_x,
-                           "n_t": n_t, "value": vals[-1], "error": diff,
-                           "order": order})
-    write_csv(linear + semilinear, args.out or sys.stdout)
+        surfs = solve_sides(claim, cfg, bench, allow_arbitrage=args.allow_arbitrage)
+        for (side, rows), surf in zip(sides.items(), surfs):
+            vals = [row["value"] for row in rows[-2:]] + [surf.value_at(0.0, spot)]
+            diff = abs(vals[-1] - vals[-2]) if lvl else None
+            order = None
+            if lvl >= 2 and diff and diff > 0.0:
+                prev = abs(vals[-2] - vals[-3])
+                order = math.log2(prev / diff) if prev > 0.0 else None
+            rows.append({"case": side, "level": lvl, "n_x": grid.n_x, "n_t": n_t,
+                         "value": vals[-1], "error": diff, "order": order})
+    write_csv(linear + sides["seller"] + sides["buyer"], args.out or sys.stdout)
     return 0
 
 

@@ -36,11 +36,12 @@ and the branch check once for both sides, each a numpy call on the
 stacked row, and solves both blocks with one ``dgttrs``.  The march keeps
 one buffer of that system's bands and one ``dgttrf`` factor of it: a side
 whose branch set moved rewrites its own block's rows, and one factor
-covers every block again.  Once one side has settled a step, only the
-side still flipping is re-solved, through a ``dgttrs`` on views of its
-block's rows of the factor.  Each side's surface is bitwise the one it
-gets marched alone.  The numpy calls on 800-node arrays cost mostly fixed
-overhead, so one call on both sides costs little more than one on either.
+covers every block again.  Every solve covers every block: a side that
+has settled its step while the other still flips is solved again from
+unchanged rows, which gives it bitwise the same slice.  Each side's
+surface is bitwise the one it gets marched alone.  The numpy calls on
+800-node arrays cost mostly fixed overhead, so one call on both sides
+costs little more than one on either.
 
 Boundary rows impose zero second difference in x (payoffs here are
 asymptotically linear in S = e^x only at the call wing, but linearity in x
@@ -158,19 +159,9 @@ def _close_edges(w: np.ndarray, n_x: int) -> None:
         w[o + n_x - 1] = 2.0 * w[o + n_x - 2] - w[o + n_x - 3]
 
 
-def _span(lo: int, hi: int, n_x: int) -> slice:
-    """The nodes of slices ``lo:hi`` of a stacked row's interior: their
-    interior nodes and the edge nodes between them."""
-    return slice(lo * n_x, hi * n_x - 2)
-
-
-def _span_factors(lu, span: slice):
-    """The factors of the whole blocks on the rows ``span`` of the
-    block-diagonal factors ``lu``, as if factored alone: views of its
-    arrays, the pivot rows counted from the span's first row."""
-    dl, d, du, du2, ipiv = lu
-    lo, hi = span.start, span.stop
-    return dl[lo:hi - 1], d[span], du[lo:hi - 1], du2[lo:hi - 2], ipiv[span] - lo
+def _span(j: int, n_x: int) -> slice:
+    """The interior nodes of slice j of a stacked row's interior."""
+    return slice(j * n_x, (j + 1) * n_x - 2)
 
 
 def _settle(diff, a, b, old):
@@ -214,8 +205,7 @@ class SemilinearTerms:
     a kink of zero slope); frozen there, G is linear in w:
     :meth:`frozen_source` is its constant part and
     :meth:`frozen_coefficients` the node-wise convection and rate of the
-    rest.  Methods that take ``lo, hi`` act on ``sides[lo:hi]`` alone, and
-    their ``w`` is the full stacked row.
+    rest.  Every ``w`` here is the full stacked row.
     """
 
     sides: tuple[int, ...]
@@ -239,45 +229,42 @@ class SemilinearTerms:
         self._rows[:] = self.bench_sched[k]
         return financing_level(self._coefficients, self._row[1:-1])
 
-    def _differences(self, level, w, span: slice):
-        """``(diff, a, b)`` of the funding and of the slope kink on the nodes
-        ``span`` of the row ``w``; None for a kink of zero slope.  ``diff`` is
-        0 where two sides meet."""
+    def _differences(self, level, w):
+        """``(diff, a, b)`` of the funding and of the slope kink on the
+        interior of the row ``w``; None for a kink of zero slope.  ``diff``
+        is 0 where two sides meet."""
         funding = slope = None
         if self._spread:
-            y_level, u = level[0][span], w[1:-1][span]
+            y_level, u = level[0], w[1:-1]
             diff = y_level - u
-            diff *= self._sign[span]
+            diff *= self._sign
             funding = diff, y_level, u
         if self._s_repo:
-            up, down = w[2:][span], w[:-2][span]
+            up, down = w[2:], w[:-2]
             diff = up - down
-            if span.stop - span.start > self._n_x:  # more than one side
-                m = self._n_x - 2
-                diff[m::self._n_x] = diff[m + 1::self._n_x] = 0.0
+            m = self._n_x - 2  # the edge nodes where two sides meet; none on one side
+            diff[m::self._n_x] = diff[m + 1::self._n_x] = 0.0
             slope = diff, up, down
         return funding, slope
 
     def branches(self, level, w: np.ndarray):
-        """Branch set of the full stacked row ``w``."""
-        return tuple(None if d is None else d[0] > 0.0 for d in
-                     self._differences(level, w, _span(0, len(self.sides), self._n_x)))
+        """Branch set of the row ``w``."""
+        return tuple(None if d is None else d[0] > 0.0 for d in self._differences(level, w))
 
-    def settle(self, level, w: np.ndarray, branch, lo: int, hi: int):
-        """Move the sides ``lo:hi`` of ``branch`` in place to the branches of
-        the row ``w``; returns ``(side index, flips)`` of every side that
-        moved."""
-        span = _span(lo, hi, self._n_x)
+    def settle(self, level, w: np.ndarray, branch):
+        """Move ``branch`` in place to the branches of the row ``w``; returns
+        ``(side index, flips)`` of every side that moved."""
         flipped = []
-        for d, old in zip(self._differences(level, w, span), branch):
+        for d, old in zip(self._differences(level, w), branch):
             if d is not None:
-                idx = _settle(*d, old[span])
+                idx = _settle(*d, old)
                 if idx is not None:
                     flipped.append(idx)
         if not flipped:
             return []
-        per_side = np.bincount(np.concatenate(flipped) // self._n_x, minlength=hi - lo)
-        return [(j, n) for j, n in enumerate(per_side.tolist(), lo) if n]
+        per_side = np.bincount(np.concatenate(flipped) // self._n_x,
+                               minlength=len(self.sides))
+        return [(j, n) for j, n in enumerate(per_side.tolist()) if n]
 
     def frozen_coefficients(self, branch, j: int, a: float, kappa: float):
         """Node-wise convection and rate of side j's ``A u - G(u)``, the kinks
@@ -285,7 +272,7 @@ class SemilinearTerms:
         - r_f-``, the repo branch adds ``-s s_repo`` to A's ``a`` up-slope,
         ``+s s_repo`` down."""
         funding, slope = branch
-        span = _span(j, j + 1, self._n_x)
+        span = _span(j, self._n_x)
         if funding is not None:
             kappa = np.where(funding[span], kappa - self._spread, kappa)
         if slope is not None:
@@ -293,13 +280,13 @@ class SemilinearTerms:
             a = np.where(slope[span], a + shift, a - shift)
         return a, kappa
 
-    def frozen_source(self, level, branch, span: slice) -> np.ndarray:
-        """The part of G on the nodes ``span`` left on the right with the kinks
-        frozen at ``branch``."""
+    def frozen_source(self, level, branch) -> np.ndarray:
+        """The part of G left on the right with the kinks frozen at
+        ``branch``."""
         y_level, const = level
         if branch[0] is None:
-            return const[span]
-        return const[span] - (self._spread * y_level[span]) * branch[0][span]
+            return const
+        return const - (self._spread * y_level) * branch[0]
 
 
 def march_schedule(
@@ -338,16 +325,16 @@ def march_schedule(
     rows with no coupling, which the edge closure overwrites after each
     solve.  Each step forms the level terms, the right-hand side, the solve,
     the edges and the branch check once for all blocks, as numpy calls on
-    contiguous spans of that row.
+    that whole row.
 
     Policy iteration solves each step exactly: each side starts from the
     branch set that settled its previous step (the first step takes the
     terminal slice's), solves the linear system that set freezes, and
-    repeats from the solution's branches until no node flips.  The first
-    solve of a step covers every block, and so does every solve after it
-    while every side still flips; once a side has settled, only the sides
-    still flipping are solved again, each through views of its block's
-    rows of the factor.
+    repeats from the solution's branches until no node flips.  Every solve
+    covers every block.  A side that has settled while another still flips
+    is solved again with its unchanged right-hand side and factor rows, so
+    its slice and branch set stay bitwise where they settled, and so does
+    its count of solves.
 
     The march holds one linear system: one buffer of the bands of every
     block's ``I + theta dt A(a, kappa)``, at ``(a_eff, kappa)`` for the
@@ -376,7 +363,7 @@ def march_schedule(
     # reduced_operator; the identity rows between blocks are never rewritten
     bands = np.zeros((3, n_blocks * n_x - 2))
     bands[1] = 1.0
-    block_bands = [bands[:, _span(j, j + 1, n_x)] for j in range(n_blocks)]
+    block_bands = [bands[:, _span(j, n_x)] for j in range(n_blocks)]
 
     surf = np.empty((dts.size + 1, n_blocks * n_x))
     slices = surf.reshape(dts.size + 1, n_blocks, n_x)
@@ -406,7 +393,6 @@ def march_schedule(
         if theta_dt != bands_theta_dt:  # stale: the blocks whose rows are out of date
             stale, bands_theta_dt = range(n_blocks), theta_dt
 
-        groups = [(0, n_blocks)]
         for n_solves in range(1, MAX_SOLVES_PER_STEP + 1):
             if stale:
                 for j in stale:
@@ -419,23 +405,18 @@ def march_schedule(
                     n_factors[j, k] += 1
                 lu = tridiag_factor(*bands)
                 stale = ()
-            moved = []
-            for lo, hi in groups:
-                span = _span(lo, hi, n_x)
-                rhs = w_new[1:-1][span]
-                if terms is None:
-                    rhs[:] = rhs0[span]
-                else:
-                    np.multiply(theta_dt, terms.frozen_source(level, branch, span), out=rhs)
-                    rhs += rhs0[span]
-                tridiag_solve(lu if hi - lo == n_blocks else _span_factors(lu, span), rhs)
-                _close_edges(w_new[lo * n_x:hi * n_x], n_x)
-                if terms is not None:
-                    moved += terms.settle(level, w_new, branch, lo, hi)
+            rhs = w_new[1:-1]
+            if terms is None:
+                rhs[:] = rhs0
+            else:
+                np.multiply(theta_dt, terms.frozen_source(level, branch), out=rhs)
+                rhs += rhs0
+            tridiag_solve(lu, rhs)
+            _close_edges(w_new, n_x)
+            moved = [] if terms is None else terms.settle(level, w_new, branch)
             if not moved:
                 break
             stale = [j for j, _ in moved]
-            groups = [(0, n_blocks)] if len(moved) == n_blocks else [(j, j + 1) for j in stale]
             for j in stale:
                 iters[j, k] = n_solves + 1
         else:

@@ -204,6 +204,16 @@ class TestSweep:
         assert captured.err.startswith("error: both sweep axes name 'alpha'")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("axes", [["--axis", "alpha=0,0.5"],
+                                      ["--axis", "h_C_Q=0.1,0.2", "--axis2", "alpha=0,0.5"]])
+    def test_rejects_a_set_of_a_swept_field(self, config_path, capsys, axes):
+        rc = main(["sweep", "--config", config_path, *TINY_GRID, *axes,
+                   "--set", "alpha=0.9"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --set alpha: sweep sweeps or fixes 'alpha'")
+        assert captured.out == ""
+
     def test_malformed_axis(self, config_path, capsys):
         rc = main(["sweep", "--config", config_path, *TINY_GRID, "--axis", "alpha"])
         assert rc == 1
@@ -230,6 +240,27 @@ class TestTables:
         # alpha pinned at 0.9 regardless of the base config
         sell = [float(line.split(",")[5]) for line in lines[1:]]
         assert all(s > 0.0 for s in sell)
+
+    @pytest.mark.parametrize("command", ["table1", "table2"])
+    @pytest.mark.parametrize("field", ["alpha", "r_f_minus"])
+    def test_rejects_a_set_of_a_field_the_table_sets(self, capsys, command, field):
+        # table1 sweeps both fields; table2 sweeps r_f_minus at alpha = 0.9
+        rc = main([command, *TINY_GRID, "--set", f"{field}=0.1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: --set {field}: {command} sweeps or fixes {field!r}")
+        assert captured.out == ""
+
+    def test_set_of_another_field_still_applies(self, capsys, ignore_rate_warnings):
+        main(["table2", *TINY_GRID, "--threads", "1"])
+        plain = capsys.readouterr().out
+        rc = main(["table2", *TINY_GRID, "--threads", "1", "--set", "h_C_Q=0.3"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == plain.splitlines()[0]
+        assert lines[1:] != plain.splitlines()[1:]
+        assert all(line.startswith(("0.08,", "0.1,", "0.15,", "0.2,")) for line in lines[1:])
 
     @pytest.mark.parametrize("command", ["table1", "table2"])
     def test_rejects_the_arbitrage_flag(self, capsys, command):
@@ -272,12 +303,15 @@ class TestConvergence:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "case,level,n_x,n_t,value,error,order"
         rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
-        assert [r["case"] for r in rows] == ["linear"] * 2 + ["semilinear"] * 2
-        assert [r["n_x"] for r in rows] == ["101", "201"] * 2
+        assert [r["case"] for r in rows] == (
+            ["linear"] * 2 + ["seller"] * 2 + ["buyer"] * 2)
+        assert [r["n_x"] for r in rows] == ["101", "201"] * 3
         order = float(rows[1]["order"])
         assert 1.5 < order < 2.5
         assert rows[0]["error"] != ""  # closed-form error known at level 0
-        assert rows[2]["error"] == ""  # self-convergence needs two levels
+        # self-convergence needs two levels
+        assert rows[2]["error"] == rows[4]["error"] == ""
+        assert rows[3]["error"] != "" and rows[5]["error"] != ""
 
     def test_each_level_solves_its_reference_once(self, monkeypatch, capsys):
         import xvaband.cli as cli
@@ -295,7 +329,7 @@ class TestConvergence:
         assert calls == [51, 101, 201]
         lines = capsys.readouterr().out.splitlines()
         assert [ln.split(",")[0] for ln in lines[1:]] == (
-            ["linear"] * 3 + ["semilinear"] * 3)
+            ["linear"] * 3 + ["seller"] * 3 + ["buyer"] * 3)
 
     def test_rejects_single_level(self, capsys):
         rc = main(["convergence", "--levels", "1"])

@@ -108,3 +108,47 @@ class TestCloseEdges:
         w[6:9] = [5.0, 3.0, 1.0]
         _close_edges(w, 5)
         assert np.array_equal(w, [0.0, 1.0, 2.0, 3.0, 4.0, 7.0, 5.0, 3.0, 1.0, -1.0])
+
+
+class TestStackedBlocks:
+    """Two blocks side by side, as the two-side march stacks them: the edge
+    nodes where their slices meet are identity rows with no coupling."""
+
+    N_X = 12
+
+    def _block(self, rng, pivots):
+        m = self.N_X - 2
+        lo, di, up = (rng.uniform(-1.0, 1.0, m) for _ in range(3))
+        lo[0] = up[-1] = 0.0  # outside the matrix, as reduced_operator leaves them
+        if pivots:  # row 0 swaps with row 1: a tiny diagonal under a large sub-diagonal
+            di[0], lo[1] = 1e-3, 10.0
+        return lo, di, up
+
+    def _stack(self, blocks):
+        bands = np.zeros((3, len(blocks) * self.N_X - 2))
+        bands[1] = 1.0
+        for j, block in enumerate(blocks):
+            bands[:, j * self.N_X:(j + 1) * self.N_X - 2] = block
+        return bands
+
+    @pytest.mark.parametrize("pivoting", [0, 1])
+    def test_each_block_factors_and_solves_as_if_alone(self, pivoting):
+        m = self.N_X - 2
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            blocks = [self._block(rng, j == pivoting) for j in range(2)]
+            lu = tridiag_factor(*self._stack(blocks))
+            # LAPACK counts pivot rows from 1: the block's row 0 swapped with row 1
+            assert lu[4][pivoting * self.N_X] == pivoting * self.N_X + 2
+            rhs = rng.uniform(-1.0, 1.0, lu[1].size)
+            got = tridiag_solve(lu, rhs.copy())
+            for j, block in enumerate(blocks):
+                o = j * self.N_X
+                dl, d, du, du2, ipiv = tridiag_factor(*block)
+                assert np.array_equal(lu[0][o:o + m - 1], dl)
+                assert np.array_equal(lu[1][o:o + m], d)
+                assert np.array_equal(lu[2][o:o + m - 1], du)
+                assert np.array_equal(lu[3][o:o + m - 2], du2)
+                assert np.array_equal(lu[4][o:o + m] - o, ipiv)
+                want = tridiag_solve((dl, d, du, du2, ipiv), rhs[o:o + m].copy())
+                assert np.array_equal(got[o:o + m], want)

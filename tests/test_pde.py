@@ -241,7 +241,7 @@ class TestRearrangedSource:
             mu[1:] += lo[1:] * u[:-1]
             mu[:-1] += up[:-1] * u[1:]
             # the march carries the linear rate in kappa, not in the source
-            got = (terms.frozen_source(level, branch, slice(None)) - mu
+            got = (terms.frozen_source(level, branch) - mu
                    - linear_rate(KINK_MARKET) * u)
             want = _driver_source(side, KINK_MARKET, dx, bench_row, w)
             scale = _term_scale(KINK_MARKET, dx, bench_row, w)
@@ -425,8 +425,9 @@ class TestSolveSemilinear:
     def test_two_side_march_equals_the_one_side_marches(self, claim, cfg, solver):
         # the blocks of the stacked system share no pivot, so each side's
         # surface, solves and factors are bitwise those of its own march,
-        # also where one side settles a step before the other and the other
-        # is re-solved alone through its block's rows of the factor
+        # also where one side settles a step before the other: every solve
+        # covers both blocks, so the settled side is solved again, from its
+        # unchanged rows, after the other side's refactor
         grid = build_grid(claim, cfg, n_x=201, n_t=100)
         bench = benchmark_surface(grid, claim, cfg, solver)
         both = solve_sides(claim, cfg, bench)
@@ -437,8 +438,8 @@ class TestSolveSemilinear:
             assert np.array_equal(got.diagnostics.iterations, want.diagnostics.iterations)
             assert np.array_equal(got.diagnostics.factors, want.diagnostics.factors)
             iters.append(got.diagnostics.iterations)
-        # some step re-solves the seller alone (block 0), some the buyer
-        # (block 1, whose pivot rows count from its own first row)
+        # some step solves the settled buyer again while the seller flips,
+        # and some the settled seller while the buyer flips
         assert np.any(iters[0] > iters[1])
         assert np.any(iters[1] > iters[0])
 
