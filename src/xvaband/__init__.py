@@ -24,8 +24,8 @@ from .config import (
     validate_no_arbitrage,
 )
 from .grid import GridSpec, SolverConfig, Surface, build_grid
-from .oracle import TreeSpec, symmetric_case_residual, tree_bsde_price
-from .pde import active_backend, solve_semilinear
+from .oracle import TreeSpec, tree_bsde_price
+from .pde import active_backend
 from .sweep import SweepAxis, SweepSpec, run_sweep, write_csv
 from .xva import (
     HedgeSnapshot,
@@ -64,9 +64,7 @@ __all__ = [
     "hedge_at",
     "load_market_config",
     "run_sweep",
-    "solve_semilinear",
     "solve_trade",
-    "symmetric_case_residual",
     "tree_bsde_price",
     "validate_no_arbitrage",
     "write_csv",

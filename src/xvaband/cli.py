@@ -37,7 +37,7 @@ from .config import (
 )
 from .grid import SolverConfig, build_grid
 from .oracle import TreeSpec, tree_bsde_price
-from .pde import active_backend, solve_semilinear, solve_sides
+from .pde import active_backend, solve_sides
 from .sweep import SweepAxis, SweepSpec, run_sweep, write_csv
 from .xva import hedge_at, report_from_solution, solve_trade
 
@@ -248,44 +248,33 @@ def cmd_bench(args) -> int:
 
     # the step count of the perfbench ``tree`` workload
     tree = TreeSpec(n_steps=2000, claim=claim, cfg=cfg)
-    secs: dict[str, list[float]] = {"reference": [], "seller": [], "buyer": [],
-                                    "sides": [], "tree": []}
-    counts: dict[str, str] = {}
-
-    def solve_counts(surf) -> str:
-        diag = surf.diagnostics
-        return (f"linear solves per step (mean, max) {diag.iterations.mean():.2f},"
-                f" {diag.iterations.max()}, factors per step (mean)"
-                f" {diag.factors.mean():.2f}")
-
+    secs: dict[str, list[float]] = {"reference": [], "sides": [], "tree": []}
     for _ in range(args.repeat):
         t0 = time.perf_counter()
         bench = benchmark_surface(grid, claim, cfg, solver)
         secs["reference"].append(time.perf_counter() - t0)
-        for side in ("seller", "buyer"):
-            t0 = time.perf_counter()
-            surf = solve_semilinear(claim, cfg, bench, side=side,
-                                    allow_arbitrage=args.allow_arbitrage)
-            secs[side].append(time.perf_counter() - t0)
-            counts[side] = solve_counts(surf)
-            t0 = time.perf_counter()
-            tree_bsde_price(tree, side=side)
-            secs["tree"].append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         sides = solve_sides(claim, cfg, bench, allow_arbitrage=args.allow_arbitrage)
         secs["sides"].append(time.perf_counter() - t0)
-        counts["sides"] = "; ".join(f"{side} {solve_counts(surf)}"
-                                    for side, surf in zip(("seller", "buyer"), sides))
+        for side in ("seller", "buyer"):
+            t0 = time.perf_counter()
+            tree_bsde_price(tree, side=side)
+            secs["tree"].append(time.perf_counter() - t0)
 
+    tails = {
+        "sides": ", " + "; ".join(
+            f"{side} linear solves per step (mean, max)"
+            f" {surf.diagnostics.iterations.mean():.2f},"
+            f" {surf.diagnostics.iterations.max()}, factors per step (mean)"
+            f" {surf.diagnostics.factors.mean():.2f}"
+            for side, surf in zip(("seller", "buyer"), sides)),
+        "tree": f" per side, {tree.n_steps} steps",
+    }
     print(f"grid: {grid.n_x} x {grid.n_t}, repeat: {args.repeat}, "
           f"backend: {active_backend()}")
     for layer, times in secs.items():
-        line = f"{layer:>9}: {float(np.median(times)) * 1e3:9.2f} ms median"
-        if layer in counts:
-            line += f", {counts[layer]}"
-        elif layer == "tree":
-            line += f" per side, {tree.n_steps} steps"
-        print(line)
+        print(f"{layer:>9}: {float(np.median(times)) * 1e3:9.2f} ms median"
+              + tails.get(layer, ""))
     return 0
 
 
@@ -340,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_convergence)
 
-    p = sub.add_parser("bench", help="time the reference, seller, buyer, two-side "
-                                     "and tree solves")
+    p = sub.add_parser("bench", help="time the reference, two-side and tree solves")
     _add_market_args(p, config_required=False)
     _add_grid_args(p)
     p.add_argument("--repeat", type=int, default=3)

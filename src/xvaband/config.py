@@ -265,8 +265,13 @@ def _number(name: str, v) -> float:
 
 def load_market_config(path: str | Path) -> MarketConfig:
     """Load a MarketConfig from a JSON file whose keys match the field names."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except UnicodeDecodeError as err:
+            raise ValueError(f"market config {path} is not UTF-8 text: {err}") from None
+        except json.JSONDecodeError as err:
+            raise ValueError(f"market config {path} is not valid JSON: {err}") from None
     return market_config_from_dict(raw)
 
 

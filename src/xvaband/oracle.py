@@ -1,4 +1,4 @@
-"""Independent cross-checks: binomial-tree BSDE solver, symmetric residual.
+"""Independent cross-check: the binomial-tree BSDE solver.
 
 The tree discretises the same risk-neutral log dynamics on a recombining
 lattice with increments (r_D - sigma^2/2) dt +/- sigma sqrt(dt) and equal
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmark import benchmark_surface
 from .config import ClaimSpec, MarketConfig
 from .driver import (
     financing_level,
@@ -50,10 +49,8 @@ from .driver import (
     linear_rate,
     repo_drift_split,
 )
-from .grid import GridSpec, SolverConfig
-from .pde import solve_sides
 
-__all__ = ["TreeSpec", "tree_bsde_price", "symmetric_case_residual"]
+__all__ = ["TreeSpec", "tree_bsde_price"]
 
 
 @dataclass(frozen=True)
@@ -72,20 +69,17 @@ class TreeSpec:
             raise ValueError(f"spot must be positive, got {self.spot}")
 
 
-def _node_slopes(cfg: MarketConfig, dt: float) -> tuple[float, float]:
-    """(A, c) of the node equation A x + s c (s (Y - x))^+ = B."""
-    return 1.0 + dt * (cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg)), dt * funding_spread(cfg)
-
-
 def _solve_level(e, z, wh, dt: float, cfg: MarketConfig, side: int,
-                 coefficients: tuple) -> np.ndarray:
+                 coefficients: tuple, a: float, c: float,
+                 repo: tuple[float, float]) -> np.ndarray:
     """Node values of one level from E[V'], Z and v_hat, by the branch solve;
-    ``coefficients`` are the side's :func:`level_coefficients`.
+    ``coefficients`` are the side's :func:`level_coefficients`, ``a`` and
+    ``c`` the node equation's A and c, and ``repo`` the
+    :func:`repo_drift_split` (m, s_repo), all taken once per price.
 
     Assumes min(A, A - c) > 0 (checked by :func:`tree_bsde_price`).
     """
-    a, c = _node_slopes(cfg, dt)
-    m, s_repo = repo_drift_split(cfg)
+    m, s_repo = repo
     y, b = financing_level(coefficients, wh)
     b -= (m * z + (side * s_repo) * np.abs(z)) / cfg.sigma
     b *= dt
@@ -93,22 +87,6 @@ def _solve_level(e, z, wh, dt: float, cfg: MarketConfig, side: int,
     a_y = a * y
     kink_off = b >= a_y if side > 0 else b <= a_y
     return np.where(kink_off, b / a, (b - c * y) / (a - c))
-
-
-def _tree_reference(v, dt, sq_dt, cfg: MarketConfig, side: int) -> float:
-    """Roll the payoff slice ``v`` back to the root; ``v`` is overwritten."""
-    half_disc = 0.5 * math.exp(-cfg.r_D * dt)
-    coefficients = level_coefficients(cfg, side)
-    vh = v.copy()
-    for k in range(v.size - 2, -1, -1):
-        hi = v[1:k + 2]
-        lo = v[0:k + 1]
-        e = 0.5 * (hi + lo)
-        z = (hi - lo) / (2.0 * sq_dt)
-        wh = half_disc * (vh[1:k + 2] + vh[0:k + 1])
-        v[0:k + 1] = _solve_level(e, z, wh, dt, cfg, side, coefficients)
-        vh[0:k + 1] = wh
-    return float(v[0])
 
 
 def tree_bsde_price(spec: TreeSpec, side: str = "seller") -> float:
@@ -123,7 +101,8 @@ def tree_bsde_price(spec: TreeSpec, side: str = "seller") -> float:
     cfg = spec.cfg
     n = spec.n_steps
     dt = spec.claim.maturity / n
-    a, c = _node_slopes(cfg, dt)
+    a = 1.0 + dt * (cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg))
+    c = dt * funding_spread(cfg)
     if min(a, a - c) <= 0.0:
         # A and c are the same on every level, so the first level solved fails
         raise ValueError(
@@ -135,36 +114,18 @@ def tree_bsde_price(spec: TreeSpec, side: str = "seller") -> float:
     drift = (cfg.r_D - 0.5 * cfg.sigma * cfg.sigma) * dt
     j = np.arange(n + 1)
     x_t = math.log(spec.spot) + n * drift + cfg.sigma * sq_dt * (2.0 * j - n)
-    v_t = np.array(spec.claim.payoff(np.exp(x_t)), dtype=float)
-    return _tree_reference(v_t, dt, sq_dt, cfg, +1 if side == "seller" else -1)
-
-
-def symmetric_case_residual(
-    claim: ClaimSpec,
-    cfg: MarketConfig,
-    grid: GridSpec,
-    solver: SolverConfig | None = None,
-) -> float:
-    """Max lattice distance between the seller's and the buyer's adjusted
-    surfaces and the reference surface when every financing rate collapses
-    to r_D and close-out losses vanish.
-
-    In that limit the adjusted equation reduces to the reference equation,
-    so the residual measures pure solver noise.  Configs outside the limit
-    are rejected.
-    """
-    sym = (
-        cfg.r_f_plus == cfg.r_D == cfg.r_f_minus
-        and cfg.r_r_plus == cfg.r_D == cfg.r_r_minus
-        and cfg.r_c_plus == cfg.r_D == cfg.r_c_minus
-        and cfg.L_I == 0.0 == cfg.L_C
-    )
-    if not sym:
-        raise ValueError(
-            "symmetric-case residual requires all financing rates equal to r_D "
-            "and zero close-out losses"
-        )
-    solver = solver or SolverConfig()
-    bench = benchmark_surface(grid, claim, cfg, solver)
-    return max(float(np.max(np.abs(surf.values - bench.values)))
-               for surf in solve_sides(claim, cfg, bench))
+    v = np.array(spec.claim.payoff(np.exp(x_t)), dtype=float)
+    s = +1 if side == "seller" else -1
+    coefficients = level_coefficients(cfg, s)
+    repo = repo_drift_split(cfg)
+    half_disc = 0.5 * math.exp(-cfg.r_D * dt)
+    vh = v.copy()
+    for k in range(n - 1, -1, -1):
+        hi = v[1:k + 2]
+        lo = v[0:k + 1]
+        e = 0.5 * (hi + lo)
+        z = (hi - lo) / (2.0 * sq_dt)
+        wh = half_disc * (vh[1:k + 2] + vh[0:k + 1])
+        v[0:k + 1] = _solve_level(e, z, wh, dt, cfg, s, coefficients, a, c, repo)
+        vh[0:k + 1] = wh
+    return float(v[0])

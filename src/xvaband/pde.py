@@ -11,21 +11,22 @@ kappa = h_I_Q + h_C_Q + :func:`xvaband.driver.linear_rate` with G the
 close-out source plus the two kinks of the financing driver for the
 adjusted value; the linear repo part sits in a (see
 :func:`xvaband.driver.repo_drift_split`).  G reads its close-out and
-collateral marks off the reference surface, so :func:`solve_semilinear`
-(one side) and :func:`solve_sides` (both) take that surface and march on
-its lattice.  G is piecewise linear in w, so each implicit step is solved
-exactly by policy iteration (Howard's algorithm): freeze the branch of
-every kink, solve the tridiagonal system of the linear PDE that leaves,
-whose convection a and rate kappa vary by node, and repeat until no
-branch changes.  Each step starts from the branch set that settled the
-step before, the usual warm start of Howard's algorithm in time stepping
-(Forsyth & Labahn, J. Comp. Finance 11(2), 2007), so an unmoved set
-reuses its factor; and each step takes its explicit half from the last
-solve's right-hand side instead of applying A and G again (see
-:func:`march_schedule`).  Steps take the exact lengths of
-:func:`xvaband.grid.time_schedule`, whose Rannacher startup makes the
-first step fully implicit.  Only theta in [1/2, 1] is marched: it is
-stable on every lattice.
+collateral marks off the reference surface, so :func:`solve_sides`, the
+package's one entry to the wealth PDE, takes that surface and marches both
+sides on its lattice; :func:`solve_semilinear` marches one side alone, the
+march the tests compare each side of :func:`solve_sides` against.  G is
+piecewise linear in w, so each implicit step is solved exactly by policy
+iteration (Howard's algorithm): freeze the branch of every kink, solve
+the tridiagonal system of the linear PDE that leaves, whose convection a
+and rate kappa vary by node, and repeat until no branch changes.  Each
+step starts from the branch set that settled the step before, the usual
+warm start of Howard's algorithm in time stepping (Forsyth & Labahn,
+J. Comp. Finance 11(2), 2007), so an unmoved set reuses its factor; and
+each step takes its explicit half from the last solve's right-hand side
+instead of applying A and G again (see :func:`march_schedule`).  Steps
+take the exact lengths of :func:`xvaband.grid.time_schedule`, whose
+Rannacher startup makes the first step fully implicit.  Only theta in
+[1/2, 1] is marched: it is stable on every lattice.
 
 The seller and the buyer march in one loop.  Their full slices sit side
 by side in one row, and the interior of that row is one block-diagonal

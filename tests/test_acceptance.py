@@ -20,12 +20,12 @@ from xvaband import (
     bs_closed_form,
     build_grid,
     hedge_at,
-    solve_semilinear,
     solve_trade,
     tree_bsde_price,
 )
 from xvaband.cli import main
 from xvaband.oracle import TreeSpec
+from xvaband.pde import solve_semilinear
 from xvaband.xva import report_from_solution
 
 # canned funding-account references over (collateral fraction, unsecured

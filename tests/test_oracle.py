@@ -1,7 +1,10 @@
-"""Lattice cross-check and the symmetric-collapse residual."""
+"""The tree oracle: its prices, its node equation, and its independence
+from the PDE path."""
 
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,14 +14,19 @@ from xvaband import (
     benchmark_surface,
     bs_closed_form,
     build_grid,
-    solve_semilinear,
-    symmetric_case_residual,
     tree_bsde_price,
 )
 from xvaband.benchmark import closeout_C, closeout_I
-from xvaband.driver import driver_value, level_coefficients
+from xvaband.driver import (
+    driver_value,
+    funding_spread,
+    level_coefficients,
+    linear_rate,
+    repo_drift_split,
+)
 import xvaband.oracle as oracle
 from xvaband.oracle import TreeSpec, _solve_level
+from xvaband.pde import solve_semilinear
 
 
 def _fixed_point_tree(spec, side, tol=1e-12, max_iter=200):
@@ -152,7 +160,10 @@ class TestNodeEquation:
             e = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3], size=n)
             wh = e * (1.0 + 0.3 * rng.normal(size=n))
             z = rng.normal(size=n) * np.abs(e)
-            x = _solve_level(e, z, wh, dt, cfg, side, level_coefficients(cfg, side))
+            a = 1.0 + dt * (cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg))
+            c = dt * funding_spread(cfg)
+            x = _solve_level(e, z, wh, dt, cfg, side, level_coefficients(cfg, side),
+                             a, c, repo_drift_split(cfg))
             th_i = closeout_I(wh, alpha, cfg.L_I)
             th_c = closeout_C(wh, alpha, cfg.L_C)
             f = driver_value(side, x, z, th_i - x, th_c - x, wh, cfg)
@@ -180,31 +191,17 @@ class TestFixedPointAgreement:
             )
 
 
-class TestSymmetricResidual:
-    def test_call_and_put_collapse(
-        self, call_claim, put_claim, symmetric_market, small_grid, solver
-    ):
-        for claim in (call_claim, put_claim):
-            res = symmetric_case_residual(claim, symmetric_market, small_grid, solver)
-            assert res < 1e-10
-
-    def test_zero_payoff_residual_is_zero(self, symmetric_market, small_grid, solver):
-        claim = ClaimSpec.custom([(1.0, 0.0)], maturity=1.0)
-        assert symmetric_case_residual(claim, symmetric_market, small_grid, solver) == 0.0
-
-    def test_checks_the_buyer_too(
-        self, call_claim, symmetric_market, small_grid, solver, monkeypatch
-    ):
-        solve = oracle.solve_sides
-
-        def buyer_off_by_1e_3(*args, **kwargs):
-            seller, buyer = solve(*args, **kwargs)
-            return seller, replace(buyer, sched_values=buyer.sched_values + 1e-3)
-
-        monkeypatch.setattr(oracle, "solve_sides", buyer_off_by_1e_3)
-        res = symmetric_case_residual(call_claim, symmetric_market, small_grid, solver)
-        assert res == pytest.approx(1e-3, abs=1e-10)
-
-    def test_rejects_asymmetric_configs(self, call_claim, market, small_grid):
-        with pytest.raises(ValueError, match="symmetric"):
-            symmetric_case_residual(call_claim, market, small_grid)
+class TestIndependence:
+    def test_imports_nothing_of_the_pde_path(self):
+        # the tree is an independent check on the march only while it shares
+        # no lattice, boundary policy or time stepper with it: of the package
+        # it may use the market and the financing driver, nothing else
+        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+        sources = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                sources.add("." * node.level + (node.module or ""))
+            elif isinstance(node, ast.Import):
+                sources.update(alias.name for alias in node.names)
+        package = {src for src in sources if src.startswith((".", "xvaband"))}
+        assert package == {".config", ".driver"}
