@@ -1,5 +1,5 @@
 """The tree oracle: its prices, its node equation, and its independence
-from the PDE path."""
+from the PDE path; and the symmetric-collapse residual of the PDE sides."""
 
 import ast
 import math
@@ -26,7 +26,7 @@ from xvaband.driver import (
 )
 import xvaband.oracle as oracle
 from xvaband.oracle import TreeSpec, _solve_level
-from xvaband.pde import solve_semilinear
+from xvaband.pde import solve_semilinear, solve_sides
 
 
 def _fixed_point_tree(spec, side, tol=1e-12, max_iter=200):
@@ -189,6 +189,27 @@ class TestFixedPointAgreement:
             assert tree_bsde_price(spec, side=side) == pytest.approx(
                 _fixed_point_tree(spec, side), abs=1e-12
             )
+
+
+def _symmetric_residual(claim, cfg, grid, solver):
+    """Max lattice distance of the seller's and the buyer's surfaces from
+    the reference surface; on the symmetric market it is pure solver noise."""
+    bench = benchmark_surface(grid, claim, cfg, solver)
+    return max(float(np.max(np.abs(surf.values - bench.values)))
+               for surf in solve_sides(claim, cfg, bench))
+
+
+class TestSymmetricResidual:
+    def test_call_and_put_collapse(
+        self, call_claim, put_claim, symmetric_market, small_grid, solver
+    ):
+        for claim in (call_claim, put_claim):
+            res = _symmetric_residual(claim, symmetric_market, small_grid, solver)
+            assert res < 1e-10
+
+    def test_zero_payoff_residual_is_zero(self, symmetric_market, small_grid, solver):
+        claim = ClaimSpec.custom([(1.0, 0.0)], maturity=1.0)
+        assert _symmetric_residual(claim, symmetric_market, small_grid, solver) == 0.0
 
 
 class TestIndependence:

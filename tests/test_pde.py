@@ -309,22 +309,18 @@ class TestMarchSchedule:
 
 class TestSolveSemilinear:
     def test_symmetric_rates_collapse_to_the_reference(
-        self, call_claim, put_claim, symmetric_market, small_grid, solver
+        self, call_claim, symmetric_market, small_grid, solver
     ):
-        for claim in (call_claim, put_claim):
-            bench = benchmark_surface(small_grid, claim, symmetric_market, solver)
-            for surf in solve_sides(claim, symmetric_market, bench):
-                assert np.max(np.abs(surf.values - bench.values)) < 1e-10
+        bench = benchmark_surface(small_grid, call_claim, symmetric_market, solver)
+        for side in ("seller", "buyer"):
+            surf = solve_semilinear(call_claim, symmetric_market, bench, side=side)
+            assert np.max(np.abs(surf.values - bench.values)) < 1e-10
 
-    def test_zero_payoff_prices_to_zero(
-        self, market, symmetric_market, small_grid, solver
-    ):
+    def test_zero_payoff_prices_to_zero(self, market, small_grid, solver):
         claim = ClaimSpec.custom([(1.0, 0.0)], maturity=1.0)
-        for cfg in (market, symmetric_market):
-            bench = benchmark_surface(small_grid, claim, cfg, solver)
-            assert np.all(bench.values == 0.0)
-            for surf in solve_sides(claim, cfg, bench):
-                assert np.all(surf.values == 0.0)
+        bench = benchmark_surface(small_grid, claim, market, solver)
+        surf = solve_semilinear(claim, market, bench, side="seller")
+        assert np.all(surf.values == 0.0)
 
     def test_seller_value_sits_above_the_reference_here(
         self, call_claim, market, medium_grid, solver
