@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .config import ClaimSpec, MarketConfig
 from .grid import GridSpec, SolverConfig, Surface
@@ -40,8 +40,10 @@ __all__ = [
 def bs_closed_form(t: float, s: float, claim: ClaimSpec, r: float, sigma: float) -> float:
     """Black-Scholes value of a vanilla call/put at (t, spot).
 
-    Custom payoffs are rejected; degenerate sigma*sqrt(T - t) collapses to
-    the discounted intrinsic on the forward.
+    Phi is :func:`scipy.special.ndtr`, the function
+    ``scipy.stats.norm.cdf`` evaluates, so the value is bitwise the
+    ``norm.cdf`` formula's.  Custom payoffs are rejected; degenerate
+    sigma*sqrt(T - t) collapses to the discounted intrinsic on the forward.
     """
     if claim.kind not in ("call", "put"):
         raise ValueError(f"closed form requires a call or put, got {claim.kind!r}")
@@ -62,8 +64,8 @@ def bs_closed_form(t: float, s: float, claim: ClaimSpec, r: float, sigma: float)
     d1 = (math.log(s / k) + (r + 0.5 * sigma * sigma) * tau) / vol
     d2 = d1 - vol
     if claim.kind == "call":
-        return float(s * norm.cdf(d1) - k * df * norm.cdf(d2))
-    return float(k * df * norm.cdf(-d2) - s * norm.cdf(-d1))
+        return float(s * ndtr(d1) - k * df * ndtr(d2))
+    return float(k * df * ndtr(-d2) - s * ndtr(-d1))
 
 
 def closeout_I(v_hat, alpha: float, l_i: float):

@@ -37,6 +37,34 @@ def test_bs_put_reference_value_and_parity(call_claim, put_claim):
     assert call - put == pytest.approx(1.0 - math.exp(-0.01), abs=1e-12)
 
 
+def test_bs_closed_form_is_bitwise_the_norm_cdf_formula():
+    # Phi is scipy.special.ndtr; pin it to the scipy.stats.norm.cdf form
+    # over strikes, times, vols and deep in/out-of-the-money spots.
+    from scipy.stats import norm
+
+    r, maturity = 0.01, 1.0
+    spots = [float(s) for s in np.geomspace(0.2, 5.0, 41)]
+    d1_seen = []
+    for kind in ("call", "put"):
+        for k in (0.5, 1.0, 1.5):
+            claim = ClaimSpec(kind, strike=k, maturity=maturity)
+            for t in (0.0, 0.5 * maturity, 0.99 * maturity):
+                tau = maturity - t
+                for sigma in (0.05, 0.2, 0.6):
+                    vol = sigma * math.sqrt(tau)
+                    df = math.exp(-r * tau)
+                    for s in spots:
+                        d1 = (math.log(s / k) + (r + 0.5 * sigma * sigma) * tau) / vol
+                        d2 = d1 - vol
+                        if kind == "call":
+                            old = float(s * norm.cdf(d1) - k * df * norm.cdf(d2))
+                        else:
+                            old = float(k * df * norm.cdf(-d2) - s * norm.cdf(-d1))
+                        assert bs_closed_form(t, s, claim, r, sigma) == old, (kind, k, t, sigma, s)
+                        d1_seen.append(d1)
+    assert min(d1_seen) < -8.0 and max(d1_seen) > 8.0
+
+
 def test_bs_terminal_is_payoff(call_claim):
     assert bs_closed_form(1.0, 1.37, call_claim, 0.01, 0.2) == pytest.approx(0.37)
     assert bs_closed_form(1.0, 0.8, call_claim, 0.01, 0.2) == 0.0

@@ -449,6 +449,23 @@ class TestParser:
         assert bad.stdout == ""
         assert any(line.startswith("error: ") for line in bad.stderr.splitlines())
 
+    def test_import_loads_no_scipy_beyond_linalg_and_special(self):
+        # cold start: the package and its CLI load only the scipy they call
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        probe = (
+            "import sys, xvaband, xvaband.cli; "
+            "print(' '.join(sorted({m.split('.')[1] for m in sys.modules "
+            "if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, cwd=root, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        loaded = set(out.stdout.split())
+        assert loaded <= {"linalg", "special", "version"}, loaded
+
     def test_declared_script_entry_point(self, capsys):
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
