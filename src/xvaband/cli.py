@@ -8,9 +8,8 @@ table1       canned funding-account table over alpha x r_f_minus
 table2       canned funding-account table over r_f_minus at alpha = 0.9
 convergence  grid-refinement study (closed-form error of the reference,
              self-convergence of the seller and of the buyer)
-bench        median time of the reference, seller and buyer solves, of
-             the two-side solve that ``price`` runs and of one side of a
-             2000-step tree
+bench        median time of the reference solve, of the two-side solve
+             that ``price`` runs and of one side of a 2000-step tree
 
 The sweep worker count honours the XVA_THREADS environment variable.
 """
@@ -42,6 +41,8 @@ from .sweep import SweepAxis, SweepSpec, run_sweep, write_csv
 from .xva import hedge_at, report_from_solution, solve_trade
 
 __all__ = ["main"]
+
+_THREADS_HELP = "worker threads (default XVA_THREADS, else min(8, CPU count))"
 
 
 def _add_claim_args(p: argparse.ArgumentParser) -> None:
@@ -302,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis2", default=None, metavar="FIELD=V1,V2,...")
     p.add_argument("--spot", type=float, default=None)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default XVA_THREADS, else min(8, CPU count))")
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.add_argument("--fail-fast", action="store_true")
     p.set_defaults(fn=cmd_sweep)
 
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_market_args(p, config_required=False)
         _add_grid_args(p)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("convergence", help="grid refinement study")

@@ -29,9 +29,17 @@ The left side is piecewise linear in x with slopes A and A - c, so when
 min(A, A - c) > 0 it has exactly one root: x = B / A where s (B - A Y) >= 0
 (the funding kink is off) and x = (B - c Y) / (A - c) elsewhere.  Each
 level is solved in closed form, with no iteration; a market with
-min(A, A - c) <= 0 is rejected.  This shares no spatial discretisation,
-no boundary policy, and no time stepper with the PDE path, which makes it
-a genuinely independent price check.
+min(A, A - c) <= 0 is rejected.
+
+The rollback is truncated at 10 sigma sqrt(T) from the centre line: level k
+solves only the nodes j with |2j - k| <= ceil(10 sqrt(n)), n the step
+count.  Nodes outside that window keep the values the level above wrote,
+which the window's edge nodes read as their missing children; they weigh
+below about e^-50 on the root, and a tree of n <= 100 steps is not
+truncated at all.  This boundary shares nothing with the PDE's
+zero-curvature closure.  The tree shares no spatial discretisation, no
+boundary policy, and no time stepper with the PDE path, which makes it a
+genuinely independent price check.
 """
 
 from __future__ import annotations
@@ -51,6 +59,9 @@ from .driver import (
 )
 
 __all__ = ["TreeSpec", "tree_bsde_price"]
+
+# half-width of the rolled-back window, in units of sigma sqrt(T)
+_WINDOW_SIGMAS = 10.0
 
 
 @dataclass(frozen=True)
@@ -120,12 +131,16 @@ def tree_bsde_price(spec: TreeSpec, side: str = "seller") -> float:
     repo = repo_drift_split(cfg)
     half_disc = 0.5 * math.exp(-cfg.r_D * dt)
     vh = v.copy()
+    # the window's half-width in units of sigma sqrt(dt), the spacing of 2j - k
+    w = math.ceil(_WINDOW_SIGMAS * math.sqrt(n))
     for k in range(n - 1, -1, -1):
-        hi = v[1:k + 2]
-        lo = v[0:k + 1]
+        j0 = max(0, -((w - k) // 2))  # ceil((k - w) / 2)
+        j1 = min(k, (k + w) // 2)
+        hi = v[j0 + 1:j1 + 2]
+        lo = v[j0:j1 + 1]
         e = 0.5 * (hi + lo)
         z = (hi - lo) / (2.0 * sq_dt)
-        wh = half_disc * (vh[1:k + 2] + vh[0:k + 1])
-        v[0:k + 1] = _solve_level(e, z, wh, dt, cfg, s, coefficients, a, c, repo)
-        vh[0:k + 1] = wh
+        wh = half_disc * (vh[j0 + 1:j1 + 2] + vh[j0:j1 + 1])
+        v[j0:j1 + 1] = _solve_level(e, z, wh, dt, cfg, s, coefficients, a, c, repo)
+        vh[j0:j1 + 1] = wh
     return float(v[0])

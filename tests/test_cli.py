@@ -418,6 +418,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_every_threads_flag_has_the_sweep_help(self, capsys):
+        helps = {}
+        for command in ("sweep", "table1", "table2"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            out = " ".join(capsys.readouterr().out.split())
+            helps[command] = out.split("--threads THREADS ")[1].split(" --")[0]
+        assert helps["sweep"] == ("worker threads (default XVA_THREADS, "
+                                  "else min(8, CPU count))")
+        assert helps["table1"] == helps["table2"] == helps["sweep"]
+
     @pytest.mark.skipif(
         shutil.which("xvaband") is None,
         reason="xvaband console script not on PATH (package not installed)",

@@ -65,6 +65,31 @@ def _fixed_point_tree(spec, side, tol=1e-12, max_iter=200):
     return float(v[0])
 
 
+def _unpruned_tree(spec, side):
+    """The full rollback: every level solves all of its nodes with the
+    oracle's own branch solve, so it differs from the oracle only by the
+    10 sigma sqrt(T) window."""
+    cfg, n = spec.cfg, spec.n_steps
+    dt = spec.claim.maturity / n
+    sq_dt = math.sqrt(dt)
+    drift = (cfg.r_D - 0.5 * cfg.sigma * cfg.sigma) * dt
+    j = np.arange(n + 1)
+    x_t = math.log(spec.spot) + n * drift + cfg.sigma * sq_dt * (2.0 * j - n)
+    v = np.array(spec.claim.payoff(np.exp(x_t)), dtype=float)
+    vh = v.copy()
+    s = +1 if side == "seller" else -1
+    args = (dt, cfg, s, level_coefficients(cfg, s),
+            1.0 + dt * (cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg)),
+            dt * funding_spread(cfg), repo_drift_split(cfg))
+    half_disc = 0.5 * math.exp(-cfg.r_D * dt)
+    for k in range(n - 1, -1, -1):
+        hi, lo = v[1:k + 2], v[0:k + 1]
+        e, z = 0.5 * (hi + lo), (hi - lo) / (2.0 * sq_dt)
+        wh = half_disc * (vh[1:k + 2] + vh[0:k + 1])
+        v[0:k + 1], vh[0:k + 1] = _solve_level(e, z, wh, *args), wh
+    return float(v[0])
+
+
 class TestTreeSpec:
     def test_rejects_bad_steps(self, call_claim, market):
         with pytest.raises(ValueError, match="n_steps"):
@@ -189,6 +214,34 @@ class TestFixedPointAgreement:
             assert tree_bsde_price(spec, side=side) == pytest.approx(
                 _fixed_point_tree(spec, side), abs=1e-12
             )
+
+
+class TestTruncation:
+    # at 2000 steps the window keeps |2j - k| <= ceil(10 sqrt(2000)) = 448 of
+    # the up to 2000 nodes a level has; nodes beyond it weigh below about
+    # e^-50 on the root, so the truncation must not move a single bit
+    @pytest.mark.parametrize("case", ["wide_call", "put", "straddle"])
+    def test_prices_equal_the_full_rollback(self, market, case):
+        if case == "wide_call":
+            # the call wing is largest at high sigma and long maturity
+            cfg, spot = replace(market, sigma=0.35), 1.0
+            claim = ClaimSpec.call(strike=1.0, maturity=2.0)
+        elif case == "put":
+            cfg, spot = market, 1.0
+            claim = ClaimSpec.put(strike=1.1, maturity=1.5)
+        else:
+            cfg, spot = replace(market, sigma=0.25), 0.9
+            claim = ClaimSpec.custom([(0.8, 0.3), (1.1, 0.0), (1.4, 0.3)],
+                                     maturity=1.0)
+        spec = TreeSpec(n_steps=2000, claim=claim, cfg=cfg, spot=spot)
+        for side in ("seller", "buyer"):
+            assert tree_bsde_price(spec, side=side) == _unpruned_tree(spec, side)
+
+    def test_short_trees_are_not_truncated(self, call_claim, market):
+        # ceil(10 sqrt(n)) >= n up to n = 100: every level keeps all its nodes
+        spec = TreeSpec(n_steps=64, claim=call_claim, cfg=replace(market, sigma=0.35))
+        for side in ("seller", "buyer"):
+            assert tree_bsde_price(spec, side=side) == _unpruned_tree(spec, side)
 
 
 def _symmetric_residual(claim, cfg, grid, solver):
