@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -254,6 +255,13 @@ def market_config_from_dict(raw: dict) -> MarketConfig:
     if missing:
         raise ValueError(f"missing market config keys: {', '.join(missing)}")
     return MarketConfig(**{k: _number(k, raw[k]) for k in known})
+
+
+def _require_count(name: str, v) -> None:
+    """Raise ``TypeError`` unless ``v`` is an integer: a Python or numpy int,
+    but not a bool (which would count as 0 or 1) and not an integral float."""
+    if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+        raise TypeError(f"{name} must be an integer, got {v!r}")
 
 
 def _number(name: str, v) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ClaimSpec, MarketConfig
+from .config import ClaimSpec, MarketConfig, _require_count
 
 __all__ = [
     "GridSpec",
@@ -48,6 +48,8 @@ class GridSpec:
             raise ValueError("grid bounds must be finite")
         if self.x_max <= self.x_min:
             raise ValueError(f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]")
+        _require_count("n_x", self.n_x)
+        _require_count("n_t", self.n_t)
         if self.n_x < 5:
             # the boundary-eliminated march needs three interior nodes
             raise ValueError(f"n_x must be >= 5, got {self.n_x}")

@@ -37,9 +37,18 @@ count.  Nodes outside that window keep the values the level above wrote,
 which the window's edge nodes read as their missing children; they weigh
 below about e^-50 on the root, and a tree of n <= 100 steps is not
 truncated at all.  This boundary shares nothing with the PDE's
-zero-curvature closure.  The tree shares no spatial discretisation, no
-boundary policy, and no time stepper with the PDE path, which makes it a
-genuinely independent price check.
+zero-curvature closure.
+
+The reference never reads V, so it rolls back a block of 16 levels ahead
+of V, each level's window into one row of a 2-D buffer; Y, const_s, A Y
+and c Y then come from one pass over the block, and each level's own loop
+keeps only what needs V: E[V'], Z, B and the branch choice.  Every
+operation stays elementwise and in the level-by-level order, so the
+prices are bitwise those of a level-at-a-time rollback.
+
+The tree shares no spatial discretisation, no boundary policy, and no
+time stepper with the PDE path, which makes it a genuinely independent
+price check.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ClaimSpec, MarketConfig
+from .config import ClaimSpec, MarketConfig, _require_count
 from .driver import (
     financing_level,
     funding_spread,
@@ -62,6 +71,8 @@ __all__ = ["TreeSpec", "tree_bsde_price"]
 
 # half-width of the rolled-back window, in units of sigma sqrt(T)
 _WINDOW_SIGMAS = 10.0
+# levels whose reference terms are taken together, in one 2-D pass
+_BLOCK_LEVELS = 16
 
 
 @dataclass(frozen=True)
@@ -74,30 +85,34 @@ class TreeSpec:
     spot: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_count("n_steps", self.n_steps)
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if not math.isfinite(self.spot) or self.spot <= 0.0:
             raise ValueError(f"spot must be positive, got {self.spot}")
 
 
-def _solve_level(e, z, wh, dt: float, cfg: MarketConfig, side: int,
-                 coefficients: tuple, a: float, c: float,
+def _solve_level(e, z, const, a_y, c_y, dt: float, cfg: MarketConfig,
+                 side: int, a: float, c: float,
                  repo: tuple[float, float]) -> np.ndarray:
-    """Node values of one level from E[V'], Z and v_hat, by the branch solve;
-    ``coefficients`` are the side's :func:`level_coefficients`, ``a`` and
-    ``c`` the node equation's A and c, and ``repo`` the
-    :func:`repo_drift_split` (m, s_repo), all taken once per price.
+    """Node values of one level from E[V'], Z and the level's reference
+    rows, by the branch solve: ``const`` is const_s of
+    :func:`financing_level` (overwritten with B), ``a_y`` and ``c_y`` are
+    A Y and c Y, ``a`` and ``c`` the node equation's A and c, and ``repo``
+    the :func:`repo_drift_split` (m, s_repo), all taken once per price.
 
     Assumes min(A, A - c) > 0 (checked by :func:`tree_bsde_price`).
     """
     m, s_repo = repo
-    y, b = financing_level(coefficients, wh)
+    b = const
     b -= (m * z + (side * s_repo) * np.abs(z)) / cfg.sigma
     b *= dt
     b += e
-    a_y = a * y
     kink_off = b >= a_y if side > 0 else b <= a_y
-    return np.where(kink_off, b / a, (b - c * y) / (a - c))
+    x = b - c_y
+    x /= a - c
+    np.divide(b, a, out=x, where=kink_off)
+    return x
 
 
 def tree_bsde_price(spec: TreeSpec, side: str = "seller") -> float:
@@ -130,17 +145,35 @@ def tree_bsde_price(spec: TreeSpec, side: str = "seller") -> float:
     coefficients = level_coefficients(cfg, s)
     repo = repo_drift_split(cfg)
     half_disc = 0.5 * math.exp(-cfg.r_D * dt)
+    two_sq_dt = 2.0 * sq_dt
     vh = v.copy()
     # the window's half-width in units of sigma sqrt(dt), the spacing of 2j - k
     w = math.ceil(_WINDOW_SIGMAS * math.sqrt(n))
-    for k in range(n - 1, -1, -1):
-        j0 = max(0, -((w - k) // 2))  # ceil((k - w) / 2)
-        j1 = min(k, (k + w) // 2)
-        hi = v[j0 + 1:j1 + 2]
-        lo = v[j0:j1 + 1]
-        e = 0.5 * (hi + lo)
-        z = (hi - lo) / (2.0 * sq_dt)
-        wh = half_disc * (vh[j0 + 1:j1 + 2] + vh[j0:j1 + 1])
-        v[j0:j1 + 1] = _solve_level(e, z, wh, dt, cfg, s, coefficients, a, c, repo)
-        vh[j0:j1 + 1] = wh
+    # zeroed once: a row's nodes past its level's window hold finite stale
+    # values, which the block's financing pass reads but no level uses
+    wh_rows = np.zeros((_BLOCK_LEVELS, min(n, w) + 1))
+    for top in range(n - 1, -1, -_BLOCK_LEVELS):
+        # roll the reference through the block, one level's window per row
+        windows = []
+        for i, k in enumerate(range(top, max(top - _BLOCK_LEVELS, -1), -1)):
+            j0 = max(0, -((w - k) // 2))  # ceil((k - w) / 2)
+            j1 = min(k, (k + w) // 2)
+            wh = wh_rows[i, :j1 - j0 + 1]
+            np.add(vh[j0 + 1:j1 + 2], vh[j0:j1 + 1], out=wh)
+            wh *= half_disc
+            vh[j0:j1 + 1] = wh
+            windows.append((j0, j1))
+        y, const = financing_level(coefficients, wh_rows[:len(windows)])
+        a_y = a * y
+        c_y = c * y
+        for i, (j0, j1) in enumerate(windows):
+            hi = v[j0 + 1:j1 + 2]
+            lo = v[j0:j1 + 1]
+            e = hi + lo
+            e *= 0.5
+            z = hi - lo
+            z /= two_sq_dt
+            row = slice(0, j1 - j0 + 1)
+            v[j0:j1 + 1] = _solve_level(e, z, const[i, row], a_y[i, row],
+                                        c_y[i, row], dt, cfg, s, a, c, repo)
     return float(v[0])

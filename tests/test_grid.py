@@ -70,6 +70,24 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(**kwargs)
 
+    @pytest.mark.parametrize("field", ["n_x", "n_t"])
+    @pytest.mark.parametrize("count", [801.0, True, np.bool_(False), "801"])
+    def test_rejects_non_integer_counts(self, field, count):
+        kwargs = dict(x_min=-1.0, x_max=1.0, n_x=5, n_t=4, maturity=1.0)
+        kwargs[field] = count
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            GridSpec(**kwargs)
+
+    def test_accepts_numpy_integer_counts(self):
+        grid = GridSpec(x_min=-1.0, x_max=1.0, n_x=np.int64(5), n_t=np.int32(4),
+                        maturity=1.0)
+        assert np.allclose(grid.x_nodes(), [-1.0, -0.5, 0.0, 0.5, 1.0])
+        assert grid.dt == 0.25
+
+    def test_build_grid_rejects_a_float_node_count(self, call_claim, market):
+        with pytest.raises(TypeError, match="n_x must be an integer"):
+            build_grid(call_claim, market, n_x=801.0)
+
     def test_rejects_nonpositive_width(self, call_claim, market):
         with pytest.raises(ValueError, match="width_sigmas"):
             build_grid(call_claim, market, width_sigmas=0.0)

@@ -19,6 +19,7 @@ from xvaband import (
 from xvaband.benchmark import closeout_C, closeout_I
 from xvaband.driver import (
     driver_value,
+    financing_level,
     funding_spread,
     level_coefficients,
     linear_rate,
@@ -66,9 +67,10 @@ def _fixed_point_tree(spec, side, tol=1e-12, max_iter=200):
 
 
 def _unpruned_tree(spec, side):
-    """The full rollback: every level solves all of its nodes with the
-    oracle's own branch solve, so it differs from the oracle only by the
-    10 sigma sqrt(T) window."""
+    """The full rollback, one level at a time: every level solves all of its
+    nodes with the oracle's own branch solve, so it differs from the oracle
+    only by the 10 sigma sqrt(T) window and by taking each level's reference
+    terms on their own rather than a block of levels at a time."""
     cfg, n = spec.cfg, spec.n_steps
     dt = spec.claim.maturity / n
     sq_dt = math.sqrt(dt)
@@ -78,15 +80,18 @@ def _unpruned_tree(spec, side):
     v = np.array(spec.claim.payoff(np.exp(x_t)), dtype=float)
     vh = v.copy()
     s = +1 if side == "seller" else -1
-    args = (dt, cfg, s, level_coefficients(cfg, s),
-            1.0 + dt * (cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg)),
-            dt * funding_spread(cfg), repo_drift_split(cfg))
+    coefficients = level_coefficients(cfg, s)
+    a = 1.0 + dt * (cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg))
+    c = dt * funding_spread(cfg)
+    args = (dt, cfg, s, a, c, repo_drift_split(cfg))
     half_disc = 0.5 * math.exp(-cfg.r_D * dt)
     for k in range(n - 1, -1, -1):
         hi, lo = v[1:k + 2], v[0:k + 1]
         e, z = 0.5 * (hi + lo), (hi - lo) / (2.0 * sq_dt)
         wh = half_disc * (vh[1:k + 2] + vh[0:k + 1])
-        v[0:k + 1], vh[0:k + 1] = _solve_level(e, z, wh, *args), wh
+        y, const = financing_level(coefficients, wh)
+        v[0:k + 1] = _solve_level(e, z, const, a * y, c * y, *args)
+        vh[0:k + 1] = wh
     return float(v[0])
 
 
@@ -94,6 +99,18 @@ class TestTreeSpec:
     def test_rejects_bad_steps(self, call_claim, market):
         with pytest.raises(ValueError, match="n_steps"):
             TreeSpec(n_steps=0, claim=call_claim, cfg=market)
+
+    @pytest.mark.parametrize("n_steps", [10.0, True, np.bool_(True), "10"])
+    def test_rejects_non_integer_steps(self, call_claim, market, n_steps):
+        # a float would fail later inside range(), and True would price a
+        # 1-step tree
+        with pytest.raises(TypeError, match="n_steps must be an integer"):
+            TreeSpec(n_steps=n_steps, claim=call_claim, cfg=market)
+
+    def test_accepts_numpy_integer_steps(self, call_claim, market):
+        spec = TreeSpec(n_steps=np.int64(10), claim=call_claim, cfg=market)
+        assert tree_bsde_price(spec) == tree_bsde_price(
+            TreeSpec(n_steps=10, claim=call_claim, cfg=market))
 
     @pytest.mark.parametrize("spot", [0.0, -1.0, float("inf"), float("nan")])
     def test_rejects_bad_spots(self, call_claim, market, spot):
@@ -187,8 +204,9 @@ class TestNodeEquation:
             z = rng.normal(size=n) * np.abs(e)
             a = 1.0 + dt * (cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg))
             c = dt * funding_spread(cfg)
-            x = _solve_level(e, z, wh, dt, cfg, side, level_coefficients(cfg, side),
-                             a, c, repo_drift_split(cfg))
+            y, const = financing_level(level_coefficients(cfg, side), wh)
+            x = _solve_level(e, z, const, a * y, c * y, dt, cfg, side, a, c,
+                             repo_drift_split(cfg))
             th_i = closeout_I(wh, alpha, cfg.L_I)
             th_c = closeout_C(wh, alpha, cfg.L_C)
             f = driver_value(side, x, z, th_i - x, th_c - x, wh, cfg)
@@ -242,6 +260,35 @@ class TestTruncation:
         spec = TreeSpec(n_steps=64, claim=call_claim, cfg=replace(market, sigma=0.35))
         for side in ("seller", "buyer"):
             assert tree_bsde_price(spec, side=side) == _unpruned_tree(spec, side)
+
+
+class TestBlocking:
+    # the reference terms are taken oracle._BLOCK_LEVELS = 16 levels at a
+    # time: these step counts give a lone level, one block short of full, one
+    # full block, a full block and a lone level, and two full blocks and one
+    # lone level
+    @pytest.mark.parametrize("n_steps", [1, 15, 16, 17, 33])
+    def test_prices_equal_the_level_by_level_rollback(self, market, n_steps):
+        cfg = replace(market, sigma=0.3)
+        claim = ClaimSpec.custom([(0.7, 0.35), (1.05, 0.0), (1.5, 0.4)],
+                                 maturity=1.25)
+        spec = TreeSpec(n_steps=n_steps, claim=claim, cfg=cfg, spot=0.92)
+        for side in ("seller", "buyer"):
+            assert tree_bsde_price(spec, side=side) == _unpruned_tree(spec, side)
+
+    def test_one_financing_pass_per_block(self, put_claim, market, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1].shape)
+            return financing_level(*args)
+
+        monkeypatch.setattr(oracle, "financing_level", counted)
+        spec = TreeSpec(n_steps=2000, claim=put_claim, cfg=market)
+        tree_bsde_price(spec, side="buyer")
+        assert len(calls) == math.ceil(2000 / 16)
+        # 2000 = 125 x 16 levels, each row 1 + ceil(10 sqrt(2000)) nodes wide
+        assert set(calls) == {(16, 449)}
 
 
 def _symmetric_residual(claim, cfg, grid, solver):
