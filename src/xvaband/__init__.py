@@ -7,13 +7,7 @@ scheme.  A recombining-tree BSDE solver provides an independent
 cross-check.  Everything runs on numpy and scipy.
 """
 
-from .benchmark import (
-    benchmark_surface,
-    bs_closed_form,
-    closeout_C,
-    closeout_I,
-    collateral,
-)
+from .benchmark import benchmark_surface, bs_closed_form
 from .config import (
     ArbitrageViolationError,
     ClaimSpec,
@@ -56,9 +50,6 @@ __all__ = [
     "benchmark_surface",
     "bs_closed_form",
     "build_grid",
-    "closeout_C",
-    "closeout_I",
-    "collateral",
     "compute_xva",
     "funding_account_0",
     "hedge_at",

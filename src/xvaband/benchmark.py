@@ -1,4 +1,4 @@
-"""Default-free reference value, close-out amounts, and collateral.
+"""Default-free reference value: Black-Scholes in closed form and on the lattice.
 
 The reference value discounts the terminal payoff at the domestic rate
 under the risk-neutral dynamics dS/S = r_D dt + sigma dW, i.e. it solves
@@ -6,10 +6,7 @@ under the risk-neutral dynamics dS/S = r_D dt + sigma dW, i.e. it solves
     w_t + (r_D - sigma^2/2) w_x + (sigma^2/2) w_xx - r_D w = 0
 
 in log space.  It is the mark used for collateral calls and default
-close-out: on an own default the hedger settles theta_I = v_hat -
-L_I*((1-alpha) v_hat)^+ (the uncollateralised positive part is haircut),
-and on a counterparty default theta_C = v_hat + L_C*((1-alpha) v_hat)^-.
-Both close-outs bracket v_hat: theta_I <= v_hat <= theta_C.
+close-out (:func:`xvaband.driver.closeouts`).
 
 :func:`benchmark_surface` marches the reference with the semilinear
 solve's march, so its :class:`xvaband.grid.Surface` holds v_hat at every
@@ -21,7 +18,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 from scipy.special import ndtr
 
 from .config import ClaimSpec, MarketConfig
@@ -30,9 +26,6 @@ from .pde import march_schedule, terminal_slice
 
 __all__ = [
     "bs_closed_form",
-    "closeout_I",
-    "closeout_C",
-    "collateral",
     "benchmark_surface",
 ]
 
@@ -66,26 +59,6 @@ def bs_closed_form(t: float, s: float, claim: ClaimSpec, r: float, sigma: float)
     if claim.kind == "call":
         return float(s * ndtr(d1) - k * df * ndtr(d2))
     return float(k * df * ndtr(-d2) - s * ndtr(-d1))
-
-
-def closeout_I(v_hat, alpha: float, l_i: float):
-    """Settlement value on own default: haircut the uncollateralised claim."""
-    e = (1.0 - alpha) * np.asarray(v_hat, dtype=float)
-    out = v_hat - l_i * np.maximum(e, 0.0)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def closeout_C(v_hat, alpha: float, l_c: float):
-    """Settlement value on counterparty default."""
-    e = (1.0 - alpha) * np.asarray(v_hat, dtype=float)
-    out = v_hat + l_c * np.maximum(-e, 0.0)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def collateral(v_hat, alpha: float):
-    """Collateral account balance for a reference mark v_hat."""
-    out = alpha * np.asarray(v_hat, dtype=float)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def benchmark_surface(

@@ -42,6 +42,20 @@ __all__ = [
 ]
 
 
+def _require_count(name: str, v) -> None:
+    """Raise ``TypeError`` unless ``v`` is an integer: a Python or numpy int,
+    but not a bool (which would count as 0 or 1) and not an integral float."""
+    if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+        raise TypeError(f"{name} must be an integer, got {v!r}")
+
+
+def _require_number(name: str, v) -> None:
+    """Raise ``TypeError`` unless ``v`` is an int or a float (numpy's float64
+    included), but not a bool (which would count as 0 or 1)."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise TypeError(f"{name} must be a number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class MarketConfig:
     """Flat market parameters (rates per year, sigma per sqrt-year)."""
@@ -65,8 +79,7 @@ class MarketConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             v = getattr(self, f.name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise TypeError(f"{f.name} must be a number, got {v!r}")
+            _require_number(f.name, v)
             if not math.isfinite(v):
                 raise ValueError(f"{f.name} must be finite, got {v!r}")
         if self.sigma <= 0.0:
@@ -117,6 +130,9 @@ class ClaimSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("call", "put", "custom"):
             raise ValueError(f"kind must be call, put, or custom, got {self.kind!r}")
+        _require_number("maturity", self.maturity)
+        if self.strike is not None:
+            _require_number("strike", self.strike)
         if not math.isfinite(self.maturity) or self.maturity <= 0.0:
             raise ValueError(f"maturity must be positive, got {self.maturity}")
         if self.strike is None and self.kind != "custom":
@@ -126,6 +142,12 @@ class ClaimSpec:
         if self.kind == "custom":
             if not self.knots:
                 raise ValueError("custom claim needs at least one payoff knot")
+            for spot, value in self.knots:
+                _require_number("payoff knot spot", spot)
+                _require_number("payoff knot value", value)
+            # frozen: store the checked knots as float pairs
+            object.__setattr__(self, "knots", tuple(
+                (float(spot), float(value)) for spot, value in self.knots))
             ss = [k[0] for k in self.knots]
             if any(not math.isfinite(s) or s <= 0.0 for s in ss):
                 raise ValueError("payoff knot spots must be positive and finite")
@@ -144,8 +166,7 @@ class ClaimSpec:
 
     @classmethod
     def custom(cls, knots, maturity: float) -> "ClaimSpec":
-        return cls(kind="custom", maturity=maturity,
-                   knots=tuple((float(s), float(v)) for s, v in knots))
+        return cls(kind="custom", maturity=maturity, knots=tuple(knots))
 
     @property
     def log_center(self) -> float:
@@ -255,13 +276,6 @@ def market_config_from_dict(raw: dict) -> MarketConfig:
     if missing:
         raise ValueError(f"missing market config keys: {', '.join(missing)}")
     return MarketConfig(**{k: _number(k, raw[k]) for k in known})
-
-
-def _require_count(name: str, v) -> None:
-    """Raise ``TypeError`` unless ``v`` is an integer: a Python or numpy int,
-    but not a bool (which would count as 0 or 1) and not an integral float."""
-    if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-        raise TypeError(f"{name} must be an integer, got {v!r}")
 
 
 def _number(name: str, v) -> float:

@@ -15,7 +15,8 @@ balance and ``c = alpha*v_hat`` the collateral account,
 and the buyer's driver is the reflection ``f_buyer(v, z, z_I, z_C; v_hat)
 = -f_seller(-v, -z, -z_I, -z_C; -v_hat)``.  Both are piecewise linear,
 hence globally Lipschitz, and coincide when all plus/minus rate pairs are
-symmetric.  :func:`driver_value` evaluates either side on arrays.
+symmetric.  This module is the package's one home of the driver, its
+close-outs and its collateral, all in the split form below.
 
 Level form.  Both solvers (the PDE march and the tree oracle) price the
 driver together with the intensity-adjusted carry ``h_I z_I + h_C z_C``
@@ -65,7 +66,9 @@ r_c+)`` for the buyer.  Both level terms are then one linear form in
 side, and :func:`financing_level` applies them to a level's ``(p, n)``:
 eight array passes per level against about 25 for the close-outs term by
 term.  ``Y`` is the same for both sides, so one call serves the seller and
-the buyer together when it is given each node's side.
+the buyer together when it is given each node's side.  The reports read
+the same split form: the funding account is ``Y - v`` and the hedge's jump
+exposures are ``theta_j - v`` with theta_I, theta_C from :func:`closeouts`.
 """
 
 from __future__ import annotations
@@ -75,31 +78,13 @@ import numpy as np
 from .config import MarketConfig
 
 __all__ = [
-    "driver_value",
+    "closeouts",
     "financing_level",
     "funding_spread",
     "level_coefficients",
     "linear_rate",
     "repo_drift_split",
 ]
-
-
-def driver_value(side: int, v, z, z_i, z_c, v_hat, cfg: MarketConfig):
-    """Array-friendly driver for either side: side=+1 seller, -1 buyer."""
-    if side < 0:
-        return -driver_value(
-            +1, np.negative(v), np.negative(z), np.negative(z_i), np.negative(z_c),
-            np.negative(v_hat), cfg,
-        )
-    y = v + z_i + z_c - cfg.alpha * v_hat
-    c = cfg.alpha * v_hat
-    fund = cfg.r_f_plus * np.maximum(y, 0.0) - cfg.r_f_minus * np.maximum(-y, 0.0)
-    repo = (
-        (cfg.r_D - cfg.r_r_minus) * np.maximum(z, 0.0)
-        - (cfg.r_D - cfg.r_r_plus) * np.maximum(-z, 0.0)
-    ) / cfg.sigma
-    coll = cfg.r_c_plus * np.maximum(c, 0.0) - cfg.r_c_minus * np.maximum(-c, 0.0)
-    return -(fund + repo - cfg.r_D * z_i - cfg.r_D * z_c + coll)
 
 
 def repo_drift_split(cfg: MarketConfig) -> tuple[float, float]:
@@ -127,6 +112,23 @@ def funding_spread(cfg: MarketConfig) -> float:
     return cfg.r_f_plus - cfg.r_f_minus
 
 
+def _loss_factors(cfg: MarketConfig) -> tuple[float, float]:
+    """``(k_I, k_C)``: theta_I is ``k_I v_hat`` where v_hat > 0 and theta_C
+    is ``k_C v_hat`` where v_hat < 0; either close-out is v_hat elsewhere."""
+    a = cfg.alpha
+    return 1.0 - cfg.L_I * (1.0 - a), 1.0 - cfg.L_C * (1.0 - a)
+
+
+def closeouts(cfg: MarketConfig, v_hat):
+    """``(theta_I, theta_C)`` of the reference value(s) ``v_hat`` in split
+    form: the own close-out ``v_hat - L_I ((1 - alpha) v_hat)^+`` and the
+    counterparty's ``v_hat + L_C ((1 - alpha) v_hat)^-``, which bracket it."""
+    k_i, k_c = _loss_factors(cfg)
+    p = np.maximum(v_hat, 0.0)
+    n = v_hat - p
+    return k_i * p + n, p + k_c * n
+
+
 def level_coefficients(cfg: MarketConfig, side) -> tuple:
     """``(y_p, y_n, c_p, c_n)``, the split form's coefficients of ``Y`` and
     ``const_s`` for side=+1 (seller) or -1 (buyer).
@@ -135,8 +137,7 @@ def level_coefficients(cfg: MarketConfig, side) -> tuple:
     the same for every side, and ``c_p``, ``c_n`` take the shape of ``side``.
     """
     a = cfg.alpha
-    k_i = 1.0 - cfg.L_I * (1.0 - a)
-    k_c = 1.0 - cfg.L_C * (1.0 - a)
+    k_i, k_c = _loss_factors(cfg)
     y_p = 1.0 + k_i - a
     y_n = 1.0 + k_c - a
     seller = np.greater(side, 0)

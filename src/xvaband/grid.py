@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ClaimSpec, MarketConfig, _require_count
+from .config import ClaimSpec, MarketConfig, _require_count, _require_number
 
 __all__ = [
     "GridSpec",
@@ -44,6 +44,8 @@ class GridSpec:
     maturity: float
 
     def __post_init__(self) -> None:
+        for name in ("x_min", "x_max", "maturity"):
+            _require_number(name, getattr(self, name))
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
             raise ValueError("grid bounds must be finite")
         if self.x_max <= self.x_min:

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ClaimSpec, MarketConfig, _require_count
+from .config import ClaimSpec, MarketConfig, _require_count, _require_number
 from .driver import (
     financing_level,
     funding_spread,
@@ -88,6 +88,7 @@ class TreeSpec:
         _require_count("n_steps", self.n_steps)
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        _require_number("spot", self.spot)
         if not math.isfinite(self.spot) or self.spot <= 0.0:
             raise ValueError(f"spot must be positive, got {self.spot}")
 

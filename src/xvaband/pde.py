@@ -187,10 +187,11 @@ class SemilinearTerms:
     """Close-out source and financing driver of the wealth PDE for the sides
     ``sides`` (+1 seller, -1 buyer), marched side by side.
 
-    For side ``s`` the marched source is :func:`xvaband.driver.driver_value`
-    plus the intensity-adjusted financing ``h_j z_j`` of the default legs,
-    the settlement inflow ``h_I theta_I + h_C theta_C`` and ``m_fold w_x``,
-    the linear repo part taken out of the convection.  In the level form of
+    For side ``s`` the marched source is the financing driver of
+    :mod:`xvaband.driver` plus the intensity-adjusted financing ``h_j z_j``
+    of the default legs, the settlement inflow ``h_I theta_I + h_C
+    theta_C`` and ``m_fold w_x``, the linear repo part taken out of the
+    convection.  In the level form of
     :mod:`xvaband.driver` this is ``-linear_rate w``, which the march's
     kappa carries, plus
 

@@ -7,10 +7,12 @@ v_hat_0``, and ``band_width = xva_sell - xva_buy >= 0``.  The time-0
 funding account reported for either side is the cash left after buying
 the two default-protection bond legs and posting collateral,
 
-    funding_0 = theta_I(v_hat_0) + theta_C(v_hat_0) - v_0 - alpha*v_hat_0,
+    funding_0 = Y(v_hat_0) - v_0,   Y = theta_I + theta_C - alpha*v_hat,
 
 which is also the argument the driver prices at the asymmetric funding
-rates.  :func:`solve_trade` marches the reference once and then both
+rates; ``Y`` comes from :func:`xvaband.driver.financing_level` and the
+hedge's close-outs from :func:`xvaband.driver.closeouts`, the solvers'
+split form.  :func:`solve_trade` marches the reference once and then both
 sides in one march on its lattice (:func:`xvaband.pde.solve_sides`).
 """
 
@@ -19,8 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .benchmark import benchmark_surface, closeout_C, closeout_I, collateral
+from .benchmark import benchmark_surface
 from .config import ClaimSpec, MarketConfig, reporting_spot
+from .driver import closeouts, financing_level, level_coefficients
 from .grid import GridSpec, SolverConfig, Surface, build_grid
 # solve_semilinear stays bound here: the perfbench tracer wraps it by this name
 from .pde import solve_semilinear, solve_sides  # noqa: F401
@@ -118,10 +121,11 @@ def solve_trade(
 
 
 def funding_account_0(v_0: float, v_hat_0: float, cfg: MarketConfig) -> float:
-    """Time-0 unsecured funding balance of either side's replication of ``v_0``."""
-    th_i = closeout_I(v_hat_0, cfg.alpha, cfg.L_I)
-    th_c = closeout_C(v_hat_0, cfg.alpha, cfg.L_C)
-    return th_i + th_c - v_0 - collateral(v_hat_0, cfg.alpha)
+    """Time-0 unsecured funding balance of either side's replication of ``v_0``:
+    ``Y(v_hat_0) - v_0``.  ``Y`` is the same for both sides, so the seller's
+    coefficients serve the buyer too."""
+    y, _ = financing_level(level_coefficients(cfg, +1), v_hat_0)
+    return float(y) - v_0
 
 
 def _relative(adjustment: float, reference: float) -> float:
@@ -187,8 +191,7 @@ def hedge_at(
     w = surface.value_at(t, spot)
     wx = surface.slope_at(t, spot)
     wh = benchmark.value_at(t, spot)
-    th_i = closeout_I(wh, cfg.alpha, cfg.L_I)
-    th_c = closeout_C(wh, cfg.alpha, cfg.L_C)
+    th_i, th_c = (float(th) for th in closeouts(cfg, wh))
     tau = surface.grid.maturity - t
     z_i = th_i - w
     z_c = th_c - w

@@ -1,19 +1,20 @@
-"""Closed forms, close-out values, collateral, and the reference surface."""
+"""Closed forms, the reference surface, and the close-out and collateral
+values of the driver's split form on the reference mark."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from xvaband import (
     ClaimSpec,
+    DEFAULT_MARKET,
     benchmark_surface,
     bs_closed_form,
     build_grid,
-    closeout_C,
-    closeout_I,
-    collateral,
 )
+from xvaband.driver import closeouts, financing_level, level_coefficients
 
 # Closed-form values computed independently from the normal CDF with
 # d1 = 0.15, d2 = -0.05 (spot = strike = 1, T = 1, r = 0.01, sigma = 0.2).
@@ -88,11 +89,17 @@ def test_bs_input_validation(call_claim):
 
 # --- close-out and collateral ------------------------------------------------
 
+def _cfg(alpha, l_i, l_c=0.5):
+    return replace(DEFAULT_MARKET, alpha=alpha, L_I=l_i, L_C=l_c)
+
+
 def test_closeout_reference_values():
-    assert closeout_I(0.0843, 0.9, 0.5) == pytest.approx(0.080085, abs=1e-15)
-    assert closeout_C(0.0843, 0.9, 0.5) == 0.0843  # negative part vanishes
-    assert closeout_C(-1.0, 0.9, 0.5) == pytest.approx(-0.95, abs=1e-15)
-    assert closeout_I(-1.0, 0.9, 0.5) == -1.0
+    th_i, th_c = closeouts(_cfg(0.9, 0.5), 0.0843)
+    assert th_i == pytest.approx(0.080085, abs=1e-15)
+    assert th_c == 0.0843  # negative part vanishes
+    th_i, th_c = closeouts(_cfg(0.9, 0.5), -1.0)
+    assert th_c == pytest.approx(-0.95, abs=1e-15)
+    assert th_i == -1.0
 
 
 def test_closeouts_bracket_the_mark():
@@ -102,24 +109,32 @@ def test_closeouts_bracket_the_mark():
         alpha = float(rng.uniform(0.0, 1.0))
         l_i = float(rng.uniform(0.0, 1.0))
         l_c = float(rng.uniform(0.0, 1.0))
-        assert closeout_I(vh, alpha, l_i) <= vh <= closeout_C(vh, alpha, l_c)
+        th_i, th_c = closeouts(_cfg(alpha, l_i, l_c), vh)
+        assert th_i <= vh <= th_c
 
 
 def test_closeouts_collapse_at_full_collateral_or_zero_loss():
     for vh in (-1.3, 0.0, 0.7):
-        assert closeout_I(vh, 1.0, 0.5) == vh
-        assert closeout_C(vh, 1.0, 0.5) == vh
-        assert closeout_I(vh, 0.3, 0.0) == vh
-        assert closeout_C(vh, 0.3, 0.0) == vh
+        assert closeouts(_cfg(1.0, 0.5, 0.5), vh) == (vh, vh)
+        assert closeouts(_cfg(0.3, 0.0, 0.0), vh) == (vh, vh)
 
 
 def test_closeouts_accept_arrays():
     vh = np.array([-1.0, 0.0, 2.0])
-    out = closeout_I(vh, 0.0, 0.5)
-    assert np.allclose(out, [-1.0, 0.0, 1.0])
+    th_i, _ = closeouts(_cfg(0.0, 0.5), vh)
+    assert th_i.shape == vh.shape
+    assert np.allclose(th_i, [-1.0, 0.0, 1.0])
 
 
 def test_collateral_values():
+    # the collateral alpha v_hat is what the funding balance Y at v = 0
+    # leaves of the two close-outs
+    def collateral(vh, alpha):
+        cfg = _cfg(alpha, 0.5)
+        th_i, th_c = closeouts(cfg, vh)
+        y, _ = financing_level(level_coefficients(cfg, +1), vh)
+        return th_i + th_c - y
+
     assert collateral(0.0843, 0.9) == pytest.approx(0.07587, abs=1e-15)
     assert collateral(0.5, 0.0) == 0.0
     assert collateral(0.5, 1.0) == 0.5

@@ -62,6 +62,18 @@ def test_market_config_rejects_non_numeric():
         replace(DEFAULT_MARKET, alpha=True)
 
 
+@pytest.mark.parametrize("value", [True, np.bool_(True), "0.2", None,
+                                   np.int64(1), np.float32(0.2)])
+def test_market_config_type_error_names_the_field(value):
+    with pytest.raises(TypeError, match=re.escape(f"sigma must be a number, got {value!r}")):
+        replace(DEFAULT_MARKET, sigma=value)
+
+
+@pytest.mark.parametrize("value", [1, 0.25, np.float64(0.25)])
+def test_market_config_accepts_ints_and_floats(value):
+    assert replace(DEFAULT_MARKET, sigma=value).sigma == value
+
+
 # --- ClaimSpec ---------------------------------------------------------------
 
 def test_claim_constructors_and_payoffs():
@@ -107,6 +119,36 @@ def test_custom_payoff_interpolates_and_extrapolates():
 def test_claim_validation_rejects(kwargs):
     with pytest.raises(ValueError):
         ClaimSpec(**kwargs)
+
+
+# a strike of None is a ValueError for a call (above)
+@pytest.mark.parametrize("field,value", [
+    *[("strike", v) for v in (True, np.bool_(True), "1.0")],
+    *[("maturity", v) for v in (True, np.bool_(True), "1.0", None)],
+])
+def test_claim_rejects_a_non_number(field, value):
+    # True would count as 1.0; a string failed without naming the field
+    kwargs = dict(kind="call", strike=1.0, maturity=1.0)
+    kwargs[field] = value
+    with pytest.raises(TypeError, match=f"{field} must be a number"):
+        ClaimSpec(**kwargs)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), "1.0", None])
+@pytest.mark.parametrize("part", ["spot", "value"])
+def test_custom_claim_rejects_a_non_number_knot(part, value):
+    knot = (value, 1.0) if part == "spot" else (1.0, value)
+    with pytest.raises(TypeError, match=f"payoff knot {part} must be a number"):
+        ClaimSpec.custom([knot], maturity=1.0)
+    with pytest.raises(TypeError, match=f"payoff knot {part} must be a number"):
+        ClaimSpec(kind="custom", knots=(knot,))
+
+
+def test_custom_claim_stores_float_knots():
+    claim = ClaimSpec(kind="custom", knots=[[1, 0], (2, np.float64(1.5))])
+    assert claim.knots == ((1.0, 0.0), (2.0, 1.5))
+    assert all(type(x) is float for knot in claim.knots for x in knot)
+    assert claim == ClaimSpec.custom([(1.0, 0.0), (2.0, 1.5)], maturity=1.0)
 
 
 # --- no-arbitrage validation -------------------------------------------------

@@ -1,15 +1,22 @@
-"""The two wealth drivers, evaluated through ``driver_value``, and the
-level form of ``financing_level``."""
+"""The two wealth drivers, evaluated through the test-local reference form
+``driver_value``; the split form of ``closeouts`` and ``financing_level``
+against the close-outs term by term; and the driver module as the
+package's one home of those formulas."""
 
+import ast
 import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xvaband.benchmark import closeout_C, closeout_I
+import xvaband
+import xvaband.benchmark
+import xvaband.driver as driver
+from reference_forms import closeout_C, closeout_I, driver_value
 from xvaband.driver import (
-    driver_value,
+    closeouts,
     financing_level,
     level_coefficients,
     repo_drift_split,
@@ -237,3 +244,50 @@ def test_financing_level_returns_fresh_arrays(market):
     assert not np.shares_memory(y, const)
     assert not np.shares_memory(y, v_hat) and not np.shares_memory(const, v_hat)
     np.testing.assert_array_equal(v_hat, V_HAT)
+
+
+# --- close-outs --------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+def test_closeouts_match_the_term_by_term_form(market, alpha):
+    for l_i, l_c in itertools.product((0.0, 0.5, 1.0), repeat=2):
+        cfg = replace(market, alpha=alpha, L_I=l_i, L_C=l_c)
+        th_i, th_c = closeouts(cfg, V_HAT)
+        # the scale is the sum of the magnitudes of the two terms each
+        # close-out adds up; largest error seen: 1.00 ulps of it
+        e = np.abs((1.0 - alpha) * V_HAT)
+        ref_i = closeout_I(V_HAT, alpha, l_i)
+        ref_c = closeout_C(V_HAT, alpha, l_c)
+        assert np.all(np.abs(th_i - ref_i) <= 4.0 * EPS * (np.abs(V_HAT) + l_i * e))
+        assert np.all(np.abs(th_c - ref_c) <= 4.0 * EPS * (np.abs(V_HAT) + l_c * e))
+
+
+# --- one home ----------------------------------------------------------------
+
+SRC = Path(driver.__file__).parent
+REMOVED = ("closeout_I", "closeout_C", "collateral", "driver_value")
+
+
+def test_close_out_inputs_are_read_only_by_the_market_and_the_driver():
+    # the loss fractions and the collateral fraction enter the close-outs
+    # and the collateral, which the package writes once, in driver.py
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("L_I", "L_C", "alpha"):
+                readers.add(path.name)
+    assert readers == {"config.py", "driver.py"}
+
+
+def test_the_term_by_term_forms_are_not_in_the_package():
+    for module in (xvaband, xvaband.benchmark):
+        for name in REMOVED:
+            assert not hasattr(module, name), (module.__name__, name)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name not in REMOVED, (path.name, node.name)
+            elif isinstance(node, ast.alias):
+                assert node.name not in REMOVED, (path.name, node.name)

@@ -78,6 +78,14 @@ class TestGridSpec:
         with pytest.raises(TypeError, match=f"{field} must be an integer"):
             GridSpec(**kwargs)
 
+    @pytest.mark.parametrize("field", ["x_min", "x_max", "maturity"])
+    @pytest.mark.parametrize("value", [True, np.bool_(True), "1.0", None])
+    def test_rejects_a_non_number(self, field, value):
+        kwargs = dict(x_min=-1.0, x_max=2.0, n_x=5, n_t=4, maturity=1.0)
+        kwargs[field] = value
+        with pytest.raises(TypeError, match=f"{field} must be a number"):
+            GridSpec(**kwargs)
+
     def test_accepts_numpy_integer_counts(self):
         grid = GridSpec(x_min=-1.0, x_max=1.0, n_x=np.int64(5), n_t=np.int32(4),
                         maturity=1.0)

@@ -16,9 +16,8 @@ from xvaband import (
     build_grid,
     tree_bsde_price,
 )
-from xvaband.benchmark import closeout_C, closeout_I
+from reference_forms import closeout_C, closeout_I, driver_value
 from xvaband.driver import (
-    driver_value,
     financing_level,
     funding_spread,
     level_coefficients,
@@ -116,6 +115,17 @@ class TestTreeSpec:
     def test_rejects_bad_spots(self, call_claim, market, spot):
         with pytest.raises(ValueError, match="spot"):
             TreeSpec(n_steps=10, claim=call_claim, cfg=market, spot=spot)
+
+    @pytest.mark.parametrize("spot", [True, np.bool_(True), "1.0", None])
+    def test_rejects_a_non_number_spot(self, call_claim, market, spot):
+        # True would price at spot 1.0
+        with pytest.raises(TypeError, match="spot must be a number"):
+            TreeSpec(n_steps=10, claim=call_claim, cfg=market, spot=spot)
+
+    def test_accepts_an_integer_spot(self, call_claim, market):
+        assert tree_bsde_price(TreeSpec(n_steps=10, claim=call_claim, cfg=market,
+                                        spot=1)) == tree_bsde_price(
+            TreeSpec(n_steps=10, claim=call_claim, cfg=market, spot=1.0))
 
 
 class TestTreePrice:

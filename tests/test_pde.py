@@ -14,12 +14,11 @@ from xvaband import (
     SolverConfig,
     benchmark_surface,
     build_grid,
-    closeout_C,
-    closeout_I,
 )
 import xvaband.pde as pde
+from reference_forms import closeout_C, closeout_I, driver_value
 from xvaband.pde import solve_semilinear, solve_sides
-from xvaband.driver import driver_value, linear_rate, repo_drift_split
+from xvaband.driver import linear_rate, repo_drift_split
 from xvaband.grid import time_schedule
 from xvaband.pde import (
     SemilinearTerms,

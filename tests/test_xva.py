@@ -12,17 +12,18 @@ from xvaband import (
     SolverConfig,
     benchmark_surface,
     build_grid,
-    closeout_C,
-    closeout_I,
     compute_xva,
     funding_account_0,
     hedge_at,
     solve_trade,
 )
 import xvaband.pde as pde
+from reference_forms import closeout_C, closeout_I
+from xvaband.driver import closeouts, financing_level, level_coefficients
 from xvaband.xva import _relative, report_from_solution
 
 N_D1_ATM = 0.5596176923702425  # Phi((r + sigma^2/2)/sigma) at r=0.01, sigma=0.2, T=1
+EPS = np.finfo(float).eps
 
 
 class TestReport:
@@ -166,21 +167,34 @@ class TestRelative:
 
 
 class TestFundingAccount:
+    #: (v_0, v_hat_0) pairs with v_hat_0 of both signs and zero
+    POINTS = ((0.097, 0.0843), (-0.31, -0.29), (0.02, 0.0), (1.7, 2.3))
+
     def test_hand_computed_value(self, market):
         # v_hat = 0.0843: theta_I = 0.9*0.0843 + 0.5*0.1*0.0843 = 0.080085,
         # theta_C = 0.0843, collateral = 0.075870
         got = funding_account_0(0.1, 0.0843, market)
         assert got == pytest.approx(0.080085 + 0.0843 - 0.1 - 0.07587, abs=1e-12)
 
+    @pytest.mark.parametrize("side", [+1, -1], ids=["seller", "buyer"])
+    def test_is_the_level_form_balance_less_the_value(self, market, side):
+        # one home: the report's balance is Y of the driver's split form,
+        # which is the same for both sides' coefficients
+        cfg = replace(market, alpha=0.4, r_c_plus=0.005, r_c_minus=0.02)
+        for v0, vh in self.POINTS:
+            y, _ = financing_level(level_coefficients(cfg, side), vh)
+            assert funding_account_0(v0, vh, cfg) == y - v0
+
     def test_matches_the_closeout_functions(self, market):
-        v0, vh = 0.097, 0.0843
-        want = (
-            closeout_I(vh, market.alpha, market.L_I)
-            + closeout_C(vh, market.alpha, market.L_C)
-            - v0
-            - market.alpha * vh
-        )
-        assert funding_account_0(v0, vh, market) == pytest.approx(want, abs=0)
+        # against the close-outs term by term, within 4 ulps of the sum of
+        # the magnitudes of the terms
+        for v0, vh in self.POINTS:
+            th_i = closeout_I(vh, market.alpha, market.L_I)
+            th_c = closeout_C(vh, market.alpha, market.L_C)
+            a_vh = market.alpha * vh
+            want = th_i + th_c - v0 - a_vh
+            scale = abs(th_i) + abs(th_c) + abs(v0) + abs(a_vh)
+            assert abs(funding_account_0(v0, vh, market) - want) <= 4.0 * EPS * scale
 
 
 class TestHedge:
@@ -212,6 +226,19 @@ class TestHedge:
         assert snap.z_I == snap.z_C
         assert snap.z_I == wh - w
         assert snap.z_I != 0.0
+
+    def test_jump_exposures_are_the_closeouts_less_the_value(self, market, solver):
+        # a payoff of both signs, so both branches of each close-out are read
+        claim = ClaimSpec.custom([(0.5, -0.4), (1.0, 0.1), (1.5, 0.2)], maturity=1.0)
+        grid = build_grid(claim, market, n_x=201, n_t=100)
+        sol = solve_trade(claim, market, grid, solver)
+        for surface in (sol.seller, sol.buyer):
+            for t, spot in ((0.0, 1.0), (0.3, 0.95), (0.7, 0.6), (1.0, 1.2)):
+                snap = hedge_at(surface, sol.benchmark, market, t, spot)
+                w = surface.value_at(t, spot)
+                th_i, th_c = closeouts(market, sol.benchmark.value_at(t, spot))
+                assert snap.z_I == th_i - w
+                assert snap.z_C == th_c - w
 
     def test_funding_value_identity(self, call_claim, market, small_grid, solver):
         sol = solve_trade(call_claim, market, small_grid, solver)
