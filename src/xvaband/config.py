@@ -206,6 +206,7 @@ def reporting_spot(claim: ClaimSpec, spot: float | None = None) -> float:
     """The spot a report reads: ``spot``, else the strike, else the centre
     of the claim's lattice (:attr:`ClaimSpec.log_center`)."""
     if spot is not None:
+        _require_number("spot", spot)
         return spot
     return claim.strike if claim.strike is not None else math.exp(claim.log_center)
 

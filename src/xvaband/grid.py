@@ -89,6 +89,7 @@ class SolverConfig:
     theta_scheme: float = 0.5
 
     def __post_init__(self) -> None:
+        _require_number("theta_scheme", self.theta_scheme)
         if not 0.5 <= self.theta_scheme <= 1.0:
             raise ValueError(
                 f"theta_scheme must lie in [1/2, 1], got {self.theta_scheme}")
@@ -107,6 +108,7 @@ def build_grid(
     The half-width is ``width_sigmas * sigma * sqrt(T)``.  n_x is bumped to
     the next odd value so the centre is exactly a node.
     """
+    _require_number("width_sigmas", width_sigmas)
     if width_sigmas <= 0.0:
         raise ValueError(f"width_sigmas must be positive, got {width_sigmas}")
     if n_x % 2 == 0:
@@ -205,14 +207,11 @@ class Surface:
         return float((1.0 - wx) * row[j0] + wx * row[j1])
 
     def slope_at(self, t: float, s: float) -> float:
-        """d/dx at (t, spot): central differences, then interpolation."""
-        row = self._slice_at(t)
+        """d/dx at (t, spot): the node slopes of ``np.gradient`` (central
+        quotients inside, one-sided at the two edge nodes), interpolated
+        linearly in x."""
+        slopes = np.gradient(self._slice_at(t), self.grid.dx)
         j0, j1, wx = _space_weights(self.grid, s)
-        dx = self.grid.dx
-        slopes = np.empty_like(row)
-        slopes[1:-1] = (row[2:] - row[:-2]) / (2.0 * dx)
-        slopes[0] = (row[1] - row[0]) / dx
-        slopes[-1] = (row[-1] - row[-2]) / dx
         return float((1.0 - wx) * slopes[j0] + wx * slopes[j1])
 
 

@@ -18,31 +18,13 @@ march the tests compare each side of :func:`solve_sides` against.  G is
 piecewise linear in w, so each implicit step is solved exactly by policy
 iteration (Howard's algorithm): freeze the branch of every kink, solve
 the tridiagonal system of the linear PDE that leaves, whose convection a
-and rate kappa vary by node, and repeat until no branch changes.  Each
-step starts from the branch set that settled the step before, the usual
-warm start of Howard's algorithm in time stepping (Forsyth & Labahn,
-J. Comp. Finance 11(2), 2007), so an unmoved set reuses its factor; and
-each step takes its explicit half from the last solve's right-hand side
-instead of applying A and G again (see :func:`march_schedule`).  Steps
+and rate kappa vary by node, and repeat until no branch changes.  Steps
 take the exact lengths of :func:`xvaband.grid.time_schedule`, whose
 Rannacher startup makes the first step fully implicit.  Only theta in
-[1/2, 1] is marched: it is stable on every lattice.
-
-The seller and the buyer march in one loop.  Their full slices sit side
-by side in one row, and the interior of that row is one block-diagonal
-tridiagonal system whose blocks meet at identity rows with no coupling
-(the two slices' edge nodes), so no pivot crosses a block.  A step takes
-the reference row, forms the level terms, the right-hand side, the edges
-and the branch check once for both sides, each a numpy call on the
-stacked row, and solves both blocks with one ``dgttrs``.  The march keeps
-one buffer of that system's bands and one ``dgttrf`` factor of it: a side
-whose branch set moved rewrites its own block's rows, and one factor
-covers every block again.  Every solve covers every block: a side that
-has settled its step while the other still flips is solved again from
-unchanged rows, which gives it bitwise the same slice.  Each side's
-surface is bitwise the one it gets marched alone.  The numpy calls on
-800-node arrays cost mostly fixed overhead, so one call on both sides
-costs little more than one on either.
+[1/2, 1] is marched: it is stable on every lattice.  The seller and the
+buyer march in one loop, as two blocks of one linear system;
+:func:`march_schedule` gives the layout, the warm start and the reuse of
+the factor and of the explicit half.
 
 Boundary rows impose zero second difference in x (payoffs here are
 asymptotically linear in S = e^x only at the call wing, but linearity in x
@@ -331,12 +313,16 @@ def march_schedule(
 
     Policy iteration solves each step exactly: each side starts from the
     branch set that settled its previous step (the first step takes the
-    terminal slice's), solves the linear system that set freezes, and
-    repeats from the solution's branches until no node flips.  Every solve
-    covers every block.  A side that has settled while another still flips
-    is solved again with its unchanged right-hand side and factor rows, so
-    its slice and branch set stay bitwise where they settled, and so does
-    its count of solves.
+    terminal slice's), the usual warm start of Howard's algorithm in time
+    stepping (Forsyth & Labahn, J. Comp. Finance 11(2), 2007), solves the
+    linear system that set freezes, and repeats from the solution's
+    branches until no node flips.  Every solve covers every block.  A side
+    that has settled while another still flips is solved again with its
+    unchanged right-hand side and factor rows, so its slice and branch set
+    stay bitwise where they settled, and so does its count of solves: each
+    side's surface is bitwise the one it gets marched alone.  The numpy
+    calls on 800-node arrays cost mostly fixed overhead, so one call on
+    both sides costs little more than one on either.
 
     The march holds one linear system: one buffer of the bands of every
     block's ``I + theta dt A(a, kappa)``, at ``(a_eff, kappa)`` for the

@@ -2,20 +2,31 @@
 
 Each sweep point re-solves both sides of the trade with one or two market
 fields replaced.  Points run on a thread pool; results are emitted in
-axis order regardless of completion order, and float cells are formatted
-with repr so repeated runs produce byte-identical files.  The default-free reference surface
-only depends on (r_D, sigma), so it is computed once per distinct pair
-and shared across points.
+axis order regardless of completion order, and :mod:`csv` writes each
+float cell as its shortest round-trip text, so repeated runs produce
+byte-identical files.  The default-free reference surface only depends on
+(r_D, sigma), so it is computed once per distinct pair and shared across
+points.
 """
 
 from __future__ import annotations
 
+import csv
+import itertools
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 
-from .config import ClaimSpec, MarketConfig, apply_overrides, reporting_spot
+from .config import (
+    ClaimSpec,
+    MarketConfig,
+    _require_count,
+    apply_overrides,
+    reporting_spot,
+)
 from .grid import GridSpec, SolverConfig, build_grid
 from .xva import hedge_at, report_from_solution, solve_trade
 
@@ -51,16 +62,22 @@ SWEEP_COLUMNS = (
 class SweepAxis:
     """One swept market field and its values, in emission order.
 
-    The values are stored as a tuple of Python floats, whatever sequence of
-    numbers (numpy's included) they are given as, so their CSV cells are
-    the floats' repr.
+    The values may be any sequence of real numbers, numpy's included (say
+    ``np.arange`` or ``np.linspace`` output), but not bools or strings.
+    They are stored as a tuple of Python floats, the type
+    :func:`~xvaband.config.apply_overrides` takes.
     """
 
     name: str
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        values = tuple(self.values)
+        for v in values:
+            if not isinstance(v, numbers.Real) or isinstance(v, bool):
+                raise TypeError(
+                    f"axis {self.name!r} values must be real numbers, got {v!r}")
+        object.__setattr__(self, "values", tuple(map(float, values)))
         if not self.values:
             raise ValueError(f"axis {self.name!r} has no values")
 
@@ -95,13 +112,9 @@ def default_threads() -> int:
 
 
 def _points(spec: SweepSpec) -> list[dict[str, float]]:
-    if spec.axis2 is None:
-        return [{spec.axis1.name: v} for v in spec.axis1.values]
-    return [
-        {spec.axis1.name: v1, spec.axis2.name: v2}
-        for v1 in spec.axis1.values
-        for v2 in spec.axis2.values
-    ]
+    axes = [a for a in (spec.axis1, spec.axis2) if a is not None]
+    names = [a.name for a in axes]
+    return [dict(zip(names, vs)) for vs in itertools.product(*(a.values for a in axes))]
 
 
 def run_sweep(
@@ -119,8 +132,10 @@ def run_sweep(
     """
     if threads is None:
         threads = default_threads()
-    elif threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    else:
+        _require_count("threads", threads)
+        if threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
     grid = grid or build_grid(spec.claim, spec.base)
     solver = solver or SolverConfig()
     spot = reporting_spot(spec.claim, spec.spot)
@@ -170,28 +185,18 @@ def run_sweep(
         return list(pool.map(solve_point, points))
 
 
-def _format_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        # axis names and error text never need quoting beyond commas
-        return '"' + v.replace('"', '""') + '"' if ("," in v or '"' in v) else v
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_csv(rows: list[dict], path_or_file) -> None:
-    """Write sweep rows with repr-formatted floats (byte-stable output)."""
+    """Write rows through :mod:`csv`, one column per key of the first row.
+
+    ``None`` and a missing key give a blank cell, keys the first row lacks
+    are dropped, and a float cell (numpy's included) is its shortest
+    round-trip text, so the output is byte-stable.  Every line ends in LF.
+    """
     if not rows:
         raise ValueError("no rows to write")
-    columns = list(rows[0].keys())
     own = isinstance(path_or_file, (str, os.PathLike))
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(row.get(c)) for c in columns) + "\n")
-    finally:
-        if own:
-            fh.close()
+    with open(path_or_file, "w", newline="") if own else nullcontext(path_or_file) as fh:
+        writer = csv.DictWriter(fh, list(rows[0]), extrasaction="ignore",
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)

@@ -170,8 +170,9 @@ def compute_xva(
     allow_arbitrage: bool = False,
 ) -> XvaReport:
     """Time-0 adjustments of both sides at one spot (default: the strike)."""
+    spot = reporting_spot(claim, spot)
     sol = solve_trade(claim, cfg, grid, solver, allow_arbitrage=allow_arbitrage)
-    return report_from_solution(sol, reporting_spot(claim, spot))
+    return report_from_solution(sol, spot)
 
 
 def hedge_at(

@@ -260,6 +260,13 @@ def test_reporting_spot_falls_back_to_the_strike_then_one():
     assert reporting_spot(custom) == 1.0
 
 
+@pytest.mark.parametrize("value", [True, np.bool_(True), "1.0"])
+def test_reporting_spot_rejects_a_non_number(value):
+    # True priced at spot 1 and reported "spot": true
+    with pytest.raises(TypeError, match="spot must be a number"):
+        reporting_spot(ClaimSpec.call(strike=1.0, maturity=1.0), value)
+
+
 def test_reporting_spot_of_a_strikeless_claim_is_its_lattice_centre():
     # a custom claim without a strike is centred on its geometric mid-knot;
     # its default report spot must sit there too, not at 1.0 far outside

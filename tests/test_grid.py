@@ -10,6 +10,7 @@ from xvaband import ClaimSpec, GridSpec, SolverConfig, build_grid
 from xvaband.grid import (
     SolveDiagnostics,
     Surface,
+    _space_weights,
     time_schedule,
     uniform_row_indices,
 )
@@ -96,6 +97,12 @@ class TestGridSpec:
         with pytest.raises(TypeError, match="n_x must be an integer"):
             build_grid(call_claim, market, n_x=801.0)
 
+    @pytest.mark.parametrize("value", [True, np.bool_(True), "6.0", None])
+    def test_build_grid_rejects_a_non_number_width(self, call_claim, market, value):
+        # True built a lattice 1 sigma sqrt(T) wide
+        with pytest.raises(TypeError, match="width_sigmas must be a number"):
+            build_grid(call_claim, market, width_sigmas=value)
+
     def test_rejects_nonpositive_width(self, call_claim, market):
         with pytest.raises(ValueError, match="width_sigmas"):
             build_grid(call_claim, market, width_sigmas=0.0)
@@ -122,6 +129,12 @@ class TestSolverConfig:
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError, match="theta_scheme"):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), "0.5", None])
+    def test_rejects_a_non_number(self, value):
+        # True marched fully implicit (theta = 1)
+        with pytest.raises(TypeError, match="theta_scheme must be a number"):
+            SolverConfig(theta_scheme=value)
 
 
 class TestSchedule:
@@ -197,6 +210,35 @@ class TestSurface:
             expect = t + math.log(s)
             assert surf.value_at(t, s) == pytest.approx(expect, abs=1e-12)
             assert surf.slope_at(t, s) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("frac", [0.25, 0.6])
+    @pytest.mark.parametrize("j0", [0, 3, 7])
+    def test_slope_is_the_central_and_one_sided_quotients(self, level, frac, j0):
+        # a curved row, so the quotients differ from node to node; j0 = 0 and
+        # n_x - 2 put one node of the interval on the one-sided edge
+        grid = GridSpec(x_min=-1.0, x_max=1.0, n_x=9, n_t=2, maturity=1.0)
+        solver = SolverConfig()
+        times = time_schedule(grid, solver)[0]
+        x = grid.x_nodes()
+        surf = Surface(grid=grid, solver=solver,
+                       sched_values=np.exp(times[:, None] + np.sin(3.0 * x)[None, :]),
+                       diagnostics=SolveDiagnostics(iterations=np.array([]),
+                                                    factors=np.array([])))
+        t = level * grid.dt
+        s = math.exp(grid.x_min + (j0 + frac) * grid.dx)
+        k0, k1, wx = _space_weights(grid, s)
+        assert k0 == j0
+        row, dx, n = surf.values[level], grid.dx, grid.n_x
+
+        def quotient(j):
+            if j == 0:
+                return (row[1] - row[0]) / dx
+            if j == n - 1:
+                return (row[n - 1] - row[n - 2]) / dx
+            return (row[j + 1] - row[j - 1]) / (2.0 * dx)
+
+        assert surf.slope_at(t, s) == (1.0 - wx) * quotient(k0) + wx * quotient(k1)
 
     def test_out_of_range_queries_rejected(self):
         surf = self._surface()

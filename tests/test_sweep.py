@@ -1,10 +1,14 @@
 """Parameter sweeps and their byte-stable CSV output."""
 
+import ast
 import io
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xvaband
 from xvaband import (
     ArbitrageViolationError,
     SweepAxis,
@@ -43,11 +47,24 @@ class TestSpecs:
                                         np.array([0.2, 0.4])],
                              ids=["numpy_scalars", "numpy_array"])
     def test_axis_values_are_floats(self, values):
-        # a numpy scalar's repr would reach the CSV as np.float64(0.2)
+        # apply_overrides takes plain floats only
         axis = SweepAxis("alpha", values)
         assert axis.values == (0.2, 0.4)
         assert all(type(v) is float for v in axis.values)
         assert _csv_text([{"alpha": axis.values[0]}]) == "alpha\n0.2\n"
+
+    @pytest.mark.parametrize("values", [np.arange(2), np.linspace(0, 1, 2, dtype=np.float32)],
+                             ids=["arange", "float32"])
+    def test_axis_accepts_numpy_reals(self, values):
+        axis = SweepAxis("alpha", values)
+        assert axis.values == (0.0, 1.0)
+        assert all(type(v) is float for v in axis.values)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), "0.5", None])
+    def test_axis_rejects_a_non_number(self, value):
+        # float() turned True into 1.0 and "0.5" into 0.5
+        with pytest.raises(TypeError, match="axis 'alpha' values must be real numbers"):
+            SweepAxis("alpha", (0.25, value))
 
     def test_default_threads_env(self, monkeypatch):
         monkeypatch.setenv("XVA_THREADS", "3")
@@ -65,6 +82,15 @@ class TestSpecs:
         spec = SweepSpec(claim=call_claim, base=market,
                          axis1=SweepAxis("alpha", (0.5,)))
         with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            run_sweep(spec, coarse_grid, threads=threads)
+
+    @pytest.mark.parametrize("threads", [True, 2.5, "2", np.float64(2.0)])
+    def test_run_sweep_rejects_a_non_integer_thread_count(self, call_claim, market,
+                                                          coarse_grid, threads):
+        # True ran one thread and 2.5 ran two
+        spec = SweepSpec(claim=call_claim, base=market,
+                         axis1=SweepAxis("alpha", (0.5,)))
+        with pytest.raises(TypeError, match="threads must be an integer"):
             run_sweep(spec, coarse_grid, threads=threads)
 
 
@@ -161,6 +187,14 @@ class TestDeterminism:
         monkeypatch.setenv("XVA_THREADS", "2")
         assert _csv_text(run_sweep(spec, coarse_grid)) == serial
 
+    def test_a_numpy_spot_writes_the_same_bytes(self, call_claim, market, coarse_grid):
+        axis = SweepAxis("alpha", (0.5,))
+        texts = [_csv_text(run_sweep(SweepSpec(claim=call_claim, base=market,
+                                               axis1=axis, spot=spot),
+                                     coarse_grid, threads=1))
+                 for spot in (1.0, np.float64(1.0))]
+        assert texts[1] == texts[0]
+
 
 class TestWriteCsv:
     def test_empty_rows_rejected(self):
@@ -171,6 +205,22 @@ class TestWriteCsv:
         rows = [{"a": 1.5, "b": None, "error": 'bad, "stuff"'}]
         text = _csv_text(rows)
         assert text.splitlines() == ["a,b,error", '1.5,,"bad, ""stuff"""']
+
+    def test_golden_bytes_of_every_cell_kind(self, tmp_path):
+        rows = [
+            {"name": "a", "none": None, "empty": "", "error": 'ValueError: bad, "x"',
+             "neg_zero": -0.0, "tiny": 1e-300, "nan": math.nan, "inf": math.inf,
+             "ninf": -math.inf, "int": 3, "bool": True, "float": 0.1},
+            # a missing column is blank and an extra one is dropped
+            {"name": "b", "extra": 1.0},
+        ]
+        want = ("name,none,empty,error,neg_zero,tiny,nan,inf,ninf,int,bool,float\n"
+                'a,,,"ValueError: bad, ""x""",-0.0,1e-300,nan,inf,-inf,3,True,0.1\n'
+                "b,,,,,,,,,,,\n")
+        assert _csv_text(rows) == want
+        path = tmp_path / "cells.csv"
+        write_csv(rows, path)
+        assert path.read_bytes() == want.encode()
 
     def test_floats_round_trip_via_repr(self, call_claim, market, coarse_grid):
         spec = SweepSpec(
@@ -191,3 +241,13 @@ class TestWriteCsv:
         path = tmp_path / "sweep.csv"
         write_csv(rows, path)
         assert path.read_text() == _csv_text(rows)
+
+
+def test_the_package_calls_no_repr():
+    # number formatting is left to csv and json, which write a float's
+    # shortest round-trip text whatever its type
+    for path in sorted(Path(xvaband.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id != "repr", (path.name, node.lineno)

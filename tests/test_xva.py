@@ -66,6 +66,11 @@ class TestReport:
         assert rep.band_width >= 0.0
         assert rep.v_buy_0 <= rep.v_sell_0
 
+    def test_a_bool_spot_is_rejected_before_the_solve(self, call_claim, market):
+        # True priced at spot 1 and reported "spot": true
+        with pytest.raises(TypeError, match="spot must be a number"):
+            compute_xva(call_claim, market, spot=True)
+
     def test_to_dict_round_trip(self, call_claim, market, small_grid, solver):
         rep = compute_xva(call_claim, market, small_grid, solver)
         d = rep.to_dict()
