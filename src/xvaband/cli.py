@@ -34,7 +34,7 @@ from .config import (
     load_market_config,
     reporting_spot,
 )
-from .grid import SolverConfig, build_grid
+from .grid import SolverConfig, _log_spot, build_grid
 from .oracle import TreeSpec, tree_bsde_price
 from .pde import active_backend, solve_sides
 from .sweep import SweepAxis, SweepSpec, run_sweep, write_csv
@@ -114,8 +114,9 @@ def cmd_price(args) -> int:
     cfg = _market_from_args(args)
     solver = _solver_from_args(args)
     grid = _grid_from_args(args, claim, cfg)
-    sol = solve_trade(claim, cfg, grid, solver, allow_arbitrage=args.allow_arbitrage)
     spot = reporting_spot(claim, args.spot)
+    _log_spot(grid, spot)
+    sol = solve_trade(claim, cfg, grid, solver, allow_arbitrage=args.allow_arbitrage)
     report = report_from_solution(sol, spot)
     hedge = hedge_at(sol.seller, sol.benchmark, cfg, 0.0, spot)
     out = {"backend": active_backend(), **report.to_dict(),
@@ -216,6 +217,7 @@ def cmd_convergence(args) -> int:
         n_t = args.base_nt * 2 ** lvl
         grid = build_grid(claim, cfg, width_sigmas=args.width_sigmas,
                           n_x=n_x, n_t=n_t)
+        _log_spot(grid, spot)
         bench = benchmark_surface(grid, claim, cfg, solver)
         if exact is not None:
             err = abs(bench.value_at(0.0, spot) - exact)

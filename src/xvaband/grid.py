@@ -109,8 +109,9 @@ def build_grid(
     the next odd value so the centre is exactly a node.
     """
     _require_number("width_sigmas", width_sigmas)
-    if width_sigmas <= 0.0:
-        raise ValueError(f"width_sigmas must be positive, got {width_sigmas}")
+    if not math.isfinite(width_sigmas) or width_sigmas <= 0.0:
+        raise ValueError(
+            f"width_sigmas must be positive and finite, got {width_sigmas}")
     if n_x % 2 == 0:
         n_x += 1
     center = claim.log_center
@@ -223,12 +224,18 @@ def _time_weights(grid: GridSpec, t: float) -> tuple[int, int, float]:
     return i0, i0 + 1, pos - i0
 
 
-def _space_weights(grid: GridSpec, s: float) -> tuple[int, int, float]:
+def _log_spot(grid: GridSpec, s: float) -> float:
+    """ln(s) of a positive spot whose log lies on the lattice (to 1e-12)."""
     if s <= 0.0:
         raise ValueError(f"spot must be positive, got {s}")
     x = math.log(s)
     if not grid.x_min - 1e-12 <= x <= grid.x_max + 1e-12:
         raise ValueError(f"ln(spot) = {x} outside grid [{grid.x_min}, {grid.x_max}]")
+    return x
+
+
+def _space_weights(grid: GridSpec, s: float) -> tuple[int, int, float]:
+    x = _log_spot(grid, s)
     pos = (min(max(x, grid.x_min), grid.x_max) - grid.x_min) / grid.dx
     j0 = min(int(math.floor(pos)), grid.n_x - 2)
     return j0, j0 + 1, pos - j0

@@ -25,11 +25,25 @@ level form the PDE march uses too), the relation reads
     B = E[V'] + dt (const_s - m Z / sigma - s s_repo |Z| / sigma),
 
 with (m, s_repo) the repo split of :func:`xvaband.driver.repo_drift_split`.
-The left side is piecewise linear in x with slopes A and A - c, so when
-min(A, A - c) > 0 it has exactly one root: x = B / A where s (B - A Y) >= 0
-(the funding kink is off) and x = (B - c Y) / (A - c) elsewhere.  Each
-level is solved in closed form, with no iteration; a market with
-min(A, A - c) <= 0 is rejected.
+
+Three-point stencil.  E[V'] and Z are linear in (V_up, V_down), so with
+d = V_up - V_down, mu = dt m / (2 sqrt(dt) sigma) and nu = dt s s_repo /
+(2 sqrt(dt) sigma),
+
+    B = dt const_s + V_down + (1/2 - mu) d - nu |d|,
+    (1/2 - mu) d - nu |d| = min((1/2 - mu - nu) d, (1/2 - mu + nu) d)
+
+for nu >= 0, and the max of the two for nu < 0.
+
+Min/max root.  When s c >= 0 the left side of the relation is the max of
+the two lines A x and (A - c) x + c Y, and when s c < 0 it is their min.
+Both lines increase when min(A, A - c) > 0, and then the relation has
+exactly one root, the min (or the max) of the two lines' roots:
+
+    x = min(B / A, (B - c Y) / (A - c))   (max when s c < 0).
+
+Each level is solved in closed form, with no iteration and no branch
+mask; a market with min(A, A - c) <= 0 is rejected.
 
 The rollback is truncated at 10 sigma sqrt(T) from the centre line: level k
 solves only the nodes j with |2j - k| <= ceil(10 sqrt(n)), n the step
@@ -40,9 +54,10 @@ truncated at all.  This boundary shares nothing with the PDE's
 zero-curvature closure.
 
 The reference never reads V, so it rolls back a block of 16 levels ahead
-of V, each level's window into one row of a 2-D buffer; Y, const_s, A Y
-and c Y then come from one pass over the block, and each level's own loop
-keeps only what needs V: E[V'], Z, B and the branch choice.  Every
+of V, each level's window into one row of a 2-D buffer; Y and const_s come
+from one pass over the block, which scales them to c Y and dt const_s in
+place.  Each level's own work is then the ten numpy calls of
+:func:`_solve_level`, which write straight into the level's nodes.  Every
 operation stays elementwise and in the level-by-level order, so the
 prices are bitwise those of a level-at-a-time rollback.
 
@@ -55,6 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,27 +109,60 @@ class TreeSpec:
             raise ValueError(f"spot must be positive, got {self.spot}")
 
 
-def _solve_level(e, z, const, a_y, c_y, dt: float, cfg: MarketConfig,
-                 side: int, a: float, c: float,
-                 repo: tuple[float, float]) -> np.ndarray:
-    """Node values of one level from E[V'], Z and the level's reference
-    rows, by the branch solve: ``const`` is const_s of
-    :func:`financing_level` (overwritten with B), ``a_y`` and ``c_y`` are
-    A Y and c Y, ``a`` and ``c`` the node equation's A and c, and ``repo``
-    the :func:`repo_drift_split` (m, s_repo), all taken once per price.
+class _LevelForm(NamedTuple):
+    """One side's node equation at one step length, taken once per price
+    (see the module docstring)."""
 
-    Assumes min(A, A - c) > 0 (checked by :func:`tree_bsde_price`).
+    w_minus: float  # 1/2 - mu - nu, the weight of d on one stencil line
+    w_plus: float   # 1/2 - mu + nu, on the other
+    stencil: np.ufunc  # np.minimum where nu >= 0, else np.maximum
+    a: float
+    a_c: float      # A - c
+    c: float
+    root: np.ufunc  # np.minimum where s c >= 0, else np.maximum
+
+
+def _level_form(cfg: MarketConfig, side: int, dt: float) -> _LevelForm:
+    """The stencil weights, A, c and the two min/max choices of side
+    ``side`` (+1 seller, -1 buyer) at step length ``dt``."""
+    a = 1.0 + dt * (cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg))
+    c = dt * funding_spread(cfg)
+    m, s_repo = repo_drift_split(cfg)
+    per_d = dt / (2.0 * math.sqrt(dt) * cfg.sigma)
+    mu = per_d * m
+    nu = per_d * (side * s_repo)
+    return _LevelForm(
+        w_minus=0.5 - mu - nu,
+        w_plus=0.5 - mu + nu,
+        stencil=np.minimum if nu >= 0.0 else np.maximum,
+        a=a,
+        a_c=a - c,
+        c=c,
+        root=np.minimum if side * c >= 0.0 else np.maximum,
+    )
+
+
+def _solve_level(lo: np.ndarray, hi: np.ndarray, dt_const: np.ndarray,
+                 c_y: np.ndarray, form: _LevelForm) -> None:
+    """Overwrite ``lo`` (each node's V_down) with the level's node values.
+
+    ``hi`` holds each node's V_up (in the rollback, ``lo`` shifted by one
+    node), ``dt_const`` and ``c_y`` the level's dt const_s and c Y rows:
+    B is the three-point stencil of the module docstring and x its min/max
+    root, in ten numpy calls that write x straight into ``lo``.  Assumes min(A, A - c) > 0 (checked
+    by :func:`tree_bsde_price`).
     """
-    m, s_repo = repo
-    b = const
-    b -= (m * z + (side * s_repo) * np.abs(z)) / cfg.sigma
-    b *= dt
-    b += e
-    kink_off = b >= a_y if side > 0 else b <= a_y
-    x = b - c_y
-    x /= a - c
-    np.divide(b, a, out=x, where=kink_off)
-    return x
+    w_minus, w_plus, stencil, a, a_c, _, root = form
+    d = hi - lo
+    t = d * w_minus
+    d *= w_plus
+    stencil(t, d, out=d)
+    d += dt_const
+    lo += d  # B
+    np.divide(lo, a, out=t)
+    lo -= c_y
+    lo /= a_c
+    root(lo, t, out=lo)
 
 
 def tree_bsde_price(spec: TreeSpec, side: str = "seller") -> float:
@@ -128,13 +177,13 @@ def tree_bsde_price(spec: TreeSpec, side: str = "seller") -> float:
     cfg = spec.cfg
     n = spec.n_steps
     dt = spec.claim.maturity / n
-    a = 1.0 + dt * (cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg))
-    c = dt * funding_spread(cfg)
-    if min(a, a - c) <= 0.0:
+    s = +1 if side == "seller" else -1
+    form = _level_form(cfg, s, dt)
+    if min(form.a, form.a_c) <= 0.0:
         # A and c are the same on every level, so the first level solved fails
         raise ValueError(
             f"tree node equation is ill-posed for the {side} at level {n - 1}: "
-            f"A = {a:.6g}, A - c = {a - c:.6g} (both must be positive; "
+            f"A = {form.a:.6g}, A - c = {form.a_c:.6g} (both must be positive; "
             "refine n_steps)"
         )
     sq_dt = math.sqrt(dt)
@@ -142,11 +191,8 @@ def tree_bsde_price(spec: TreeSpec, side: str = "seller") -> float:
     j = np.arange(n + 1)
     x_t = math.log(spec.spot) + n * drift + cfg.sigma * sq_dt * (2.0 * j - n)
     v = np.array(spec.claim.payoff(np.exp(x_t)), dtype=float)
-    s = +1 if side == "seller" else -1
     coefficients = level_coefficients(cfg, s)
-    repo = repo_drift_split(cfg)
     half_disc = 0.5 * math.exp(-cfg.r_D * dt)
-    two_sq_dt = 2.0 * sq_dt
     vh = v.copy()
     # the window's half-width in units of sigma sqrt(dt), the spacing of 2j - k
     w = math.ceil(_WINDOW_SIGMAS * math.sqrt(n))
@@ -164,17 +210,11 @@ def tree_bsde_price(spec: TreeSpec, side: str = "seller") -> float:
             wh *= half_disc
             vh[j0:j1 + 1] = wh
             windows.append((j0, j1))
-        y, const = financing_level(coefficients, wh_rows[:len(windows)])
-        a_y = a * y
-        c_y = c * y
+        c_y, dt_const = financing_level(coefficients, wh_rows[:len(windows)])
+        c_y *= form.c
+        dt_const *= dt
         for i, (j0, j1) in enumerate(windows):
-            hi = v[j0 + 1:j1 + 2]
-            lo = v[j0:j1 + 1]
-            e = hi + lo
-            e *= 0.5
-            z = hi - lo
-            z /= two_sq_dt
             row = slice(0, j1 - j0 + 1)
-            v[j0:j1 + 1] = _solve_level(e, z, const[i, row], a_y[i, row],
-                                        c_y[i, row], dt, cfg, s, a, c, repo)
+            _solve_level(v[j0:j1 + 1], v[j0 + 1:j1 + 2], dt_const[i, row],
+                         c_y[i, row], form)
     return float(v[0])

@@ -27,7 +27,7 @@ from .config import (
     apply_overrides,
     reporting_spot,
 )
-from .grid import GridSpec, SolverConfig, build_grid
+from .grid import GridSpec, SolverConfig, _log_spot, build_grid
 from .xva import hedge_at, report_from_solution, solve_trade
 
 __all__ = [
@@ -128,7 +128,8 @@ def run_sweep(
     """Solve every sweep point; returns one ordered row dict per point.
 
     Per-point failures are captured in the row's ``error`` cell (numeric
-    cells left empty) unless ``fail_fast`` is set.
+    cells left empty) unless ``fail_fast`` is set.  A reporting spot off
+    the lattice fails every point alike, so it raises before any march.
     """
     if threads is None:
         threads = default_threads()
@@ -139,6 +140,7 @@ def run_sweep(
     grid = grid or build_grid(spec.claim, spec.base)
     solver = solver or SolverConfig()
     spot = reporting_spot(spec.claim, spec.spot)
+    _log_spot(grid, spot)
     points = _points(spec)
     axis_names = list(points[0].keys())
     valid = {f.name for f in dataclass_fields(MarketConfig)}

@@ -6,6 +6,8 @@ from dataclasses import asdict, replace
 
 import pytest
 
+import xvaband.benchmark
+import xvaband.pde
 from xvaband import ClaimSpec, DEFAULT_MARKET, SolverConfig, build_grid
 
 
@@ -64,3 +66,19 @@ def ignore_rate_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         yield
+
+
+@pytest.fixture
+def marches(monkeypatch):
+    """A list that gets one entry per ``march_schedule`` call, the reference
+    march's included."""
+    calls = []
+    march = xvaband.pde.march_schedule
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(xvaband.pde, "march_schedule", counted)
+    monkeypatch.setattr(xvaband.benchmark, "march_schedule", counted)
+    return calls

@@ -116,6 +116,13 @@ class TestPrice:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["v_hat_0"] > 0.0
 
+    def test_a_spot_off_the_lattice_fails_before_any_march(self, config_path,
+                                                           capsys, marches):
+        rc = main(["price", "--config", config_path, *TINY_GRID, "--spot", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: spot must be positive, got -1.0\n"
+        assert marches == []
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["price", "--config", str(tmp_path / "nope.json"), *TINY_GRID])
         assert rc == 1
@@ -325,6 +332,14 @@ class TestConvergence:
         # self-convergence needs two levels
         assert rows[2]["error"] == rows[4]["error"] == ""
         assert rows[3]["error"] != "" and rows[5]["error"] != ""
+
+    def test_a_spot_off_the_lattice_fails_before_any_march(self, capsys,
+                                                           marches):
+        rc = main(["convergence", "--levels", "2", "--base-nx", "51",
+                   "--base-nt", "10", "--spot", "50"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ln(spot) = 3.91")
+        assert marches == []
 
     def test_each_level_solves_its_reference_once(self, monkeypatch, capsys):
         import xvaband.cli as cli

@@ -107,6 +107,12 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="width_sigmas"):
             build_grid(call_claim, market, width_sigmas=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_width(self, call_claim, market, value):
+        # GridSpec raised "grid bounds must be finite", naming neither
+        with pytest.raises(ValueError, match=f"width_sigmas .*got {value}$"):
+            build_grid(call_claim, market, width_sigmas=value)
+
 
 class TestSolverConfig:
     def test_defaults(self):

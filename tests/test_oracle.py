@@ -25,7 +25,7 @@ from xvaband.driver import (
     repo_drift_split,
 )
 import xvaband.oracle as oracle
-from xvaband.oracle import TreeSpec, _solve_level
+from xvaband.oracle import TreeSpec, _level_form, _solve_level
 from xvaband.pde import solve_semilinear, solve_sides
 
 
@@ -65,31 +65,71 @@ def _fixed_point_tree(spec, side, tol=1e-12, max_iter=200):
     return float(v[0])
 
 
-def _unpruned_tree(spec, side):
-    """The full rollback, one level at a time: every level solves all of its
-    nodes with the oracle's own branch solve, so it differs from the oracle
-    only by the 10 sigma sqrt(T) window and by taking each level's reference
-    terms on their own rather than a block of levels at a time."""
+def _start(spec):
+    """The step length and the payoff on the tree's last level."""
     cfg, n = spec.cfg, spec.n_steps
     dt = spec.claim.maturity / n
-    sq_dt = math.sqrt(dt)
     drift = (cfg.r_D - 0.5 * cfg.sigma * cfg.sigma) * dt
     j = np.arange(n + 1)
-    x_t = math.log(spec.spot) + n * drift + cfg.sigma * sq_dt * (2.0 * j - n)
-    v = np.array(spec.claim.payoff(np.exp(x_t)), dtype=float)
+    x_t = (math.log(spec.spot) + n * drift
+           + cfg.sigma * math.sqrt(dt) * (2.0 * j - n))
+    return dt, np.array(spec.claim.payoff(np.exp(x_t)), dtype=float)
+
+
+def _unpruned_tree(spec, side):
+    """The full rollback, one level at a time: every level solves all of its
+    nodes with the oracle's own level, so it differs from the oracle only
+    by the 10 sigma sqrt(T) window and by taking each level's reference
+    terms on their own rather than a block of levels at a time."""
+    cfg, n = spec.cfg, spec.n_steps
+    dt, v = _start(spec)
+    vh = v.copy()
+    s = +1 if side == "seller" else -1
+    coefficients = level_coefficients(cfg, s)
+    form = _level_form(cfg, s, dt)
+    half_disc = 0.5 * math.exp(-cfg.r_D * dt)
+    for k in range(n - 1, -1, -1):
+        wh = half_disc * (vh[1:k + 2] + vh[0:k + 1])
+        y, const = financing_level(coefficients, wh)
+        _solve_level(v[0:k + 1], v[1:k + 2], const * dt, y * form.c, form)
+        vh[0:k + 1] = wh
+    return float(v[0])
+
+
+def _branch_level(e, z, const, y, dt, cfg, side, a, c):
+    """A level as the oracle solved it before the three-point stencil: B
+    from E[V'] and Z, then B / A where the funding kink is off and
+    (B - c Y) / (A - c) elsewhere, in that arithmetic order."""
+    m, s_repo = repo_drift_split(cfg)
+    b = const
+    b -= (m * z + (side * s_repo) * np.abs(z)) / cfg.sigma
+    b *= dt
+    b += e
+    a_y = a * y
+    kink_off = b >= a_y if side > 0 else b <= a_y
+    x = b - c * y
+    x /= a - c
+    np.divide(b, a, out=x, where=kink_off)
+    return x
+
+
+def _branch_tree(spec, side):
+    """The full level-by-level rollback with :func:`_branch_level`."""
+    cfg, n = spec.cfg, spec.n_steps
+    dt, v = _start(spec)
     vh = v.copy()
     s = +1 if side == "seller" else -1
     coefficients = level_coefficients(cfg, s)
     a = 1.0 + dt * (cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg))
     c = dt * funding_spread(cfg)
-    args = (dt, cfg, s, a, c, repo_drift_split(cfg))
+    two_sq_dt = 2.0 * math.sqrt(dt)
     half_disc = 0.5 * math.exp(-cfg.r_D * dt)
     for k in range(n - 1, -1, -1):
         hi, lo = v[1:k + 2], v[0:k + 1]
-        e, z = 0.5 * (hi + lo), (hi - lo) / (2.0 * sq_dt)
+        e, z = 0.5 * (hi + lo), (hi - lo) / two_sq_dt
         wh = half_disc * (vh[1:k + 2] + vh[0:k + 1])
         y, const = financing_level(coefficients, wh)
-        v[0:k + 1] = _solve_level(e, z, const, a * y, c * y, *args)
+        v[0:k + 1] = _branch_level(e, z, const, y, dt, cfg, s, a, c)
         vh[0:k + 1] = wh
     return float(v[0])
 
@@ -197,38 +237,99 @@ class TestTreePrice:
                 tree_bsde_price(spec, side=side)
 
 
+# both repo orders and both signs of r_f+ - r_f-: with the two sides, every
+# pair of the level's min/max choices (the stencil's and the root's)
+_REPO_ORDERS = [(0.07, 0.03), (0.03, 0.07)]  # (r_r+, r_r-)
+_FUNDING_ORDERS = [(0.05, 0.08), (0.08, 0.05)]  # (r_f+, r_f-)
+
+
+def _node_market(market, alpha, repo, funding):
+    # asymmetric repo and collateral rates, so every kink of the driver is live
+    return replace(market, alpha=alpha, r_r_plus=repo[0], r_r_minus=repo[1],
+                   r_f_plus=funding[0], r_f_minus=funding[1],
+                   r_c_plus=0.02, r_c_minus=0.005)
+
+
+def _check_levels(cfg, alpha, side):
+    """Solve random levels at three step lengths, assert that each node
+    solves the driver form, and count the nodes on each side of the
+    funding kink."""
+    rng = np.random.default_rng(11)
+    active = inactive = 0
+    for dt in (1e-3, 0.02, 0.25):
+        n = 400
+        mid = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3], size=n)
+        half = math.sqrt(dt) * rng.normal(size=n) * np.abs(mid)
+        v_up, v_down = mid + half, mid - half
+        wh = mid * (1.0 + 0.3 * rng.normal(size=n))
+        form = _level_form(cfg, side, dt)
+        y, const = financing_level(level_coefficients(cfg, side), wh)
+        x = v_down.copy()
+        _solve_level(x, v_up, const * dt, y * form.c, form)
+        e = 0.5 * (v_up + v_down)
+        z = (v_up - v_down) / (2.0 * math.sqrt(dt))
+        th_i = closeout_I(wh, alpha, cfg.L_I)
+        th_c = closeout_C(wh, alpha, cfg.L_C)
+        f = driver_value(side, x, z, th_i - x, th_c - x, wh, cfg)
+        rhs = e + dt * (f + cfg.h_I_Q * (th_i - x) + cfg.h_C_Q * (th_c - x)
+                        - (cfg.h_I_Q + cfg.h_C_Q) * x
+                        + cfg.h_I_Q * th_i + cfg.h_C_Q * th_c)
+        scale = np.abs(e) + np.abs(wh) + np.abs(z)
+        assert np.all(np.abs(x - rhs) <= 1e-15 * scale)
+        kink = side * (th_i + th_c - alpha * wh - x) > 0.0
+        active += int(kink.sum())
+        inactive += int((~kink).sum())
+    return active, inactive
+
+
 class TestNodeEquation:
     @pytest.mark.parametrize("alpha", [0.0, 0.25])
     @pytest.mark.parametrize("side", [+1, -1])
     def test_levels_solve_the_driver_form(self, market, alpha, side):
-        # asymmetric repo and collateral rates, so every kink of the driver
-        # is live, on random levels spanning six decades of node scale
-        cfg = replace(market, alpha=alpha, r_r_plus=0.07, r_r_minus=0.03,
-                      r_c_plus=0.02, r_c_minus=0.005)
-        rng = np.random.default_rng(11)
-        active = inactive = 0
-        for dt in (1e-3, 0.02, 0.25):
-            n = 400
-            e = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3], size=n)
-            wh = e * (1.0 + 0.3 * rng.normal(size=n))
-            z = rng.normal(size=n) * np.abs(e)
-            a = 1.0 + dt * (cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg))
-            c = dt * funding_spread(cfg)
-            y, const = financing_level(level_coefficients(cfg, side), wh)
-            x = _solve_level(e, z, const, a * y, c * y, dt, cfg, side, a, c,
-                             repo_drift_split(cfg))
-            th_i = closeout_I(wh, alpha, cfg.L_I)
-            th_c = closeout_C(wh, alpha, cfg.L_C)
-            f = driver_value(side, x, z, th_i - x, th_c - x, wh, cfg)
-            rhs = e + dt * (f + cfg.h_I_Q * (th_i - x) + cfg.h_C_Q * (th_c - x)
-                            - (cfg.h_I_Q + cfg.h_C_Q) * x
-                            + cfg.h_I_Q * th_i + cfg.h_C_Q * th_c)
-            scale = np.abs(e) + np.abs(wh) + np.abs(z)
-            assert np.all(np.abs(x - rhs) <= 1e-15 * scale)
-            kink = side * (th_i + th_c - alpha * wh - x) > 0.0
-            active += int(kink.sum())
-            inactive += int((~kink).sum())
-        assert active > 100 and inactive > 100
+        # random V_up and V_down of both orders, spanning six decades of
+        # node scale, under both repo orders and both funding orders
+        for repo in _REPO_ORDERS:
+            for funding in _FUNDING_ORDERS:
+                cfg = _node_market(market, alpha, repo, funding)
+                active, inactive = _check_levels(cfg, alpha, side)
+                assert active > 100 and inactive > 100
+
+    def test_the_markets_take_every_min_max_choice(self, market):
+        picks = set()
+        for side in (+1, -1):
+            for repo in _REPO_ORDERS:
+                for funding in _FUNDING_ORDERS:
+                    form = _level_form(_node_market(market, 0.0, repo, funding),
+                                       side, 0.02)
+                    picks.add((form.stencil, form.root))
+        assert picks == {(np.minimum, np.minimum), (np.minimum, np.maximum),
+                         (np.maximum, np.minimum), (np.maximum, np.maximum)}
+
+
+class TestRoundingChange:
+    # the three-point stencil and the min/max root round differently from
+    # the (E[V'], Z) level and its branch mask; the prices may move only in
+    # their last digits
+    @pytest.mark.parametrize("case", ["call", "put", "custom"])
+    def test_prices_match_the_branch_level_rollback(self, market, case):
+        if case == "call":
+            cfg, spot = market, 1.0
+            claim = ClaimSpec.call(strike=1.0, maturity=1.0)
+        elif case == "put":
+            # a repo kink: the stencil's nu is not zero
+            cfg, spot = replace(market, r_r_plus=0.07, r_r_minus=0.03), 1.0
+            claim = ClaimSpec.put(strike=1.1, maturity=1.5)
+        else:
+            # r_f+ > r_f-: the root takes the other min/max choice
+            cfg = replace(market, sigma=0.25, r_f_plus=0.08, r_f_minus=0.05,
+                          r_r_plus=0.03, r_r_minus=0.07)
+            spot = 0.9
+            claim = ClaimSpec.custom([(0.8, 0.3), (1.1, 0.0), (1.4, 0.3)],
+                                     maturity=1.0)
+        spec = TreeSpec(n_steps=2000, claim=claim, cfg=cfg, spot=spot)
+        for side in ("seller", "buyer"):
+            assert tree_bsde_price(spec, side=side) == pytest.approx(
+                _branch_tree(spec, side), rel=1e-13, abs=0.0)
 
 
 class TestFixedPointAgreement:

@@ -154,6 +154,20 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="unknown sweep axis"):
             run_sweep(spec, coarse_grid)
 
+    @pytest.mark.parametrize("spot, message", [
+        (-1.0, "spot must be positive, got -1.0"),
+        (50.0, r"ln\(spot\) = 3\.9\d* outside grid"),
+    ])
+    def test_a_spot_off_the_lattice_is_rejected_before_any_march(
+        self, call_claim, market, coarse_grid, marches, spot, message
+    ):
+        # every point was solved and then wrote the same error on its row
+        spec = SweepSpec(claim=call_claim, base=market,
+                         axis1=SweepAxis("alpha", (0.0, 0.5, 0.9)), spot=spot)
+        with pytest.raises(ValueError, match=message):
+            run_sweep(spec, coarse_grid, threads=1)
+        assert marches == []
+
     def test_allow_arbitrage_prices_every_row(self, call_claim, market, coarse_grid):
         spec = SweepSpec(
             claim=call_claim, base=market, axis1=SweepAxis("r_f_minus", (0.08, 0.2))

@@ -71,6 +71,25 @@ class TestReport:
         with pytest.raises(TypeError, match="spot must be a number"):
             compute_xva(call_claim, market, spot=True)
 
+    @pytest.mark.parametrize("spot, message", [
+        (-1.0, "spot must be positive, got -1.0"),
+        (50.0, r"ln\(spot\) = 3\.9\d* outside grid"),
+    ])
+    def test_a_spot_off_the_lattice_is_rejected_before_any_march(
+        self, call_claim, market, marches, spot, message
+    ):
+        # both were found only after the reference and both sides were solved
+        with pytest.raises(ValueError, match=message):
+            compute_xva(call_claim, market, spot=spot)
+        assert marches == []
+
+    def test_a_trade_takes_the_reference_march_and_one_of_both_sides(
+        self, call_claim, market, small_grid, solver, marches
+    ):
+        # the counter the spot checks above rely on sees every march
+        compute_xva(call_claim, market, small_grid, solver)
+        assert marches == [small_grid, small_grid]
+
     def test_to_dict_round_trip(self, call_claim, market, small_grid, solver):
         rep = compute_xva(call_claim, market, small_grid, solver)
         d = rep.to_dict()
