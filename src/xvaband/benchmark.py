@@ -20,7 +20,7 @@ import math
 
 from scipy.special import ndtr
 
-from .config import ClaimSpec, MarketConfig
+from .config import ClaimSpec, MarketConfig, _require_finite, _require_positive
 from .grid import GridSpec, SolverConfig, Surface
 from .pde import march_schedule, terminal_slice
 
@@ -35,13 +35,15 @@ def bs_closed_form(t: float, s: float, claim: ClaimSpec, r: float, sigma: float)
 
     Phi is :func:`scipy.special.ndtr`, the function
     ``scipy.stats.norm.cdf`` evaluates, so the value is bitwise the
-    ``norm.cdf`` formula's.  Custom payoffs are rejected; degenerate
+    ``norm.cdf`` formula's.  Custom payoffs, a spot or sigma that is not
+    positive and finite, and a non-finite r are rejected; degenerate
     sigma*sqrt(T - t) collapses to the discounted intrinsic on the forward.
     """
     if claim.kind not in ("call", "put"):
         raise ValueError(f"closed form requires a call or put, got {claim.kind!r}")
-    if s <= 0.0:
-        raise ValueError(f"spot must be positive, got {s}")
+    _require_positive("spot", s)
+    _require_finite("r", r)
+    _require_positive("sigma", sigma)
     if not 0.0 <= t <= claim.maturity:
         raise ValueError(f"t = {t} outside [0, {claim.maturity}]")
     k = claim.strike

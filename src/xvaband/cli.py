@@ -30,6 +30,7 @@ from .config import (
     ClaimSpec,
     DEFAULT_MARKET,
     MarketConfig,
+    _require_count,
     apply_overrides,
     load_market_config,
     reporting_spot,
@@ -193,8 +194,7 @@ def cmd_table2(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    if args.levels < 2:
-        raise ValueError(f"--levels must be >= 2, got {args.levels}")
+    _require_count("--levels", args.levels, 2)
     if args.base_nx % 2 == 0:
         # build_grid would solve on base_nx + 1 nodes, and the levels would
         # not halve dx
@@ -246,8 +246,7 @@ def cmd_bench(args) -> int:
     cfg = _market_from_args(args)
     solver = _solver_from_args(args)
     grid = _grid_from_args(args, claim, cfg)
-    if args.repeat < 1:
-        raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
+    _require_count("--repeat", args.repeat)
 
     # the step count of the perfbench ``tree`` workload
     tree = TreeSpec(n_steps=2000, claim=claim, cfg=cfg)

@@ -16,7 +16,9 @@ Absence of arbitrage in the hedging market requires the rate ordering
 
 where ``h_i_P = h_i_Q - (r_i - r_D)`` are the real-world intensities
 implied by the bond yields.  ``validate_no_arbitrage`` reports every
-violated inequality instead of stopping at the first.
+violated inequality instead of stopping at the first.  Every numeric input
+of the package is checked by the ``_require_*`` functions here, which name
+the field and the value that failed.
 """
 
 from __future__ import annotations
@@ -42,11 +44,14 @@ __all__ = [
 ]
 
 
-def _require_count(name: str, v) -> None:
+def _require_count(name: str, v, minimum: int = 1) -> None:
     """Raise ``TypeError`` unless ``v`` is an integer: a Python or numpy int,
-    but not a bool (which would count as 0 or 1) and not an integral float."""
+    but not a bool (which would count as 0 or 1) and not an integral float;
+    ``ValueError`` if it is below ``minimum``."""
     if not isinstance(v, numbers.Integral) or isinstance(v, bool):
         raise TypeError(f"{name} must be an integer, got {v!r}")
+    if v < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {v}")
 
 
 def _require_number(name: str, v) -> None:
@@ -54,6 +59,27 @@ def _require_number(name: str, v) -> None:
     included), but not a bool (which would count as 0 or 1)."""
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise TypeError(f"{name} must be a number, got {v!r}")
+
+
+def _require_finite(name: str, v) -> None:
+    """:func:`_require_number`, then ``ValueError`` for a NaN or an infinity."""
+    _require_number(name, v)
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {v}")
+
+
+def _require_positive(name: str, v) -> None:
+    """:func:`_require_finite`, then ``ValueError`` unless ``v > 0``."""
+    _require_finite(name, v)
+    if v <= 0.0:
+        raise ValueError(f"{name} must be positive, got {v}")
+
+
+def _side_sign(side: str) -> int:
+    """+1 for ``"seller"``, -1 for ``"buyer"``; any other side raises."""
+    if side not in ("seller", "buyer"):
+        raise ValueError(f"side must be 'seller' or 'buyer', got {side!r}")
+    return 1 if side == "seller" else -1
 
 
 @dataclass(frozen=True)
@@ -78,18 +104,14 @@ class MarketConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            v = getattr(self, f.name)
-            _require_number(f.name, v)
-            if not math.isfinite(v):
-                raise ValueError(f"{f.name} must be finite, got {v!r}")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.h_I_Q < 0.0 or self.h_C_Q < 0.0:
-            raise ValueError("default intensities h_I_Q, h_C_Q must be >= 0")
-        if not 0.0 <= self.L_I <= 1.0 or not 0.0 <= self.L_C <= 1.0:
-            raise ValueError("loss fractions L_I, L_C must lie in [0, 1]")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+            _require_finite(f.name, getattr(self, f.name))
+        _require_positive("sigma", self.sigma)
+        for name, v in (("h_I_Q", self.h_I_Q), ("h_C_Q", self.h_C_Q)):
+            if v < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {v}")
+        for name, v in (("L_I", self.L_I), ("L_C", self.L_C), ("alpha", self.alpha)):
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
 #: Desk default parameter set used by the canned tables and the CLI.
@@ -130,31 +152,23 @@ class ClaimSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("call", "put", "custom"):
             raise ValueError(f"kind must be call, put, or custom, got {self.kind!r}")
-        _require_number("maturity", self.maturity)
+        _require_positive("maturity", self.maturity)
         if self.strike is not None:
-            _require_number("strike", self.strike)
-        if not math.isfinite(self.maturity) or self.maturity <= 0.0:
-            raise ValueError(f"maturity must be positive, got {self.maturity}")
-        if self.strike is None and self.kind != "custom":
+            _require_positive("strike", self.strike)
+        elif self.kind != "custom":
             raise ValueError(f"{self.kind} claim needs a positive strike")
-        if self.strike is not None and not 0.0 < self.strike < math.inf:
-            raise ValueError(f"strike must be positive and finite, got {self.strike}")
         if self.kind == "custom":
             if not self.knots:
                 raise ValueError("custom claim needs at least one payoff knot")
             for spot, value in self.knots:
-                _require_number("payoff knot spot", spot)
-                _require_number("payoff knot value", value)
+                _require_positive("payoff knot spot", spot)
+                _require_finite("payoff knot value", value)
             # frozen: store the checked knots as float pairs
             object.__setattr__(self, "knots", tuple(
                 (float(spot), float(value)) for spot, value in self.knots))
             ss = [k[0] for k in self.knots]
-            if any(not math.isfinite(s) or s <= 0.0 for s in ss):
-                raise ValueError("payoff knot spots must be positive and finite")
             if any(b <= a for a, b in zip(ss, ss[1:])):
-                raise ValueError("payoff knot spots must be strictly increasing")
-            if any(not math.isfinite(k[1]) for k in self.knots):
-                raise ValueError("payoff knot values must be finite")
+                raise ValueError(f"payoff knot spots must be strictly increasing, got {ss}")
 
     @classmethod
     def call(cls, strike: float, maturity: float) -> "ClaimSpec":
@@ -203,10 +217,11 @@ class ClaimSpec:
 
 
 def reporting_spot(claim: ClaimSpec, spot: float | None = None) -> float:
-    """The spot a report reads: ``spot``, else the strike, else the centre
-    of the claim's lattice (:attr:`ClaimSpec.log_center`)."""
+    """The spot a report reads: ``spot`` (positive and finite), else the
+    strike, else the centre of the claim's lattice
+    (:attr:`ClaimSpec.log_center`)."""
     if spot is not None:
-        _require_number("spot", spot)
+        _require_positive("spot", spot)
         return spot
     return claim.strike if claim.strike is not None else math.exp(claim.log_center)
 

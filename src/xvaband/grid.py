@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ClaimSpec, MarketConfig, _require_count, _require_number
+from .config import (ClaimSpec, MarketConfig, _require_count, _require_finite,
+                     _require_number, _require_positive)
 
 __all__ = [
     "GridSpec",
@@ -44,21 +45,14 @@ class GridSpec:
     maturity: float
 
     def __post_init__(self) -> None:
-        for name in ("x_min", "x_max", "maturity"):
-            _require_number(name, getattr(self, name))
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise ValueError("grid bounds must be finite")
+        _require_finite("x_min", self.x_min)
+        _require_finite("x_max", self.x_max)
         if self.x_max <= self.x_min:
             raise ValueError(f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]")
-        _require_count("n_x", self.n_x)
+        # the boundary-eliminated march needs three interior nodes
+        _require_count("n_x", self.n_x, 5)
         _require_count("n_t", self.n_t)
-        if self.n_x < 5:
-            # the boundary-eliminated march needs three interior nodes
-            raise ValueError(f"n_x must be >= 5, got {self.n_x}")
-        if self.n_t < 1:
-            raise ValueError(f"n_t must be >= 1, got {self.n_t}")
-        if not math.isfinite(self.maturity) or self.maturity <= 0.0:
-            raise ValueError(f"maturity must be positive, got {self.maturity}")
+        _require_positive("maturity", self.maturity)
 
     @property
     def dx(self) -> float:
@@ -108,10 +102,8 @@ def build_grid(
     The half-width is ``width_sigmas * sigma * sqrt(T)``.  n_x is bumped to
     the next odd value so the centre is exactly a node.
     """
-    _require_number("width_sigmas", width_sigmas)
-    if not math.isfinite(width_sigmas) or width_sigmas <= 0.0:
-        raise ValueError(
-            f"width_sigmas must be positive and finite, got {width_sigmas}")
+    _require_positive("width_sigmas", width_sigmas)
+    _require_count("n_x", n_x, 4)  # the caller's count, before the bump (4 becomes 5)
     if n_x % 2 == 0:
         n_x += 1
     center = claim.log_center
@@ -226,8 +218,7 @@ def _time_weights(grid: GridSpec, t: float) -> tuple[int, int, float]:
 
 def _log_spot(grid: GridSpec, s: float) -> float:
     """ln(s) of a positive spot whose log lies on the lattice (to 1e-12)."""
-    if s <= 0.0:
-        raise ValueError(f"spot must be positive, got {s}")
+    _require_positive("spot", s)
     x = math.log(s)
     if not grid.x_min - 1e-12 <= x <= grid.x_max + 1e-12:
         raise ValueError(f"ln(spot) = {x} outside grid [{grid.x_min}, {grid.x_max}]")

@@ -74,7 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ClaimSpec, MarketConfig, _require_count, _require_number
+from .config import ClaimSpec, MarketConfig, _require_count, _require_positive, _side_sign
 from .driver import (
     financing_level,
     funding_spread,
@@ -102,11 +102,7 @@ class TreeSpec:
 
     def __post_init__(self) -> None:
         _require_count("n_steps", self.n_steps)
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        _require_number("spot", self.spot)
-        if not math.isfinite(self.spot) or self.spot <= 0.0:
-            raise ValueError(f"spot must be positive, got {self.spot}")
+        _require_positive("spot", self.spot)
 
 
 class _LevelForm(NamedTuple):
@@ -172,12 +168,10 @@ def tree_bsde_price(spec: TreeSpec, side: str = "seller") -> float:
     min(A, A - c) <= 0 (see the module docstring): then a node may have
     two roots or none.
     """
-    if side not in ("seller", "buyer"):
-        raise ValueError(f"side must be 'seller' or 'buyer', got {side!r}")
+    s = _side_sign(side)
     cfg = spec.cfg
     n = spec.n_steps
     dt = spec.claim.maturity / n
-    s = +1 if side == "seller" else -1
     form = _level_form(cfg, s, dt)
     if min(form.a, form.a_c) <= 0.0:
         # A and c are the same on every level, so the first level solved fails

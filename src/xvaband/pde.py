@@ -54,6 +54,8 @@ from .config import (
     ArbitrageViolationError,
     ClaimSpec,
     MarketConfig,
+    _require_count,
+    _side_sign,
     validate_no_arbitrage,
 )
 from .driver import (
@@ -102,9 +104,8 @@ def reduced_operator(n_x: int, dx: float, a, b: float, kappa):
     of ``a[-1]``); the march puts the edge nodes back on the same linear
     extension.
     """
+    _require_count("n_x", n_x, 5)  # three interior rows for the boundary stencil
     m = n_x - 2
-    if m < 3:
-        raise ValueError(f"need n_x >= 5 for the boundary stencil, got n_x = {n_x}")
     a, kappa = np.full(m, a, dtype=float), np.full(m, kappa, dtype=float)
     c, d = a / (2.0 * dx), b / (dx * dx)
     lo = c - d
@@ -447,8 +448,7 @@ def _solve_sides(claim, cfg, benchmark, sides, allow_arbitrage):
 
     m_fold, _ = repo_drift_split(cfg)
     b = 0.5 * cfg.sigma * cfg.sigma
-    terms = SemilinearTerms(tuple(+1 if side == "seller" else -1 for side in sides),
-                            cfg, benchmark.sched_values)
+    terms = SemilinearTerms(sides, cfg, benchmark.sched_values)
     return march_schedule(
         w_terminal, grid, benchmark.solver, a_eff=cfg.r_D - b - m_fold, b=b,
         kappa=cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg), terms=terms)
@@ -470,9 +470,7 @@ def solve_semilinear(
     :class:`ArbitrageViolationError` unless ``allow_arbitrage`` is set, in
     which case a warning is emitted and the solve proceeds.
     """
-    if side not in ("seller", "buyer"):
-        raise ValueError(f"side must be 'seller' or 'buyer', got {side!r}")
-    (surf,) = _solve_sides(claim, cfg, benchmark, (side,), allow_arbitrage)
+    (surf,) = _solve_sides(claim, cfg, benchmark, (_side_sign(side),), allow_arbitrage)
     return surf
 
 
@@ -488,4 +486,4 @@ def solve_sides(
     the one :func:`solve_semilinear` gives its side, and the rate ordering
     is checked, or warned about, once for both.
     """
-    return _solve_sides(claim, cfg, benchmark, ("seller", "buyer"), allow_arbitrage)
+    return _solve_sides(claim, cfg, benchmark, (+1, -1), allow_arbitrage)

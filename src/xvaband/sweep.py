@@ -105,8 +105,7 @@ def default_threads() -> int:
             n = int(env)
         except ValueError:
             raise ValueError(f"XVA_THREADS must be an integer, got {env!r}") from None
-        if n < 1:
-            raise ValueError(f"XVA_THREADS must be >= 1, got {n}")
+        _require_count("XVA_THREADS", n)
         return n
     return min(8, os.cpu_count() or 1)
 
@@ -135,8 +134,6 @@ def run_sweep(
         threads = default_threads()
     else:
         _require_count("threads", threads)
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
     grid = grid or build_grid(spec.claim, spec.base)
     solver = solver or SolverConfig()
     spot = reporting_spot(spec.claim, spec.spot)

@@ -87,6 +87,23 @@ def test_bs_input_validation(call_claim):
         bs_closed_form(2.0, 1.0, call_claim, 0.01, 0.2)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["spot", "r", "sigma"])
+def test_bs_rejects_a_non_finite_input(call_claim, field, value):
+    # each priced NaN, or an infinity, without a word
+    args = dict(s=1.0, r=0.01, sigma=0.2)
+    args["s" if field == "spot" else field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        bs_closed_form(0.0, args["s"], call_claim, args["r"], args["sigma"])
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.2])
+def test_bs_rejects_a_non_positive_volatility(call_claim, sigma):
+    # -0.2 priced the 1-year ATM call at 0.00995 through the zero-vol branch
+    with pytest.raises(ValueError, match=f"^sigma must be positive, got {sigma}$"):
+        bs_closed_form(0.0, 1.0, call_claim, 0.01, sigma)
+
+
 # --- close-out and collateral ------------------------------------------------
 
 def _cfg(alpha, l_i, l_c=0.5):

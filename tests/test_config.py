@@ -49,6 +49,18 @@ def test_market_config_rejects_out_of_range(field, value):
         replace(DEFAULT_MARKET, **{field: value})
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("h_C_Q", -1.0, "h_C_Q must be >= 0, got -1.0"),
+    ("h_I_Q", -0.01, "h_I_Q must be >= 0, got -0.01"),
+    ("L_C", 1.5, "L_C must lie in [0, 1], got 1.5"),
+    ("L_I", -0.1, "L_I must lie in [0, 1], got -0.1"),
+])
+def test_market_config_range_error_names_the_field_and_value(field, value, message):
+    # the intensities and the loss fractions were named in pairs, valueless
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(DEFAULT_MARKET, **{field: value})
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_market_config_rejects_non_finite(bad):
     with pytest.raises(ValueError):

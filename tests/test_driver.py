@@ -291,3 +291,18 @@ def test_the_term_by_term_forms_are_not_in_the_package():
                 assert node.name not in REMOVED, (path.name, node.name)
             elif isinstance(node, ast.alias):
                 assert node.name not in REMOVED, (path.name, node.name)
+
+
+def test_the_finite_and_integer_checks_live_in_config():
+    # every numeric input goes through the checkers in config.py; a module
+    # that tests finiteness or integrality itself has grown its own copy
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("isfinite", "Integral"):
+                if isinstance(node.value, ast.Name) and node.value.id in ("math", "numbers"):
+                    users.add(path.name)
+            elif isinstance(node, ast.alias) and node.name in ("isfinite", "Integral"):
+                users.add(path.name)
+    assert users == {"config.py"}

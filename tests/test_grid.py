@@ -97,6 +97,13 @@ class TestGridSpec:
         with pytest.raises(TypeError, match="n_x must be an integer"):
             build_grid(call_claim, market, n_x=801.0)
 
+    @pytest.mark.parametrize("n_x, text", [(800.0, "800.0"), ("801", "'801'")])
+    def test_build_grid_names_the_callers_node_count(self, call_claim, market, n_x, text):
+        # 800.0 was named as 801.0, the bumped count, and "801" failed in
+        # the bump's string formatting
+        with pytest.raises(TypeError, match=f"^n_x must be an integer, got {text}$"):
+            build_grid(call_claim, market, n_x=n_x)
+
     @pytest.mark.parametrize("value", [True, np.bool_(True), "6.0", None])
     def test_build_grid_rejects_a_non_number_width(self, call_claim, market, value):
         # True built a lattice 1 sigma sqrt(T) wide
