@@ -36,16 +36,18 @@ def bs_closed_form(t: float, s: float, claim: ClaimSpec, r: float, sigma: float)
     Phi is :func:`scipy.special.ndtr`, the function
     ``scipy.stats.norm.cdf`` evaluates, so the value is bitwise the
     ``norm.cdf`` formula's.  Custom payoffs, a spot or sigma that is not
-    positive and finite, and a non-finite r are rejected; degenerate
-    sigma*sqrt(T - t) collapses to the discounted intrinsic on the forward.
+    positive and finite, a non-finite r and a t outside [0, T] are
+    rejected; degenerate sigma*sqrt(T - t) collapses to the discounted
+    intrinsic on the forward.
     """
     if claim.kind not in ("call", "put"):
         raise ValueError(f"closed form requires a call or put, got {claim.kind!r}")
     _require_positive("spot", s)
     _require_finite("r", r)
     _require_positive("sigma", sigma)
+    _require_finite("t", t)
     if not 0.0 <= t <= claim.maturity:
-        raise ValueError(f"t = {t} outside [0, {claim.maturity}]")
+        raise ValueError(f"t outside [0, {claim.maturity}], got {t}")
     k = claim.strike
     tau = claim.maturity - t
     if tau == 0.0:

@@ -33,9 +33,8 @@ from .config import (
     _require_count,
     apply_overrides,
     load_market_config,
-    reporting_spot,
 )
-from .grid import SolverConfig, _log_spot, build_grid
+from .grid import SolverConfig, build_grid, reporting_spot
 from .oracle import TreeSpec, tree_bsde_price
 from .pde import active_backend, solve_sides
 from .sweep import SweepAxis, SweepSpec, run_sweep, write_csv
@@ -44,6 +43,17 @@ from .xva import hedge_at, report_from_solution, solve_trade
 __all__ = ["main"]
 
 _THREADS_HELP = "worker threads (default XVA_THREADS, else min(8, CPU count))"
+
+#: The canned funding tables of a call struck at 1 and read at spot 1: per
+#: command its help text, the market fields it fixes and its one or two
+#: axes.  A table owns those fields, so ``--set`` may not override them.
+TABLES = {
+    "table1": ("funding table over alpha x r_f_minus", {},
+               SweepAxis("alpha", (0.0, 0.25, 0.75, 1.0)),
+               SweepAxis("r_f_minus", (0.08, 0.2))),
+    "table2": ("funding table over r_f_minus at alpha = 0.9", {"alpha": 0.9},
+               SweepAxis("r_f_minus", (0.08, 0.1, 0.15, 0.2)), None),
+}
 
 
 def _add_claim_args(p: argparse.ArgumentParser) -> None:
@@ -115,8 +125,7 @@ def cmd_price(args) -> int:
     cfg = _market_from_args(args)
     solver = _solver_from_args(args)
     grid = _grid_from_args(args, claim, cfg)
-    spot = reporting_spot(claim, args.spot)
-    _log_spot(grid, spot)
+    spot = reporting_spot(claim, grid, args.spot)
     sol = solve_trade(claim, cfg, grid, solver, allow_arbitrage=args.allow_arbitrage)
     report = report_from_solution(sol, spot)
     hedge = hedge_at(sol.seller, sol.benchmark, cfg, 0.0, spot)
@@ -156,8 +165,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _canned_table(args, base: MarketConfig, axis1: SweepAxis,
-                  axis2: SweepAxis | None) -> int:
+def cmd_table(args) -> int:
+    _, fixed, axis1, axis2 = TABLES[args.command]
+    axes = [a for a in (axis1, axis2) if a is not None]
+    owned = (*fixed, *(a.name for a in axes))
+    base = apply_overrides(_market_from_args(args, owned), fixed)
     claim = ClaimSpec(kind="call", strike=1.0, maturity=1.0)
     solver = _solver_from_args(args)
     grid = _grid_from_args(args, claim, base)
@@ -166,7 +178,7 @@ def _canned_table(args, base: MarketConfig, axis1: SweepAxis,
     # validated rate ordering; price them anyway (with the usual warning).
     rows = run_sweep(spec, grid, solver, threads=args.threads,
                      allow_arbitrage=True)
-    keep = list(rows[0].keys())[: (1 if axis2 is None else 2)] + [
+    keep = [a.name for a in axes] + [
         "v_hat_0", "v_sell_0", "v_buy_0", "xva_sell", "xva_buy",
         "funding_sell_0", "funding_buy_0",
     ]
@@ -174,27 +186,27 @@ def _canned_table(args, base: MarketConfig, axis1: SweepAxis,
     return 0
 
 
-def cmd_table1(args) -> int:
-    base = _market_from_args(args, ("alpha", "r_f_minus"))
-    return _canned_table(
-        args, base,
-        SweepAxis("alpha", (0.0, 0.25, 0.75, 1.0)),
-        SweepAxis("r_f_minus", (0.08, 0.2)),
-    )
-
-
-def cmd_table2(args) -> int:
-    base = apply_overrides(_market_from_args(args, ("alpha", "r_f_minus")),
-                           {"alpha": 0.9})
-    return _canned_table(
-        args, base,
-        SweepAxis("r_f_minus", (0.08, 0.1, 0.15, 0.2)),
-        None,
-    )
+def _study(case: str, grids: list, values: list[float],
+           exact: float | None = None) -> list[dict]:
+    """One row per level: its value, its error against ``exact`` (without
+    one, against the level before) and the order log2(previous error /
+    error), blank where an error is missing or zero."""
+    if exact is not None:
+        errors = [abs(v - exact) for v in values]
+    else:
+        errors = [None] + [abs(b - a) for a, b in zip(values, values[1:])]
+    orders = [None] + [math.log2(a / b) if a and b else None
+                       for a, b in zip(errors, errors[1:])]
+    return [{"case": case, "level": lvl, "n_x": grid.n_x, "n_t": grid.n_t,
+             "value": value, "error": err, "order": order}
+            for lvl, (grid, value, err, order)
+            in enumerate(zip(grids, values, errors, orders))]
 
 
 def cmd_convergence(args) -> int:
     _require_count("--levels", args.levels, 2)
+    _require_count("--base-nx", args.base_nx, 5)
+    _require_count("--base-nt", args.base_nt)
     if args.base_nx % 2 == 0:
         # build_grid would solve on base_nx + 1 nodes, and the levels would
         # not halve dx
@@ -202,42 +214,26 @@ def cmd_convergence(args) -> int:
     cfg = _market_from_args(args)
     solver = _solver_from_args(args)
     claim = _claim_from_args(args)
-    spot = reporting_spot(claim, args.spot)
+    # every level spans the same bounds, so the spot is checked once
+    grids = [build_grid(claim, cfg, width_sigmas=args.width_sigmas,
+                        n_x=(args.base_nx - 1) * 2 ** lvl + 1,
+                        n_t=args.base_nt * 2 ** lvl)
+             for lvl in range(args.levels)]
+    spot = reporting_spot(claim, grids[0], args.spot)
 
-    # closed-form comparison for the default-free linear equation, then
-    # self-convergence of the seller and the buyer (Richardson estimate);
-    # each level's grid and reference surface serve all three
-    exact = (bs_closed_form(0.0, spot, claim, cfg.r_D, cfg.sigma)
-             if claim.kind in ("call", "put") else None)
-    linear: list[dict] = []
-    sides: dict[str, list[dict]] = {"seller": [], "buyer": []}
-    errs: list[float] = []
-    for lvl in range(args.levels):
-        n_x = (args.base_nx - 1) * 2 ** lvl + 1
-        n_t = args.base_nt * 2 ** lvl
-        grid = build_grid(claim, cfg, width_sigmas=args.width_sigmas,
-                          n_x=n_x, n_t=n_t)
-        _log_spot(grid, spot)
-        bench = benchmark_surface(grid, claim, cfg, solver)
-        if exact is not None:
-            err = abs(bench.value_at(0.0, spot) - exact)
-            errs.append(err)
-            order = math.log2(errs[-2] / err) if lvl and err > 0.0 else None
-            linear.append({"case": "linear", "level": lvl, "n_x": grid.n_x,
-                           "n_t": n_t, "value": bench.value_at(0.0, spot),
-                           "error": err, "order": order})
-
-        surfs = solve_sides(claim, cfg, bench, allow_arbitrage=args.allow_arbitrage)
-        for (side, rows), surf in zip(sides.items(), surfs):
-            vals = [row["value"] for row in rows[-2:]] + [surf.value_at(0.0, spot)]
-            diff = abs(vals[-1] - vals[-2]) if lvl else None
-            order = None
-            if lvl >= 2 and diff and diff > 0.0:
-                prev = abs(vals[-2] - vals[-3])
-                order = math.log2(prev / diff) if prev > 0.0 else None
-            rows.append({"case": side, "level": lvl, "n_x": grid.n_x, "n_t": n_t,
-                         "value": vals[-1], "error": diff, "order": order})
-    write_csv(linear + sides["seller"] + sides["buyer"], args.out or sys.stdout)
+    # the closed-form error of the default-free linear equation, then
+    # self-convergence of the seller and the buyer (Richardson estimate)
+    reports = []
+    for grid in grids:
+        sol = solve_trade(claim, cfg, grid, solver, allow_arbitrage=args.allow_arbitrage)
+        reports.append(report_from_solution(sol, spot))
+    rows = []
+    if claim.kind in ("call", "put"):
+        exact = bs_closed_form(0.0, spot, claim, cfg.r_D, cfg.sigma)
+        rows += _study("linear", grids, [r.v_hat_0 for r in reports], exact)
+    rows += _study("seller", grids, [r.v_sell_0 for r in reports])
+    rows += _study("buyer", grids, [r.v_buy_0 for r in reports])
+    write_csv(rows, args.out or sys.stdout)
     return 0
 
 
@@ -308,16 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fail-fast", action="store_true")
     p.set_defaults(fn=cmd_sweep)
 
-    for name, fn, help_text in (
-        ("table1", cmd_table1, "funding table over alpha x r_f_minus"),
-        ("table2", cmd_table2, "funding table over r_f_minus at alpha = 0.9"),
-    ):
+    for name, (help_text, *_) in TABLES.items():
         p = sub.add_parser(name, help=help_text)
         _add_market_args(p, config_required=False)
         _add_grid_args(p)
         p.add_argument("--out", default=None)
         p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("convergence", help="grid refinement study")
     _add_claim_args(p)
@@ -352,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         print("use --allow-arbitrage to price anyway", file=sys.stderr)
         return 1
-    except (ValueError, OSError, RuntimeError) as err:
+    except (TypeError, ValueError, OSError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -40,7 +40,6 @@ __all__ = [
     "load_market_config",
     "market_config_from_dict",
     "apply_overrides",
-    "reporting_spot",
 ]
 
 
@@ -54,11 +53,12 @@ def _require_count(name: str, v, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {v}")
 
 
-def _require_number(name: str, v) -> None:
-    """Raise ``TypeError`` unless ``v`` is an int or a float (numpy's float64
-    included), but not a bool (which would count as 0 or 1)."""
+def _require_number(name: str, v) -> float:
+    """``v`` as a float; ``TypeError`` unless it is an int or a float (numpy's
+    float64 included), but not a bool (which would count as 0 or 1)."""
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise TypeError(f"{name} must be a number, got {v!r}")
+    return float(v)
 
 
 def _require_finite(name: str, v) -> None:
@@ -216,16 +216,6 @@ class ClaimSpec:
         return out
 
 
-def reporting_spot(claim: ClaimSpec, spot: float | None = None) -> float:
-    """The spot a report reads: ``spot`` (positive and finite), else the
-    strike, else the centre of the claim's lattice
-    (:attr:`ClaimSpec.log_center`)."""
-    if spot is not None:
-        _require_positive("spot", spot)
-        return spot
-    return claim.strike if claim.strike is not None else math.exp(claim.log_center)
-
-
 class ArbitrageViolationError(ValueError):
     """Raised when a market config admits arbitrage in the hedging market."""
 
@@ -241,43 +231,28 @@ def validate_no_arbitrage(cfg: MarketConfig) -> list[str]:
     inequalities are required against the risky bond returns; the others
     tolerate equality.
     """
-    v: list[str] = []
     # raw formula: negativity is reported here rather than raised
     h_I_P = cfg.h_I_Q - (cfg.r_I - cfg.r_D)
     h_C_P = cfg.h_C_Q - (cfg.r_C - cfg.r_D)
-    if h_I_P < 0.0:
-        v.append(f"h_I_P >= 0 violated: implied h_I_P = {h_I_P}")
-    if h_C_P < 0.0:
-        v.append(f"h_C_P >= 0 violated: implied h_C_P = {h_C_P}")
     ret_I = cfg.r_I + h_I_P
     ret_C = cfg.r_C + h_C_P
-    if cfg.r_r_plus > cfg.r_f_plus:
-        v.append(f"r_r_plus <= r_f_plus violated: {cfg.r_r_plus} > {cfg.r_f_plus}")
-    if cfg.r_f_plus > cfg.r_r_minus:
-        v.append(f"r_f_plus <= r_r_minus violated: {cfg.r_f_plus} > {cfg.r_r_minus}")
-    if cfg.r_f_plus > cfg.r_f_minus:
-        v.append(f"r_f_plus <= r_f_minus violated: {cfg.r_f_plus} > {cfg.r_f_minus}")
-    if max(cfg.r_f_plus, cfg.r_D) >= ret_I:
-        v.append(
-            f"max(r_f_plus, r_D) < r_I + h_I_P violated: "
-            f"{max(cfg.r_f_plus, cfg.r_D)} >= {ret_I}"
-        )
-    if max(cfg.r_f_plus, cfg.r_D) >= ret_C:
-        v.append(
-            f"max(r_f_plus, r_D) < r_C + h_C_P violated: "
-            f"{max(cfg.r_f_plus, cfg.r_D)} >= {ret_C}"
-        )
-    if max(cfg.r_c_plus, cfg.r_c_minus) > cfg.r_f_minus:
-        v.append(
-            f"max(r_c_plus, r_c_minus) <= r_f_minus violated: "
-            f"{max(cfg.r_c_plus, cfg.r_c_minus)} > {cfg.r_f_minus}"
-        )
-    if cfg.r_f_minus > min(ret_I, ret_C):
-        v.append(
-            f"r_f_minus <= min(r_I + h_I_P, r_C + h_C_P) violated: "
-            f"{cfg.r_f_minus} > {min(ret_I, ret_C)}"
-        )
-    return v
+    lend = max(cfg.r_f_plus, cfg.r_D)
+    # (label, lhs, rhs, strict): the rule reads lhs < rhs if strict, else lhs <= rhs
+    rules = (
+        ("h_I_P >= 0", 0.0, h_I_P, False),
+        ("h_C_P >= 0", 0.0, h_C_P, False),
+        ("r_r_plus <= r_f_plus", cfg.r_r_plus, cfg.r_f_plus, False),
+        ("r_f_plus <= r_r_minus", cfg.r_f_plus, cfg.r_r_minus, False),
+        ("r_f_plus <= r_f_minus", cfg.r_f_plus, cfg.r_f_minus, False),
+        ("max(r_f_plus, r_D) < r_I + h_I_P", lend, ret_I, True),
+        ("max(r_f_plus, r_D) < r_C + h_C_P", lend, ret_C, True),
+        ("max(r_c_plus, r_c_minus) <= r_f_minus",
+         max(cfg.r_c_plus, cfg.r_c_minus), cfg.r_f_minus, False),
+        ("r_f_minus <= min(r_I + h_I_P, r_C + h_C_P)",
+         cfg.r_f_minus, min(ret_I, ret_C), False),
+    )
+    return [f"{label} violated: {lhs} {'>=' if strict else '>'} {rhs}"
+            for label, lhs, rhs, strict in rules if (lhs >= rhs if strict else lhs > rhs)]
 
 
 def market_config_from_dict(raw: dict) -> MarketConfig:
@@ -291,14 +266,9 @@ def market_config_from_dict(raw: dict) -> MarketConfig:
     missing = sorted(known - set(raw))
     if missing:
         raise ValueError(f"missing market config keys: {', '.join(missing)}")
-    return MarketConfig(**{k: _number(k, raw[k]) for k in known})
-
-
-def _number(name: str, v) -> float:
-    """``v`` as a float; anything but an int or a float (bool included) raises."""
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ValueError(f"{name} must be a number, got {v!r}")
-    return float(v)
+    # field order, so that of two bad values the same one is named every run
+    return MarketConfig(**{f.name: _require_number(f.name, raw[f.name])
+                           for f in fields(MarketConfig)})
 
 
 def load_market_config(path: str | Path) -> MarketConfig:
@@ -319,4 +289,4 @@ def apply_overrides(cfg: MarketConfig, overrides: dict[str, float]) -> MarketCon
     unknown = sorted(set(overrides) - known)
     if unknown:
         raise ValueError(f"unknown market config fields: {', '.join(unknown)}")
-    return replace(cfg, **{k: _number(k, v) for k, v in overrides.items()})
+    return replace(cfg, **{k: _require_number(k, v) for k, v in overrides.items()})

@@ -29,6 +29,7 @@ __all__ = [
     "SolveDiagnostics",
     "Surface",
     "build_grid",
+    "reporting_spot",
     "time_schedule",
     "uniform_row_indices",
 ]
@@ -115,6 +116,17 @@ def build_grid(
         n_t=n_t,
         maturity=claim.maturity,
     )
+
+
+def reporting_spot(claim: ClaimSpec, grid: GridSpec, spot: float | None = None) -> float:
+    """The spot a report reads: ``spot``, else the strike, else the centre of
+    the claim's lattice (:attr:`ClaimSpec.log_center`).  It must be positive
+    with its log on ``grid`` (to 1e-12), so a caller checks it before any
+    march."""
+    if spot is None:
+        spot = claim.strike if claim.strike is not None else math.exp(claim.log_center)
+    _log_spot(grid, spot)
+    return spot
 
 
 def time_schedule(
@@ -209,8 +221,9 @@ class Surface:
 
 
 def _time_weights(grid: GridSpec, t: float) -> tuple[int, int, float]:
+    _require_finite("t", t)
     if not 0.0 <= t <= grid.maturity + 1e-12:
-        raise ValueError(f"t = {t} outside [0, {grid.maturity}]")
+        raise ValueError(f"t outside [0, {grid.maturity}], got {t}")
     pos = min(t, grid.maturity) / grid.dt
     i0 = min(int(math.floor(pos)), grid.n_t - 1)
     return i0, i0 + 1, pos - i0

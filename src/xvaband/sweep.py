@@ -17,18 +17,11 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
-from dataclasses import fields as dataclass_fields
+from dataclasses import dataclass, fields
 
-from .config import (
-    ClaimSpec,
-    MarketConfig,
-    _require_count,
-    apply_overrides,
-    reporting_spot,
-)
-from .grid import GridSpec, SolverConfig, _log_spot, build_grid
-from .xva import hedge_at, report_from_solution, solve_trade
+from .config import ClaimSpec, MarketConfig, _require_count, apply_overrides
+from .grid import GridSpec, SolverConfig, build_grid, reporting_spot
+from .xva import XvaReport, hedge_at, report_from_solution, solve_trade
 
 __all__ = [
     "SweepAxis",
@@ -39,30 +32,19 @@ __all__ = [
     "SWEEP_COLUMNS",
 ]
 
-#: Output columns after the axis columns, in emission order.
-SWEEP_COLUMNS = (
-    "v_hat_0",
-    "v_sell_0",
-    "v_buy_0",
-    "xva_sell",
-    "xva_buy",
-    "xva_sell_rel",
-    "xva_buy_rel",
-    "band_width",
-    "funding_sell_0",
-    "funding_buy_0",
-    "xi_0",
-    "xi_I_0",
-    "xi_C_0",
-    "error",
-)
+#: Output columns after the axis columns, in emission order: the fields of
+#: :class:`~xvaband.xva.XvaReport` but its spot, the seller's time-0 hedge
+#: positions and the error cell.
+SWEEP_COLUMNS = (*(f.name for f in fields(XvaReport) if f.name != "spot"),
+                 "xi_0", "xi_I_0", "xi_C_0", "error")
 
 
 @dataclass(frozen=True)
 class SweepAxis:
     """One swept market field and its values, in emission order.
 
-    The values may be any sequence of real numbers, numpy's included (say
+    ``name`` must be a :class:`~xvaband.config.MarketConfig` field.  The
+    values may be any sequence of real numbers, numpy's included (say
     ``np.arange`` or ``np.linspace`` output), but not bools or strings.
     They are stored as a tuple of Python floats, the type
     :func:`~xvaband.config.apply_overrides` takes.
@@ -72,6 +54,8 @@ class SweepAxis:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if self.name not in {f.name for f in fields(MarketConfig)}:
+            raise ValueError(f"unknown sweep axis field: {self.name!r}")
         values = tuple(self.values)
         for v in values:
             if not isinstance(v, numbers.Real) or isinstance(v, bool):
@@ -136,14 +120,9 @@ def run_sweep(
         _require_count("threads", threads)
     grid = grid or build_grid(spec.claim, spec.base)
     solver = solver or SolverConfig()
-    spot = reporting_spot(spec.claim, spec.spot)
-    _log_spot(grid, spot)
+    spot = reporting_spot(spec.claim, grid, spec.spot)
     points = _points(spec)
     axis_names = list(points[0].keys())
-    valid = {f.name for f in dataclass_fields(MarketConfig)}
-    unknown = sorted(set(axis_names) - valid)
-    if unknown:
-        raise ValueError(f"unknown sweep axis fields: {unknown}")
 
     # reference surfaces keyed by the only fields they depend on
     from .benchmark import benchmark_surface
@@ -167,8 +146,8 @@ def run_sweep(
                               benchmark=bench_cache[(cfg.r_D, cfg.sigma)])
             rep = report_from_solution(sol, spot)
             hedge = hedge_at(sol.seller, sol.benchmark, cfg, 0.0, spot)
-            # the report's fields carry the names of the first ten columns
-            row.update((col, getattr(rep, col)) for col in SWEEP_COLUMNS[:10])
+            # the report's fields name all but the last four columns
+            row.update((col, getattr(rep, col)) for col in SWEEP_COLUMNS[:-4])
             row.update(xi_0=hedge.xi, xi_I_0=hedge.xi_I, xi_C_0=hedge.xi_C, error="")
         except Exception as err:  # noqa: BLE001 - reported per row
             if fail_fast:

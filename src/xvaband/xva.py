@@ -22,9 +22,9 @@ import math
 from dataclasses import asdict, dataclass
 
 from .benchmark import benchmark_surface
-from .config import ClaimSpec, MarketConfig, reporting_spot
+from .config import ClaimSpec, MarketConfig
 from .driver import closeouts, financing_level, level_coefficients
-from .grid import GridSpec, SolverConfig, Surface, _log_spot, build_grid
+from .grid import GridSpec, SolverConfig, Surface, build_grid, reporting_spot
 # solve_semilinear stays bound here: the perfbench tracer wraps it by this name
 from .pde import solve_semilinear, solve_sides  # noqa: F401
 
@@ -171,9 +171,8 @@ def compute_xva(
 ) -> XvaReport:
     """Time-0 adjustments of both sides at one spot (default: the strike),
     which must lie on the lattice; it is checked before any march."""
-    spot = reporting_spot(claim, spot)
     grid = grid or build_grid(claim, cfg)
-    _log_spot(grid, spot)
+    spot = reporting_spot(claim, grid, spot)
     sol = solve_trade(claim, cfg, grid, solver, allow_arbitrage=allow_arbitrage)
     return report_from_solution(sol, spot)
 

@@ -342,7 +342,7 @@ class TestConvergence:
         assert marches == []
 
     def test_each_level_solves_its_reference_once(self, monkeypatch, capsys):
-        import xvaband.cli as cli
+        import xvaband.xva
 
         calls = []
 
@@ -350,7 +350,7 @@ class TestConvergence:
             calls.append(args[0].n_x)
             return benchmark_surface(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "benchmark_surface", counted)
+        monkeypatch.setattr(xvaband.xva, "benchmark_surface", counted)
         rc = main(["convergence", "--levels", "3", "--base-nx", "51",
                    "--base-nt", "10"])
         assert rc == 0
@@ -373,6 +373,21 @@ class TestConvergence:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: --base-nx must be odd, got 100")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--base-nt", "0"], "--base-nt must be >= 1, got 0"),
+        (["--base-nx", "1"], "--base-nx must be >= 5, got 1"),
+        (["--base-nx", "-3"], "--base-nx must be >= 5, got -3"),
+    ])
+    def test_rejects_a_base_count_by_its_flag(self, capsys, marches, flags, message):
+        # build_grid named the lattice's n_t or n_x, not the flag, and the
+        # minimum of another count
+        rc = main(["convergence", "--levels", "2", *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}\n")
+        assert captured.out == ""
+        assert marches == []
 
     @pytest.mark.parametrize("flag", ["--nx", "--nt"])
     def test_rejects_the_node_count_flags(self, capsys, flag):

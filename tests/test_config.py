@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xvaband
 from xvaband import (
     ArbitrageViolationError,
     ClaimSpec,
@@ -18,7 +23,8 @@ from xvaband import (
     load_market_config,
     validate_no_arbitrage,
 )
-from xvaband.config import market_config_from_dict, reporting_spot
+from xvaband.config import market_config_from_dict
+from xvaband.grid import reporting_spot
 
 
 # --- MarketConfig validation -------------------------------------------------
@@ -232,8 +238,26 @@ def test_market_config_from_dict_rejects_non_numbers(value):
     raw = _as_dict(DEFAULT_MARKET)
     raw["sigma"] = value
     want = f"sigma must be a number, got {value!r}"
-    with pytest.raises(ValueError, match=re.escape(want)):
+    with pytest.raises(TypeError, match=re.escape(want)):
         market_config_from_dict(raw)
+
+
+def test_market_config_from_dict_names_the_first_bad_field_every_run():
+    # the fields were checked in set order, which the string hash seed sets:
+    # under seed 0 the error named alpha, under seed 1 sigma
+    code = ("from dataclasses import asdict\n"
+            "from xvaband import DEFAULT_MARKET\n"
+            "from xvaband.config import market_config_from_dict\n"
+            "raw = {**asdict(DEFAULT_MARKET), 'sigma': 'x', 'alpha': 'y'}\n"
+            "try:\n"
+            "    market_config_from_dict(raw)\n"
+            "except TypeError as err:\n"
+            "    print(err)\n")
+    src = str(Path(xvaband.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "sigma must be a number, got 'x'\n"
 
 
 def test_market_config_from_dict_converts_ints():
@@ -255,7 +279,7 @@ def test_apply_overrides():
 @pytest.mark.parametrize("value", [None, True, "0.2", [0.2]])
 def test_apply_overrides_rejects_non_numbers(value):
     want = f"alpha must be a number, got {value!r}"
-    with pytest.raises(ValueError, match=re.escape(want)):
+    with pytest.raises(TypeError, match=re.escape(want)):
         apply_overrides(DEFAULT_MARKET, {"alpha": value})
 
 
@@ -267,16 +291,17 @@ def test_apply_overrides_converts_ints():
 def test_reporting_spot_falls_back_to_the_strike_then_one():
     put = ClaimSpec.put(strike=1.3, maturity=1.0)
     custom = ClaimSpec.custom([(1.0, 0.5)], maturity=1.0)
-    assert reporting_spot(put, 0.9) == 0.9
-    assert reporting_spot(put) == 1.3
-    assert reporting_spot(custom) == 1.0
+    assert reporting_spot(put, build_grid(put, DEFAULT_MARKET), 0.9) == 0.9
+    assert reporting_spot(put, build_grid(put, DEFAULT_MARKET)) == 1.3
+    assert reporting_spot(custom, build_grid(custom, DEFAULT_MARKET)) == 1.0
 
 
 @pytest.mark.parametrize("value", [True, np.bool_(True), "1.0"])
 def test_reporting_spot_rejects_a_non_number(value):
     # True priced at spot 1 and reported "spot": true
     with pytest.raises(TypeError, match="spot must be a number"):
-        reporting_spot(ClaimSpec.call(strike=1.0, maturity=1.0), value)
+        call = ClaimSpec.call(strike=1.0, maturity=1.0)
+        reporting_spot(call, build_grid(call, DEFAULT_MARKET), value)
 
 
 def test_reporting_spot_of_a_strikeless_claim_is_its_lattice_centre():
@@ -284,7 +309,7 @@ def test_reporting_spot_of_a_strikeless_claim_is_its_lattice_centre():
     # its default report spot must sit there too, not at 1.0 far outside
     custom = ClaimSpec.custom([(100.0, 0.0), (200.0, 100.0)], maturity=1.0)
     grid = build_grid(custom, DEFAULT_MARKET)
-    spot = reporting_spot(custom)
+    spot = reporting_spot(custom, grid)
     assert spot == pytest.approx(math.sqrt(100.0 * 200.0), rel=1e-14)
     assert math.log(spot) == pytest.approx(0.5 * (grid.x_min + grid.x_max),
                                            abs=1e-14)

@@ -306,3 +306,18 @@ def test_the_finite_and_integer_checks_live_in_config():
             elif isinstance(node, ast.alias) and node.name in ("isfinite", "Integral"):
                 users.add(path.name)
     assert users == {"config.py"}
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a private name stays behind its module's public entry (the spot
+    # policy behind grid.reporting_spot, say); only config's checkers and
+    # side mapper are shared
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    shared = node.module == "config" and (
+                        alias.name.startswith("_require_") or alias.name == "_side_sign")
+                    assert not alias.name.startswith("_") or shared, (
+                        path.name, node.module, alias.name)

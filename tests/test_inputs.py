@@ -10,6 +10,7 @@ any march.
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from xvaband import (
@@ -18,6 +19,7 @@ from xvaband import (
     GridSpec,
     MarketConfig,
     SolverConfig,
+    Surface,
     SweepAxis,
     SweepSpec,
     TreeSpec,
@@ -26,7 +28,7 @@ from xvaband import (
     compute_xva,
     run_sweep,
 )
-from xvaband.config import reporting_spot
+from xvaband.grid import SolveDiagnostics, reporting_spot
 
 VALUES = [True, "1", math.nan, math.inf, -math.inf, 0, -1]
 
@@ -35,6 +37,9 @@ GRID = build_grid(CALL, DEFAULT_MARKET, n_x=51, n_t=10)
 LATTICE = dict(x_min=-2.0, x_max=1.0, n_x=5, n_t=4, maturity=1.0)
 SPEC = SweepSpec(claim=CALL, base=DEFAULT_MARKET, axis1=SweepAxis("alpha", (0.5,)))
 SIGNED = (0, -1)  # a rate or a payoff value may be zero or negative
+# a zero surface on GRID, made without a march
+SURFACE = Surface(GRID, SolverConfig(), np.zeros((GRID.n_t + 2, GRID.n_x)),
+                  SolveDiagnostics(np.zeros(GRID.n_t + 1), np.zeros(GRID.n_t + 1)))
 
 
 def _market_row(name):
@@ -68,8 +73,11 @@ TABLE = [
     ("TreeSpec", "spot",
      lambda v: TreeSpec(n_steps=10, claim=CALL, cfg=DEFAULT_MARKET, spot=v), ()),
     ("run_sweep", "threads", lambda v: run_sweep(SPEC, GRID, threads=v), ()),
-    ("reporting_spot", "spot", lambda v: reporting_spot(CALL, v), ()),
+    ("reporting_spot", "spot", lambda v: reporting_spot(CALL, GRID, v), ()),
     ("compute_xva", "spot", lambda v: compute_xva(CALL, DEFAULT_MARKET, GRID, spot=v), ()),
+    ("bs_closed_form", "t", lambda v: bs_closed_form(v, 1.0, CALL, DEFAULT_MARKET.r_D, 0.2),
+     (0,)),
+    ("Surface.value_at", "t", lambda v: SURFACE.value_at(v, 1.0), (0,)),
     ("bs_closed_form", "spot",
      lambda v: bs_closed_form(0.0, v, CALL, DEFAULT_MARKET.r_D, 0.2), ()),
     ("bs_closed_form", "r", lambda v: bs_closed_form(0.0, 1.0, CALL, v, 0.2), SIGNED),

@@ -147,12 +147,9 @@ class TestRunSweep:
         with pytest.raises(ArbitrageViolationError):
             run_sweep(spec, coarse_grid, fail_fast=True)
 
-    def test_unknown_field_rejected_up_front(self, call_claim, market, coarse_grid):
-        spec = SweepSpec(
-            claim=call_claim, base=market, axis1=SweepAxis("stock_vol", (0.1,))
-        )
+    def test_unknown_field_rejected_up_front(self):
         with pytest.raises(ValueError, match="unknown sweep axis"):
-            run_sweep(spec, coarse_grid)
+            SweepAxis("stock_vol", (0.1,))
 
     @pytest.mark.parametrize("spot, message", [
         (-1.0, "spot must be positive, got -1.0"),
