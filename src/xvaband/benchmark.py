@@ -21,6 +21,7 @@ import math
 from scipy.special import ndtr
 
 from .config import ClaimSpec, MarketConfig, _require_finite, _require_positive
+from .driver import equation_coefficients
 from .grid import GridSpec, SolverConfig, Surface
 from .pde import march_schedule, terminal_slice
 
@@ -80,9 +81,9 @@ def benchmark_surface(
     ``solver``.
     """
     solver = solver or SolverConfig()
-    a = cfg.r_D - 0.5 * cfg.sigma * cfg.sigma
+    eq = equation_coefficients(cfg)
     (surf,) = march_schedule(
         terminal_slice(claim, grid), grid, solver,
-        a_eff=a, b=0.5 * cfg.sigma * cfg.sigma, kappa=cfg.r_D, terms=None,
+        a_eff=eq.drift, b=eq.b, kappa=cfg.r_D, terms=None,
     )
     return surf

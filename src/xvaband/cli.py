@@ -83,16 +83,32 @@ def _add_market_args(p: argparse.ArgumentParser, config_required: bool) -> None:
                    help="override one market field (repeatable)")
 
 
+def _parse_number(flag: str, field: str, text: str) -> float:
+    """``text`` as a float; otherwise a ``ValueError`` that names the flag,
+    the field and the text."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{flag} {field}: expected a number, got {text!r}") from None
+
+
 def _claim_from_args(args) -> ClaimSpec:
-    if args.claim == "custom":
-        if not args.knots:
-            raise ValueError("custom claim requires --knots")
+    knots = None
+    if args.knots:
         knots = []
         for part in args.knots.split(","):
-            s, _, v = part.partition(":")
-            knots.append((float(s), float(v)))
+            s, sep, v = part.partition(":")
+            if not sep:
+                raise ValueError(f"--knots expects spot:value pairs, got {part!r}")
+            knots.append((_parse_number("--knots", "spot", s),
+                           _parse_number("--knots", "value", v)))
+    if args.claim == "custom":
+        if not knots:
+            raise ValueError("custom claim requires --knots")
         return ClaimSpec.custom(knots, maturity=args.maturity)
-    return ClaimSpec(kind=args.claim, strike=args.strike, maturity=args.maturity)
+    # a call or a put rejects the knots its payoff would ignore
+    return ClaimSpec(kind=args.claim, strike=args.strike, maturity=args.maturity,
+                     knots=knots)
 
 
 def _market_from_args(args, owned: tuple[str, ...] = ()) -> MarketConfig:
@@ -107,7 +123,7 @@ def _market_from_args(args, owned: tuple[str, ...] = ()) -> MarketConfig:
         name = name.strip()
         if name in owned:
             raise ValueError(f"--set {name}: {args.command} sweeps or fixes {name!r} itself")
-        overrides[name] = float(value)
+        overrides[name] = _parse_number("--set", name, value)
     return apply_overrides(cfg, overrides) if overrides else cfg
 
 
@@ -142,18 +158,19 @@ def cmd_price(args) -> int:
     return 0
 
 
-def _sweep_axis(text: str) -> SweepAxis:
+def _sweep_axis(flag: str, text: str) -> SweepAxis:
     name, sep, values = text.partition("=")
     if not sep or not values:
         raise ValueError(f"axis must be FIELD=v1,v2,..., got {text!r}")
-    return SweepAxis(name=name.strip(),
-                     values=tuple(float(v) for v in values.split(",")))
+    name = name.strip()
+    return SweepAxis(name=name, values=tuple(
+        _parse_number(flag, name, v) for v in values.split(",")))
 
 
 def cmd_sweep(args) -> int:
     claim = _claim_from_args(args)
-    axis1 = _sweep_axis(args.axis)
-    axis2 = _sweep_axis(args.axis2) if args.axis2 else None
+    axis1 = _sweep_axis("--axis", args.axis)
+    axis2 = _sweep_axis("--axis2", args.axis2) if args.axis2 else None
     cfg = _market_from_args(args, tuple(a.name for a in (axis1, axis2) if a))
     solver = _solver_from_args(args)
     grid = _grid_from_args(args, claim, cfg)

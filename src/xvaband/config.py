@@ -141,7 +141,7 @@ class ClaimSpec:
     Custom payoffs are given as ``knots`` of (spot, value) pairs with
     strictly increasing spots; the payoff is linearly interpolated between
     knots and linearly extrapolated beyond the end segments (a single knot
-    means a constant payoff).
+    means a constant payoff).  A call or a put takes no knots.
     """
 
     kind: str
@@ -157,6 +157,9 @@ class ClaimSpec:
             _require_positive("strike", self.strike)
         elif self.kind != "custom":
             raise ValueError(f"{self.kind} claim needs a positive strike")
+        if self.kind != "custom" and self.knots is not None:
+            raise ValueError(f"knots apply to custom claims only, a {self.kind} "
+                             f"got knots={self.knots!r}")
         if self.kind == "custom":
             if not self.knots:
                 raise ValueError("custom claim needs at least one payoff knot")

@@ -40,10 +40,10 @@ v_hat`` the funding balance is ``y = Y - v``, and the sum is
               - s C(s alpha v_hat) - r_f- Y.
 
 Only v_hat enters ``Y`` and ``const_s`` (:func:`financing_level`); the
-side enters ``const_s`` through the collateral rates alone.  The linear
-rate (:func:`linear_rate`) and the funding spread (:func:`funding_spread`)
-are the same for both sides, and ``s R(s z) = m z/sigma + s s_repo
-|z|/sigma`` with ``(m, s_repo)`` from :func:`repo_drift_split`.
+side enters ``const_s`` through the collateral rates alone.  The rest is
+the same for both sides, with ``s R(s z) = m z/sigma + s s_repo |z|/sigma``:
+:func:`equation_coefficients` holds its rates once per market, the one
+record of them that the PDE march, the reference and the tree read.
 
 Split form.  Each of theta_I, theta_C and alpha v_hat is linear on each
 sign of v_hat (``alpha`` lies in [0, 1], so ``alpha v_hat`` has the sign of
@@ -73,43 +73,40 @@ exposures are ``theta_j - v`` with theta_I, theta_C from :func:`closeouts`.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .config import MarketConfig
 
 __all__ = [
     "closeouts",
+    "equation_coefficients",
     "financing_level",
-    "funding_spread",
     "level_coefficients",
-    "linear_rate",
-    "repo_drift_split",
 ]
 
 
-def repo_drift_split(cfg: MarketConfig) -> tuple[float, float]:
-    """Split the repo term of the driver into linear and kink parts.
+class EquationCoefficients(NamedTuple):
+    """The market's coefficients of the equations in log space."""
 
-    In terms of the log-space slope ``w_x = z / sigma`` the repo charge is
-    ``m*w_x + s*|w_x|`` with ``m = (2 r_D - r_r_plus - r_r_minus)/2`` and
-    ``s = (r_r_plus - r_r_minus)/2``.  The linear part is folded into the
-    PDE convection coefficient, so the march's operator carries it; the
-    kink part (zero for symmetric repo rates) stays in the nonlinear driver,
-    where the branch solve freezes its sign.
-    """
-    m = 0.5 * (2.0 * cfg.r_D - cfg.r_r_plus - cfg.r_r_minus)
-    s = 0.5 * (cfg.r_r_plus - cfg.r_r_minus)
-    return m, s
+    b: float       # sigma^2/2, the diffusion
+    drift: float   # r_D - b, the reference's convection
+    m: float       # (2 r_D - r_r+ - r_r-)/2, the linear repo part, in the convection
+    s_repo: float  # (r_r+ - r_r-)/2, the repo kink
+    kappa: float   # h_I + h_C + (h_I + h_C + 2 r_D - r_f-), the wealth's discount rate
+    spread: float  # r_f+ - r_f-, the slope of the funding kink
 
 
-def linear_rate(cfg: MarketConfig) -> float:
-    """Rate ``h_I + h_C + 2 r_D - r_f-`` at which the level form discounts v."""
-    return cfg.h_I_Q + cfg.h_C_Q + 2.0 * cfg.r_D - cfg.r_f_minus
-
-
-def funding_spread(cfg: MarketConfig) -> float:
-    """Slope ``r_f+ - r_f-`` of the funding kink of the level form."""
-    return cfg.r_f_plus - cfg.r_f_minus
+def equation_coefficients(cfg: MarketConfig) -> EquationCoefficients:
+    """The :class:`EquationCoefficients` of the market ``cfg``."""
+    b = 0.5 * cfg.sigma * cfg.sigma
+    h = cfg.h_I_Q + cfg.h_C_Q
+    return EquationCoefficients(
+        b=b, drift=cfg.r_D - b,
+        m=0.5 * (2.0 * cfg.r_D - cfg.r_r_plus - cfg.r_r_minus),
+        s_repo=0.5 * (cfg.r_r_plus - cfg.r_r_minus),
+        kappa=h + (h + 2.0 * cfg.r_D - cfg.r_f_minus), spread=cfg.r_f_plus - cfg.r_f_minus)
 
 
 def _loss_factors(cfg: MarketConfig) -> tuple[float, float]:

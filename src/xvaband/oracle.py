@@ -20,11 +20,11 @@ and negative parts of the level's v_hat, with the side's
 level form the PDE march uses too), the relation reads
 
     A x + s c (s (Y - x))^+ = B,
-    A = 1 + dt (h_I + h_C + (h_I + h_C + 2 r_D - r_f-)),
-    c = dt (r_f+ - r_f-),
+    A = 1 + dt kappa,   c = dt (r_f+ - r_f-),
     B = E[V'] + dt (const_s - m Z / sigma - s s_repo |Z| / sigma),
 
-with (m, s_repo) the repo split of :func:`xvaband.driver.repo_drift_split`.
+with kappa, the spread and the repo split (m, s_repo) from
+:func:`xvaband.driver.equation_coefficients`, taken once per price.
 
 Three-point stencil.  E[V'] and Z are linear in (V_up, V_down), so with
 d = V_up - V_down, mu = dt m / (2 sqrt(dt) sigma) and nu = dt s s_repo /
@@ -75,13 +75,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ClaimSpec, MarketConfig, _require_count, _require_positive, _side_sign
-from .driver import (
-    financing_level,
-    funding_spread,
-    level_coefficients,
-    linear_rate,
-    repo_drift_split,
-)
+from .driver import equation_coefficients, financing_level, level_coefficients
 
 __all__ = ["TreeSpec", "tree_bsde_price"]
 
@@ -118,15 +112,15 @@ class _LevelForm(NamedTuple):
     root: np.ufunc  # np.minimum where s c >= 0, else np.maximum
 
 
-def _level_form(cfg: MarketConfig, side: int, dt: float) -> _LevelForm:
+def _level_form(eq, sigma: float, side: int, dt: float) -> _LevelForm:
     """The stencil weights, A, c and the two min/max choices of side
-    ``side`` (+1 seller, -1 buyer) at step length ``dt``."""
-    a = 1.0 + dt * (cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg))
-    c = dt * funding_spread(cfg)
-    m, s_repo = repo_drift_split(cfg)
-    per_d = dt / (2.0 * math.sqrt(dt) * cfg.sigma)
-    mu = per_d * m
-    nu = per_d * (side * s_repo)
+    ``side`` (+1 seller, -1 buyer) at step length ``dt``, in a market of
+    :func:`~xvaband.driver.equation_coefficients` ``eq`` and volatility ``sigma``."""
+    a = 1.0 + dt * eq.kappa
+    c = dt * eq.spread
+    per_d = dt / (2.0 * math.sqrt(dt) * sigma)
+    mu = per_d * eq.m
+    nu = per_d * (side * eq.s_repo)
     return _LevelForm(
         w_minus=0.5 - mu - nu,
         w_plus=0.5 - mu + nu,
@@ -172,7 +166,8 @@ def tree_bsde_price(spec: TreeSpec, side: str = "seller") -> float:
     cfg = spec.cfg
     n = spec.n_steps
     dt = spec.claim.maturity / n
-    form = _level_form(cfg, s, dt)
+    eq = equation_coefficients(cfg)
+    form = _level_form(eq, cfg.sigma, s, dt)
     if min(form.a, form.a_c) <= 0.0:
         # A and c are the same on every level, so the first level solved fails
         raise ValueError(
@@ -181,7 +176,7 @@ def tree_bsde_price(spec: TreeSpec, side: str = "seller") -> float:
             "refine n_steps)"
         )
     sq_dt = math.sqrt(dt)
-    drift = (cfg.r_D - 0.5 * cfg.sigma * cfg.sigma) * dt
+    drift = eq.drift * dt
     j = np.arange(n + 1)
     x_t = math.log(spec.spot) + n * drift + cfg.sigma * sq_dt * (2.0 * j - n)
     v = np.array(spec.claim.payoff(np.exp(x_t)), dtype=float)

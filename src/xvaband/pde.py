@@ -6,12 +6,11 @@ In log-space x = ln S the two equations share the operator structure
     w_t + a w_x + (sigma^2/2) w_xx - kappa w + G(t, x, w, w_x) = 0,
     w(T, x) = payoff(e^x),
 
-with kappa = r_D and G = 0 for the default-free reference value, and
-kappa = h_I_Q + h_C_Q + :func:`xvaband.driver.linear_rate` with G the
-close-out source plus the two kinks of the financing driver for the
-adjusted value; the linear repo part sits in a (see
-:func:`xvaband.driver.repo_drift_split`).  G reads its close-out and
-collateral marks off the reference surface, so :func:`solve_sides`, the
+with kappa = r_D and G = 0 for the default-free reference value; for the
+adjusted value kappa and a (which holds the linear repo part) come from
+:func:`xvaband.driver.equation_coefficients`, and G is the close-out
+source plus the two kinks of the financing driver.  G reads its close-out
+and collateral marks off the reference surface, so :func:`solve_sides`, the
 package's one entry to the wealth PDE, takes that surface and marches both
 sides on its lattice; :func:`solve_semilinear` marches one side alone, the
 march the tests compare each side of :func:`solve_sides` against.  G is
@@ -58,13 +57,7 @@ from .config import (
     _side_sign,
     validate_no_arbitrage,
 )
-from .driver import (
-    financing_level,
-    funding_spread,
-    level_coefficients,
-    linear_rate,
-    repo_drift_split,
-)
+from .driver import equation_coefficients, financing_level, level_coefficients
 from .grid import GridSpec, SolveDiagnostics, SolverConfig, Surface, time_schedule
 
 __all__ = [
@@ -175,8 +168,8 @@ class SemilinearTerms:
     of the default legs, the settlement inflow ``h_I theta_I + h_C
     theta_C`` and ``m_fold w_x``, the linear repo part taken out of the
     convection.  In the level form of
-    :mod:`xvaband.driver` this is ``-linear_rate w``, which the march's
-    kappa carries, plus
+    :mod:`xvaband.driver` this is ``-(h_I + h_C + 2 r_D - r_f-) w``, which
+    the march's kappa carries, plus
 
         G = const_s - s (r_f+ - r_f-) (s (Y - w))^+ - s s_repo |w_x|.
 
@@ -206,8 +199,7 @@ class SemilinearTerms:
         self._sign = side[1:-1]
         self._row = np.empty(side.size)  # the reference row once per side
         self._rows = self._row.reshape(len(self.sides), n_x)
-        self._spread = funding_spread(self.cfg)
-        self._s_repo = repo_drift_split(self.cfg)[1]
+        self._eq = equation_coefficients(self.cfg)
 
     def level_terms(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(Y, const_s) on the interior nodes of march level k."""
@@ -219,12 +211,12 @@ class SemilinearTerms:
         interior of the row ``w``; None for a kink of zero slope.  ``diff``
         is 0 where two sides meet."""
         funding = slope = None
-        if self._spread:
+        if self._eq.spread:
             y_level, u = level[0], w[1:-1]
             diff = y_level - u
             diff *= self._sign
             funding = diff, y_level, u
-        if self._s_repo:
+        if self._eq.s_repo:
             up, down = w[2:], w[:-2]
             diff = up - down
             m = self._n_x - 2  # the edge nodes where two sides meet; none on one side
@@ -259,9 +251,9 @@ class SemilinearTerms:
         funding, slope = branch
         span = _span(j, self._n_x)
         if funding is not None:
-            kappa = np.where(funding[span], kappa - self._spread, kappa)
+            kappa = np.where(funding[span], kappa - self._eq.spread, kappa)
         if slope is not None:
-            shift = -self.sides[j] * self._s_repo
+            shift = -self.sides[j] * self._eq.s_repo
             a = np.where(slope[span], a + shift, a - shift)
         return a, kappa
 
@@ -271,7 +263,7 @@ class SemilinearTerms:
         y_level, const = level
         if branch[0] is None:
             return const
-        return const - (self._spread * y_level) * branch[0]
+        return const - (self._eq.spread * y_level) * branch[0]
 
 
 def march_schedule(
@@ -446,12 +438,10 @@ def _solve_sides(claim, cfg, benchmark, sides, allow_arbitrage):
             stacklevel=3,
         )
 
-    m_fold, _ = repo_drift_split(cfg)
-    b = 0.5 * cfg.sigma * cfg.sigma
     terms = SemilinearTerms(sides, cfg, benchmark.sched_values)
-    return march_schedule(
-        w_terminal, grid, benchmark.solver, a_eff=cfg.r_D - b - m_fold, b=b,
-        kappa=cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg), terms=terms)
+    eq = terms._eq
+    return march_schedule(w_terminal, grid, benchmark.solver, a_eff=eq.drift - eq.m,
+                          b=eq.b, kappa=eq.kappa, terms=terms)
 
 
 def solve_semilinear(

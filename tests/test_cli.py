@@ -64,6 +64,17 @@ class TestPrice:
         assert rc == 1
         assert "knots" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("claim", ["call", "put"])
+    def test_vanilla_claim_rejects_knots(self, config_path, capsys, claim):
+        # the payoff would ignore them
+        rc = main(["price", "--config", config_path, "--claim", claim,
+                   "--knots", "0.5:0,2:1", *TINY_GRID])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: knots apply to custom claims only, a {claim} got knots=")
+        assert captured.out == ""
+
     def test_custom_claim_smoke(self, config_path, capsys):
         rc = main([
             "price", "--config", config_path, "--claim", "custom",
@@ -238,6 +249,31 @@ class TestSweep:
         rc = main(["sweep", "--config", config_path, *TINY_GRID, "--axis", "alpha"])
         assert rc == 1
         assert "axis" in capsys.readouterr().err
+
+
+class TestNumberText:
+    # every number the CLI parses from text names its flag, its field and
+    # the text when it is not one
+    @pytest.mark.parametrize("args, message", [
+        (["price", "--set", "alpha=abc"], "--set alpha: expected a number, got 'abc'"),
+        (["sweep", "--axis", "alpha=0.1,abc"],
+         "--axis alpha: expected a number, got 'abc'"),
+        (["sweep", "--axis", "alpha=0.1", "--axis2", "r_D=0.01,"],
+         "--axis2 r_D: expected a number, got ''"),
+        (["price", "--claim", "custom", "--knots", "1"],
+         "--knots expects spot:value pairs, got '1'"),
+        (["price", "--claim", "custom", "--knots", "0.5:0,x:1"],
+         "--knots spot: expected a number, got 'x'"),
+        (["price", "--claim", "custom", "--knots", "0.5:0,1:"],
+         "--knots value: expected a number, got ''"),
+    ], ids=["set", "axis", "axis2", "knot-pair", "knot-spot", "knot-value"])
+    def test_names_the_flag_the_field_and_the_text(self, config_path, capsys,
+                                                   args, message):
+        rc = main([*args, "--config", config_path, *TINY_GRID])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 class TestTables:

@@ -162,6 +162,14 @@ def test_custom_claim_rejects_a_non_number_knot(part, value):
         ClaimSpec(kind="custom", knots=(knot,))
 
 
+@pytest.mark.parametrize("kind", ["call", "put"])
+@pytest.mark.parametrize("knots", [(("a", None),), ((0.5, 0.0), (2.0, 1.0)), ()])
+def test_vanilla_claim_rejects_knots(kind, knots):
+    # a call's or a put's payoff never reads its knots, so none may be given
+    with pytest.raises(ValueError, match=f"knots .* a {kind} got knots="):
+        ClaimSpec(kind=kind, strike=1.0, knots=knots)
+
+
 def test_custom_claim_stores_float_knots():
     claim = ClaimSpec(kind="custom", knots=[[1, 0], (2, np.float64(1.5))])
     assert claim.knots == ((1.0, 0.0), (2.0, 1.5))

@@ -5,7 +5,7 @@ package's one home of those formulas."""
 
 import ast
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +17,9 @@ import xvaband.driver as driver
 from reference_forms import closeout_C, closeout_I, driver_value
 from xvaband.driver import (
     closeouts,
+    equation_coefficients,
     financing_level,
     level_coefficients,
-    repo_drift_split,
 )
 
 
@@ -169,19 +169,34 @@ def test_monotonicity_fails_beyond_the_rate_bound(market):
     assert bumped < base
 
 
-# --- repo drift split --------------------------------------------------------
+# --- equation coefficients ---------------------------------------------------
 
-def test_repo_drift_split_reconstructs_the_charge(market):
-    m, s = repo_drift_split(market)
-    assert s == 0.0  # symmetric repo rates at the desk default
-    assert m == pytest.approx(market.r_D - market.r_r_plus, abs=1e-15)
+def test_repo_split_reconstructs_the_charge(market):
+    eq = equation_coefficients(market)
+    assert eq.s_repo == 0.0  # symmetric repo rates at the desk default
+    assert eq.m == pytest.approx(market.r_D - market.r_r_plus, abs=1e-15)
     asym = replace(market, r_r_plus=0.02, r_r_minus=0.06)
-    m, s = repo_drift_split(asym)
+    eq = equation_coefficients(asym)
+    m, s = eq.m, eq.s_repo
     for wx in (-0.7, -0.1, 0.0, 0.3, 1.1):
         z = asym.sigma * wx
         direct = ((asym.r_D - asym.r_r_minus) * max(z, 0.0)
                   - (asym.r_D - asym.r_r_plus) * max(-z, 0.0)) / asym.sigma
         assert m * wx + s * abs(wx) == pytest.approx(direct, abs=1e-15)
+
+
+def test_equation_coefficients_keep_the_solvers_arithmetic(market):
+    # the march and the tree took these expressions in this order before
+    # they shared the record; every float stays bitwise the same
+    cfg = replace(market, r_r_plus=0.02, r_r_minus=0.06, r_f_plus=0.03)
+    eq = equation_coefficients(cfg)
+    assert eq.b == 0.5 * cfg.sigma * cfg.sigma
+    assert eq.drift == cfg.r_D - 0.5 * cfg.sigma * cfg.sigma
+    assert eq.kappa == cfg.h_I_Q + cfg.h_C_Q + (
+        cfg.h_I_Q + cfg.h_C_Q + 2.0 * cfg.r_D - cfg.r_f_minus)
+    assert eq.spread == cfg.r_f_plus - cfg.r_f_minus
+    assert (eq.m, eq.s_repo) == (0.5 * (2.0 * cfg.r_D - cfg.r_r_plus - cfg.r_r_minus),
+                                 0.5 * (cfg.r_r_plus - cfg.r_r_minus))
 
 
 # --- level form --------------------------------------------------------------
@@ -278,6 +293,18 @@ def test_close_out_inputs_are_read_only_by_the_market_and_the_driver():
             if isinstance(node, ast.Attribute) and node.attr in ("L_I", "L_C", "alpha"):
                 readers.add(path.name)
     assert readers == {"config.py", "driver.py"}
+
+
+def test_the_solvers_read_the_market_only_through_the_driver():
+    # the PDE march, the reference and the tree take their rates from
+    # driver.equation_coefficients and driver.level_coefficients; reading
+    # another market field would retype a coefficient
+    market_fields = {f.name for f in fields(xvaband.MarketConfig)}
+    for name in ("benchmark.py", "oracle.py", "pde.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        read = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in market_fields}
+        assert read <= {"sigma", "r_D"}, (name, sorted(read))
 
 
 def test_the_term_by_term_forms_are_not_in_the_package():

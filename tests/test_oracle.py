@@ -17,13 +17,7 @@ from xvaband import (
     tree_bsde_price,
 )
 from reference_forms import closeout_C, closeout_I, driver_value
-from xvaband.driver import (
-    financing_level,
-    funding_spread,
-    level_coefficients,
-    linear_rate,
-    repo_drift_split,
-)
+from xvaband.driver import equation_coefficients, financing_level, level_coefficients
 import xvaband.oracle as oracle
 from xvaband.oracle import TreeSpec, _level_form, _solve_level
 from xvaband.pde import solve_semilinear, solve_sides
@@ -76,6 +70,11 @@ def _start(spec):
     return dt, np.array(spec.claim.payoff(np.exp(x_t)), dtype=float)
 
 
+def _form(cfg, side, dt):
+    """The oracle's level form of side ``side`` in the market ``cfg``."""
+    return _level_form(equation_coefficients(cfg), cfg.sigma, side, dt)
+
+
 def _unpruned_tree(spec, side):
     """The full rollback, one level at a time: every level solves all of its
     nodes with the oracle's own level, so it differs from the oracle only
@@ -86,7 +85,7 @@ def _unpruned_tree(spec, side):
     vh = v.copy()
     s = +1 if side == "seller" else -1
     coefficients = level_coefficients(cfg, s)
-    form = _level_form(cfg, s, dt)
+    form = _form(cfg, s, dt)
     half_disc = 0.5 * math.exp(-cfg.r_D * dt)
     for k in range(n - 1, -1, -1):
         wh = half_disc * (vh[1:k + 2] + vh[0:k + 1])
@@ -100,7 +99,8 @@ def _branch_level(e, z, const, y, dt, cfg, side, a, c):
     """A level as the oracle solved it before the three-point stencil: B
     from E[V'] and Z, then B / A where the funding kink is off and
     (B - c Y) / (A - c) elsewhere, in that arithmetic order."""
-    m, s_repo = repo_drift_split(cfg)
+    eq = equation_coefficients(cfg)
+    m, s_repo = eq.m, eq.s_repo
     b = const
     b -= (m * z + (side * s_repo) * np.abs(z)) / cfg.sigma
     b *= dt
@@ -120,8 +120,9 @@ def _branch_tree(spec, side):
     vh = v.copy()
     s = +1 if side == "seller" else -1
     coefficients = level_coefficients(cfg, s)
-    a = 1.0 + dt * (cfg.h_I_Q + cfg.h_C_Q + linear_rate(cfg))
-    c = dt * funding_spread(cfg)
+    eq = equation_coefficients(cfg)
+    a = 1.0 + dt * eq.kappa
+    c = dt * eq.spread
     two_sq_dt = 2.0 * math.sqrt(dt)
     half_disc = 0.5 * math.exp(-cfg.r_D * dt)
     for k in range(n - 1, -1, -1):
@@ -262,7 +263,7 @@ def _check_levels(cfg, alpha, side):
         half = math.sqrt(dt) * rng.normal(size=n) * np.abs(mid)
         v_up, v_down = mid + half, mid - half
         wh = mid * (1.0 + 0.3 * rng.normal(size=n))
-        form = _level_form(cfg, side, dt)
+        form = _form(cfg, side, dt)
         y, const = financing_level(level_coefficients(cfg, side), wh)
         x = v_down.copy()
         _solve_level(x, v_up, const * dt, y * form.c, form)
@@ -299,8 +300,7 @@ class TestNodeEquation:
         for side in (+1, -1):
             for repo in _REPO_ORDERS:
                 for funding in _FUNDING_ORDERS:
-                    form = _level_form(_node_market(market, 0.0, repo, funding),
-                                       side, 0.02)
+                    form = _form(_node_market(market, 0.0, repo, funding), side, 0.02)
                     picks.add((form.stencil, form.root))
         assert picks == {(np.minimum, np.minimum), (np.minimum, np.maximum),
                          (np.maximum, np.minimum), (np.maximum, np.maximum)}

@@ -18,7 +18,7 @@ from xvaband import (
 import xvaband.pde as pde
 from reference_forms import closeout_C, closeout_I, driver_value
 from xvaband.pde import solve_semilinear, solve_sides
-from xvaband.driver import linear_rate, repo_drift_split
+from xvaband.driver import equation_coefficients
 from xvaband.grid import time_schedule
 from xvaband.pde import (
     SemilinearTerms,
@@ -117,7 +117,7 @@ def _driver_source(side, cfg, dx, bench_row, w_full):
     """The marched source as the driver states it: close-out inflow, the
     driver, the intensity-adjusted financing of the default legs and the
     linear repo part taken out of the convection."""
-    m_fold, _ = repo_drift_split(cfg)
+    m_fold = equation_coefficients(cfg).m
     bh = bench_row[1:-1]
     th_i = closeout_I(bh, cfg.alpha, cfg.L_I)
     th_c = closeout_C(bh, cfg.alpha, cfg.L_C)
@@ -133,7 +133,7 @@ def _driver_source(side, cfg, dx, bench_row, w_full):
 def _term_scale(cfg, dx, bench_row, w_full):
     """Largest per-node sum of the magnitudes of the terms the driver form
     adds up: the scale of its rounding error."""
-    m_fold, _ = repo_drift_split(cfg)
+    m_fold = equation_coefficients(cfg).m
     bh = bench_row[1:-1]
     th_i = closeout_I(bh, cfg.alpha, cfg.L_I)
     th_c = closeout_C(bh, cfg.alpha, cfg.L_C)
@@ -239,8 +239,9 @@ class TestRearrangedSource:
             mu[1:] += lo[1:] * u[:-1]
             mu[:-1] += up[:-1] * u[1:]
             # the march carries the linear rate in kappa, not in the source
-            got = (terms.frozen_source(level, branch) - mu
-                   - linear_rate(KINK_MARKET) * u)
+            m = KINK_MARKET
+            rate = m.h_I_Q + m.h_C_Q + 2.0 * m.r_D - m.r_f_minus
+            got = terms.frozen_source(level, branch) - mu - rate * u
             want = _driver_source(side, KINK_MARKET, dx, bench_row, w)
             scale = _term_scale(KINK_MARKET, dx, bench_row, w)
             assert np.max(np.abs(got - want)) <= 1e-15 * scale
@@ -260,7 +261,7 @@ class TestRearrangedSource:
         assert np.max(np.abs(bench.sched_values - want_ref)) < 1e-12
 
         sign = +1 if side == "seller" else -1
-        m_fold, _ = repo_drift_split(m)
+        m_fold = equation_coefficients(m).m
         kw = dict(a_eff=m.r_D - 0.5 * m.sigma ** 2 - m_fold, b=0.5 * m.sigma ** 2)
         kappa = m.h_I_Q + m.h_C_Q
 
@@ -271,7 +272,7 @@ class TestRearrangedSource:
                              **kw)
         terms = SemilinearTerms(sides=(sign,), cfg=m, bench_sched=bench.sched_values)
         (got,) = march_schedule(w_t, grid, solver, terms=terms,
-                                kappa=kappa + linear_rate(m), **kw)
+                                kappa=equation_coefficients(m).kappa, **kw)
         got = got.sched_values
         assert np.max(np.abs(got - want)) < 1e-12
         surf = solve_semilinear(KINK_CLAIM, m, bench, side=side)

@@ -9,6 +9,7 @@ import pytest
 
 from xvaband import (
     ClaimSpec,
+    MarketConfig,
     SolverConfig,
     benchmark_surface,
     build_grid,
@@ -16,6 +17,7 @@ from xvaband import (
     funding_account_0,
     hedge_at,
     solve_trade,
+    validate_no_arbitrage,
 )
 import xvaband.pde as pde
 from reference_forms import closeout_C, closeout_I
@@ -176,6 +178,53 @@ class TestSolveTrade:
         with pytest.raises(RuntimeError,
                            match=f"branch solve of the buyer did not settle at step {k} "):
             pde.solve_semilinear(call_claim, market, sol.benchmark, side="buyer")
+
+
+#: the rates the admissible draws take uniformly from [0, 0.12]
+_RATES = ("r_D", "r_f_plus", "r_f_minus", "r_r_plus", "r_r_minus",
+          "r_c_plus", "r_c_minus", "r_I", "r_C")
+
+
+def _admissible_market(rng, alpha):
+    """A market drawn by rejection: every rate, intensity, loss and the
+    volatility uniform and independent, redrawn until
+    ``validate_no_arbitrage`` admits it.  Both collateral orders occur."""
+    while True:
+        cfg = MarketConfig(
+            sigma=float(rng.uniform(0.1, 0.5)),
+            **dict(zip(_RATES, rng.uniform(0.0, 0.12, len(_RATES)).tolist())),
+            h_I_Q=float(rng.uniform(0.0, 0.5)), h_C_Q=float(rng.uniform(0.0, 0.5)),
+            L_I=float(rng.uniform()), L_C=float(rng.uniform()), alpha=alpha)
+        if not validate_no_arbitrage(cfg):
+            return cfg
+
+
+def _random_claim(rng, kind):
+    """A call, a put or a custom payoff of one to five knots of either sign
+    around a strike in [0.8, 1.25], maturing within [0.25, 2]."""
+    strike, maturity = float(rng.uniform(0.8, 1.25)), float(rng.uniform(0.25, 2.0))
+    if kind != "custom":
+        return ClaimSpec(kind=kind, strike=strike, maturity=maturity)
+    spots = strike * np.sort(rng.uniform(0.6, 1.6, rng.integers(1, 6)))
+    values = rng.uniform(-0.2, 0.3, spots.size)
+    return ClaimSpec.custom(zip(spots.tolist(), values.tolist()), maturity=maturity)
+
+
+class TestAdmissibleMarkets:
+    def test_no_admissible_draw_raises(self):
+        # the paper's assumptions promise a solution for every market the
+        # rate ordering admits: 150 seeded draws, alpha in {0, 1, uniform}
+        # and calls, puts and custom payoffs in turn, on a 201 x 100 lattice
+        rng = np.random.default_rng(29)
+        orders = set()
+        for i in range(150):
+            alpha = (0.0, 1.0, float(rng.uniform()))[i % 3]
+            cfg = _admissible_market(rng, alpha)
+            orders.add(cfg.r_c_plus < cfg.r_c_minus)
+            claim = _random_claim(rng, ("call", "put", "custom")[(i // 3) % 3])
+            rep = compute_xva(claim, cfg, build_grid(claim, cfg, n_x=201, n_t=100))
+            assert all(math.isfinite(v) for v in rep.to_dict().values()), (i, cfg, claim)
+        assert orders == {True, False}
 
 
 class TestRelative:
