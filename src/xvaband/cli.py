@@ -10,8 +10,6 @@ convergence  grid-refinement study (closed-form error of the reference,
              self-convergence of the seller and of the buyer)
 bench        median time of the reference solve, of the two-side solve
              that ``price`` runs and of one side of a 2000-step tree
-
-The sweep worker count honours the XVA_THREADS environment variable.
 """
 
 from __future__ import annotations
@@ -42,8 +40,6 @@ from .xva import hedge_at, report_from_solution, solve_trade
 
 __all__ = ["main"]
 
-_THREADS_HELP = "worker threads (default XVA_THREADS, else min(8, CPU count))"
-
 #: The canned funding tables of a call struck at 1 and read at spot 1: per
 #: command its help text, the market fields it fixes and its one or two
 #: axes.  A table owns those fields, so ``--set`` may not override them.
@@ -58,7 +54,9 @@ TABLES = {
 
 def _add_claim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--claim", choices=["call", "put", "custom"], default="call")
-    p.add_argument("--strike", type=float, default=1.0)
+    p.add_argument("--strike", type=float, default=None,
+                   help="strike (default 1.0 for a call or a put; a custom "
+                        "claim without one centres on its knots)")
     p.add_argument("--maturity", type=float, default=1.0)
     p.add_argument("--knots", default=None,
                    help="custom payoff knots as spot:value,spot:value,...")
@@ -102,12 +100,11 @@ def _claim_from_args(args) -> ClaimSpec:
                 raise ValueError(f"--knots expects spot:value pairs, got {part!r}")
             knots.append((_parse_number("--knots", "spot", s),
                            _parse_number("--knots", "value", v)))
-    if args.claim == "custom":
-        if not knots:
-            raise ValueError("custom claim requires --knots")
-        return ClaimSpec.custom(knots, maturity=args.maturity)
+    if args.claim == "custom" and not knots:
+        raise ValueError("custom claim requires --knots")
+    strike = 1.0 if args.strike is None and args.claim != "custom" else args.strike
     # a call or a put rejects the knots its payoff would ignore
-    return ClaimSpec(kind=args.claim, strike=args.strike, maturity=args.maturity,
+    return ClaimSpec(kind=args.claim, strike=strike, maturity=args.maturity,
                      knots=knots)
 
 
@@ -175,8 +172,7 @@ def cmd_sweep(args) -> int:
     solver = _solver_from_args(args)
     grid = _grid_from_args(args, claim, cfg)
     spec = SweepSpec(claim=claim, base=cfg, axis1=axis1, axis2=axis2, spot=args.spot)
-    rows = run_sweep(spec, grid, solver, threads=args.threads,
-                     allow_arbitrage=args.allow_arbitrage,
+    rows = run_sweep(spec, grid, solver, allow_arbitrage=args.allow_arbitrage,
                      fail_fast=args.fail_fast)
     write_csv(rows, args.out or sys.stdout)
     return 0
@@ -193,8 +189,7 @@ def cmd_table(args) -> int:
     spec = SweepSpec(claim=claim, base=base, axis1=axis1, axis2=axis2, spot=1.0)
     # The canned reference sweeps include r_f_minus points beyond the
     # validated rate ordering; price them anyway (with the usual warning).
-    rows = run_sweep(spec, grid, solver, threads=args.threads,
-                     allow_arbitrage=True)
+    rows = run_sweep(spec, grid, solver, allow_arbitrage=True)
     keep = [a.name for a in axes] + [
         "v_hat_0", "v_sell_0", "v_buy_0", "xva_sell", "xva_buy",
         "funding_sell_0", "funding_buy_0",
@@ -317,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis2", default=None, metavar="FIELD=V1,V2,...")
     p.add_argument("--spot", type=float, default=None)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.add_argument("--fail-fast", action="store_true")
     p.set_defaults(fn=cmd_sweep)
 
@@ -326,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_market_args(p, config_required=False)
         _add_grid_args(p)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
         p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("convergence", help="grid refinement study")

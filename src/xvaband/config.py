@@ -105,6 +105,8 @@ class MarketConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             _require_finite(f.name, getattr(self, f.name))
+            # frozen: store the checked value as a Python float, not a numpy scalar
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
         _require_positive("sigma", self.sigma)
         for name, v in (("h_I_Q", self.h_I_Q), ("h_C_Q", self.h_C_Q)):
             if v < 0.0:

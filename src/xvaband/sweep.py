@@ -1,12 +1,11 @@
 """Parameter sweeps over market fields with deterministic CSV output.
 
 Each sweep point re-solves both sides of the trade with one or two market
-fields replaced.  Points run on a thread pool; results are emitted in
-axis order regardless of completion order, and :mod:`csv` writes each
-float cell as its shortest round-trip text, so repeated runs produce
-byte-identical files.  The default-free reference surface only depends on
-(r_D, sigma), so it is computed once per distinct pair and shared across
-points.
+fields replaced.  Points run one after another on the calling thread, in
+axis order, and :mod:`csv` writes each float cell as its shortest
+round-trip text, so repeated runs produce byte-identical files.  The
+default-free reference surface only depends on (r_D, sigma), so it is
+computed once per distinct pair and shared across points.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import csv
 import itertools
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
@@ -82,16 +80,9 @@ class SweepSpec:
 
 
 def default_threads() -> int:
-    """Worker count: XVA_THREADS if set, else min(8, cpu count)."""
-    env = os.environ.get("XVA_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(f"XVA_THREADS must be an integer, got {env!r}") from None
-        _require_count("XVA_THREADS", n)
-        return n
-    return min(8, os.cpu_count() or 1)
+    """1: sweeps run on one thread.  Kept only because the frozen perfbench
+    harness calls it; it goes once ROADMAP item 7 moves the harness off it."""
+    return 1
 
 
 def _points(spec: SweepSpec) -> list[dict[str, float]]:
@@ -108,15 +99,17 @@ def run_sweep(
     allow_arbitrage: bool = False,
     fail_fast: bool = False,
 ) -> list[dict]:
-    """Solve every sweep point; returns one ordered row dict per point.
+    """Solve every sweep point in axis order on the calling thread; returns
+    one row dict per point.
 
     Per-point failures are captured in the row's ``error`` cell (numeric
     cells left empty) unless ``fail_fast`` is set.  A reporting spot off
     the lattice fails every point alike, so it raises before any march.
+    ``threads`` is checked as a count when given and otherwise unused:
+    it stays only because the frozen perfbench harness passes it, until
+    ROADMAP item 7 moves the harness off it.
     """
-    if threads is None:
-        threads = default_threads()
-    else:
+    if threads is not None:
         _require_count("threads", threads)
     grid = grid or build_grid(spec.claim, spec.base)
     solver = solver or SolverConfig()
@@ -157,10 +150,7 @@ def run_sweep(
             row["error"] = f"{type(err).__name__}: {err}"
         return row
 
-    if threads == 1 or len(points) == 1:
-        return [solve_point(p) for p in points]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(solve_point, points))
+    return [solve_point(p) for p in points]
 
 
 def write_csv(rows: list[dict], path_or_file) -> None:

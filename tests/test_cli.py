@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from xvaband import DEFAULT_MARKET, benchmark_surface
+from xvaband import ClaimSpec, DEFAULT_MARKET, benchmark_surface, build_grid, compute_xva
 from xvaband.cli import main
 
 FAST_GRID = ["--nx", "201", "--nt", "50"]
@@ -82,6 +82,28 @@ class TestPrice:
         ])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["v_hat_0"] > 0.0
+
+    def test_custom_claim_takes_its_strike(self, config_path, capsys):
+        # the strike centres the lattice and the default spot on ln K
+        rc = main(["price", "--config", config_path, "--claim", "custom",
+                   "--knots", "0.5:0,2:1", "--strike", "1.5", *TINY_GRID])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        claim = ClaimSpec(kind="custom", strike=1.5, knots=((0.5, 0.0), (2.0, 1.0)))
+        grid = build_grid(claim, DEFAULT_MARKET, n_x=101, n_t=20)
+        report = compute_xva(claim, DEFAULT_MARKET, grid).to_dict()
+        assert report["spot"] == 1.5
+        assert {k: out[k] for k in report} == report
+
+    @pytest.mark.parametrize("claim", ["call", "put"])
+    def test_vanilla_claim_is_struck_at_one_by_default(self, config_path, capsys,
+                                                        claim):
+        texts = []
+        for strike in ([], ["--strike", "1.0"]):
+            assert main(["price", "--config", config_path, "--claim", claim,
+                         *strike, *TINY_GRID]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
 
     def test_strikeless_custom_claim_reports_at_its_lattice_centre(
         self, config_path, capsys
@@ -309,9 +331,9 @@ class TestTables:
         assert captured.out == ""
 
     def test_set_of_another_field_still_applies(self, capsys, ignore_rate_warnings):
-        main(["table2", *TINY_GRID, "--threads", "1"])
+        main(["table2", *TINY_GRID])
         plain = capsys.readouterr().out
-        rc = main(["table2", *TINY_GRID, "--threads", "1", "--set", "h_C_Q=0.3"])
+        rc = main(["table2", *TINY_GRID, "--set", "h_C_Q=0.3"])
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == plain.splitlines()[0]
@@ -325,30 +347,6 @@ class TestTables:
             main([command, *TINY_GRID, "--allow-arbitrage"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --allow-arbitrage" in capsys.readouterr().err
-
-
-class TestThreadsEnv:
-    def test_price_ignores_a_bad_thread_count(self, config_path, capsys, monkeypatch):
-        # the --threads help text must not read XVA_THREADS at parser build
-        monkeypatch.setenv("XVA_THREADS", "abc")
-        rc = main(["price", "--config", config_path, *TINY_GRID])
-        assert rc == 0
-        assert json.loads(capsys.readouterr().out)["band_width"] >= 0.0
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_table2_reports_a_bad_thread_count(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("XVA_THREADS", value)
-        rc = main(["table2", *TINY_GRID])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error: XVA_THREADS ")
-
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_table2_rejects_a_thread_flag_below_one(self, capsys, value):
-        rc = main(["table2", *TINY_GRID, "--threads", value])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: threads must be >= 1, got {value}")
-        assert captured.out == ""
 
 
 class TestConvergence:
@@ -483,17 +481,6 @@ class TestParser:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
-
-    def test_every_threads_flag_has_the_sweep_help(self, capsys):
-        helps = {}
-        for command in ("sweep", "table1", "table2"):
-            with pytest.raises(SystemExit):
-                main([command, "--help"])
-            out = " ".join(capsys.readouterr().out.split())
-            helps[command] = out.split("--threads THREADS ")[1].split(" --")[0]
-        assert helps["sweep"] == ("worker threads (default XVA_THREADS, "
-                                  "else min(8, CPU count))")
-        assert helps["table1"] == helps["table2"] == helps["sweep"]
 
     @pytest.mark.skipif(
         shutil.which("xvaband") is None,

@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +65,16 @@ def test_market_config_range_error_names_the_field_and_value(field, value, messa
     # the intensities and the loss fractions were named in pairs, valueless
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         replace(DEFAULT_MARKET, **{field: value})
+
+
+def test_market_config_stores_python_floats():
+    # numpy scalars stayed: a comparison of two fields was a numpy.bool
+    given = {f: np.float64(v) for f, v in asdict(DEFAULT_MARKET).items()}
+    given.update(alpha=1, h_C_Q=0)
+    cfg = MarketConfig(**given)
+    assert all(type(getattr(cfg, f.name)) is float for f in fields(cfg))
+    assert type(cfg.r_c_plus > cfg.r_c_minus) is bool
+    assert cfg == replace(DEFAULT_MARKET, alpha=1.0, h_C_Q=0.0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

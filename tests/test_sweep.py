@@ -3,6 +3,7 @@
 import ast
 import io
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from xvaband import (
     run_sweep,
     write_csv,
 )
-from xvaband.sweep import SWEEP_COLUMNS, default_threads
+from xvaband.sweep import SWEEP_COLUMNS
 
 
 @pytest.fixture(scope="module")
@@ -65,16 +66,6 @@ class TestSpecs:
         # float() turned True into 1.0 and "0.5" into 0.5
         with pytest.raises(TypeError, match="axis 'alpha' values must be real numbers"):
             SweepAxis("alpha", (0.25, value))
-
-    def test_default_threads_env(self, monkeypatch):
-        monkeypatch.setenv("XVA_THREADS", "3")
-        assert default_threads() == 3
-        for bad in ("0", "abc", "2.5"):
-            monkeypatch.setenv("XVA_THREADS", bad)
-            with pytest.raises(ValueError, match="XVA_THREADS"):
-                default_threads()
-        monkeypatch.delenv("XVA_THREADS")
-        assert default_threads() >= 1
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_run_sweep_rejects_fewer_than_one_thread(self, call_claim, market,
@@ -189,14 +180,24 @@ class TestDeterminism:
     def test_thread_count_does_not_change_the_bytes(
         self, call_claim, market, coarse_grid, monkeypatch
     ):
+        # every point runs on the calling thread, whatever threads says
         spec = SweepSpec(
             claim=call_claim, base=market, axis1=SweepAxis("h_C_Q", (0.1, 0.15, 0.25))
         )
-        serial = _csv_text(run_sweep(spec, coarse_grid, threads=1))
-        pooled = _csv_text(run_sweep(spec, coarse_grid, threads=4))
-        assert serial == pooled
-        monkeypatch.setenv("XVA_THREADS", "2")
-        assert _csv_text(run_sweep(spec, coarse_grid)) == serial
+        solve = xvaband.sweep.solve_trade
+        idents = []
+
+        def recorded(*args, **kwargs):
+            idents.append(threading.get_ident())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(xvaband.sweep, "solve_trade", recorded)
+        texts = []
+        for threads in (None, 1, 4):
+            idents.clear()
+            texts.append(_csv_text(run_sweep(spec, coarse_grid, threads=threads)))
+            assert idents == [threading.get_ident()] * 3
+        assert texts == [texts[0]] * 3
 
     def test_a_numpy_spot_writes_the_same_bytes(self, call_claim, market, coarse_grid):
         axis = SweepAxis("alpha", (0.5,))
