@@ -12,18 +12,16 @@ adjusted value kappa and a (which holds the linear repo part) come from
 source plus the two kinks of the financing driver.  G reads its close-out
 and collateral marks off the reference surface, so :func:`solve_sides`, the
 package's one entry to the wealth PDE, takes that surface and marches both
-sides on its lattice; :func:`solve_semilinear` marches one side alone, the
-march the tests compare each side of :func:`solve_sides` against.  G is
-piecewise linear in w, so each implicit step is solved exactly by policy
-iteration (Howard's algorithm): freeze the branch of every kink, solve
-the tridiagonal system of the linear PDE that leaves, whose convection a
-and rate kappa vary by node, and repeat until no branch changes.  Steps
-take the exact lengths of :func:`xvaband.grid.time_schedule`, whose
-Rannacher startup makes the first step fully implicit.  Only theta in
-[1/2, 1] is marched: it is stable on every lattice.  The seller and the
-buyer march in one loop, as two blocks of one linear system;
-:func:`march_schedule` gives the layout, the warm start and the reuse of
-the factor and of the explicit half.
+sides on its lattice.  G is piecewise linear in w, so each implicit step
+is solved exactly by policy iteration (Howard's algorithm): freeze the
+branch of every kink, solve the tridiagonal system of the linear PDE that
+leaves, whose convection a and rate kappa vary by node, and repeat until
+no branch changes.  Steps take the exact lengths of
+:func:`xvaband.grid.time_schedule`, whose Rannacher startup makes the
+first step fully implicit.  Only theta in [1/2, 1] is marched: it is
+stable on every lattice.  The seller and the buyer march in one loop, as
+two blocks of one linear system; :func:`march_schedule` gives the layout,
+the warm start and the reuse of the factor and of the explicit half.
 
 Boundary rows impose zero second difference in x (payoffs here are
 asymptotically linear in S = e^x only at the call wing, but linearity in x
@@ -54,7 +52,6 @@ from .config import (
     ClaimSpec,
     MarketConfig,
     _require_count,
-    _side_sign,
     validate_no_arbitrage,
 )
 from .driver import equation_coefficients, financing_level, level_coefficients
@@ -65,7 +62,6 @@ __all__ = [
     "active_backend",
     "march_schedule",
     "reduced_operator",
-    "solve_semilinear",
     "solve_sides",
     "terminal_slice",
     "tridiag_factor",
@@ -313,9 +309,9 @@ def march_schedule(
     that has settled while another still flips is solved again with its
     unchanged right-hand side and factor rows, so its slice and branch set
     stay bitwise where they settled, and so does its count of solves: each
-    side's surface is bitwise the one it gets marched alone.  The numpy
-    calls on 800-node arrays cost mostly fixed overhead, so one call on
-    both sides costs little more than one on either.
+    side's surface is bitwise the one a march of its block alone gives.
+    The numpy calls on 800-node arrays cost mostly fixed overhead, so one
+    call on both sides costs little more than one on either.
 
     The march holds one linear system: one buffer of the bands of every
     block's ``I + theta dt A(a, kappa)``, at ``(a_eff, kappa)`` for the
@@ -424,7 +420,23 @@ def terminal_slice(claim: ClaimSpec, grid: GridSpec) -> np.ndarray:
     return np.asarray(claim.payoff(np.exp(grid.x_nodes())), dtype=float)
 
 
-def _solve_sides(claim, cfg, benchmark, sides, allow_arbitrage):
+def solve_sides(
+    claim: ClaimSpec,
+    cfg: MarketConfig,
+    benchmark: Surface,
+    allow_arbitrage: bool = False,
+) -> tuple[Surface, Surface]:
+    """The seller's and the buyer's surfaces of the semilinear wealth PDE,
+    marched side by side in one march of two blocks (:func:`march_schedule`).
+
+    ``benchmark`` is the reference :class:`Surface`
+    (:func:`xvaband.benchmark.benchmark_surface`): its close-out marks and
+    collateral drive the source, and its grid and solver settings are the
+    solve's.  Configs that violate the no-arbitrage rate ordering raise
+    :class:`ArbitrageViolationError` unless ``allow_arbitrage`` is set, in
+    which case one warning, naming the caller's line, is emitted for both
+    sides and the solve proceeds.
+    """
     grid = benchmark.grid
     w_terminal = terminal_slice(claim, grid)
     violations = validate_no_arbitrage(cfg)
@@ -435,45 +447,10 @@ def _solve_sides(claim, cfg, benchmark, sides, allow_arbitrage):
             "solving despite arbitrage in the rate configuration: "
             + "; ".join(violations),
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
 
-    terms = SemilinearTerms(sides, cfg, benchmark.sched_values)
+    terms = SemilinearTerms((+1, -1), cfg, benchmark.sched_values)
     eq = terms._eq
     return march_schedule(w_terminal, grid, benchmark.solver, a_eff=eq.drift - eq.m,
                           b=eq.b, kappa=eq.kappa, terms=terms)
-
-
-def solve_semilinear(
-    claim: ClaimSpec,
-    cfg: MarketConfig,
-    benchmark: Surface,
-    side: str = "seller",
-    allow_arbitrage: bool = False,
-) -> Surface:
-    """Solve the semilinear wealth PDE for one side of the trade.
-
-    ``benchmark`` is the reference :class:`Surface`
-    (:func:`xvaband.benchmark.benchmark_surface`): its close-out marks and
-    collateral drive the source, and its grid and solver settings are the
-    solve's.  Configs that violate the no-arbitrage rate ordering raise
-    :class:`ArbitrageViolationError` unless ``allow_arbitrage`` is set, in
-    which case a warning is emitted and the solve proceeds.
-    """
-    (surf,) = _solve_sides(claim, cfg, benchmark, (_side_sign(side),), allow_arbitrage)
-    return surf
-
-
-def solve_sides(
-    claim: ClaimSpec,
-    cfg: MarketConfig,
-    benchmark: Surface,
-    allow_arbitrage: bool = False,
-) -> tuple[Surface, Surface]:
-    """The seller's and the buyer's surfaces, marched side by side.
-
-    One march of two blocks (:func:`march_schedule`); each surface equals
-    the one :func:`solve_semilinear` gives its side, and the rate ordering
-    is checked, or warned about, once for both.
-    """
-    return _solve_sides(claim, cfg, benchmark, (+1, -1), allow_arbitrage)

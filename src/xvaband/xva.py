@@ -25,8 +25,7 @@ from .benchmark import benchmark_surface
 from .config import ClaimSpec, MarketConfig
 from .driver import closeouts, financing_level, level_coefficients
 from .grid import GridSpec, SolverConfig, Surface, build_grid, reporting_spot
-# solve_semilinear stays bound here: the perfbench tracer wraps it by this name
-from .pde import solve_semilinear, solve_sides  # noqa: F401
+from .pde import solve_sides
 
 __all__ = [
     "XvaReport",
@@ -41,7 +40,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class XvaReport:
-    """Time-0 valuation summary at one spot."""
+    """Time-0 valuation summary at one spot; a relative adjustment is None
+    where the reference vanishes and the adjustment does not."""
 
     spot: float
     v_hat_0: float
@@ -49,13 +49,13 @@ class XvaReport:
     v_buy_0: float
     xva_sell: float
     xva_buy: float
-    xva_sell_rel: float
-    xva_buy_rel: float
+    xva_sell_rel: float | None
+    xva_buy_rel: float | None
     band_width: float
     funding_sell_0: float
     funding_buy_0: float
 
-    def to_dict(self) -> dict[str, float]:
+    def to_dict(self) -> dict[str, float | None]:
         return asdict(self)
 
 
@@ -128,15 +128,14 @@ def funding_account_0(v_0: float, v_hat_0: float, cfg: MarketConfig) -> float:
     return float(y) - v_0
 
 
-def _relative(adjustment: float, reference: float) -> float:
+def _relative(adjustment: float, reference: float) -> float | None:
+    """``adjustment / reference``; 0 where both vanish, and None (a JSON
+    null, a blank sweep cell) where only the reference does."""
     if abs(reference) > 1e-12:
         return adjustment / reference
     if abs(adjustment) <= 1e-12:
         return 0.0
-    raise ValueError(
-        f"relative adjustment undefined: reference {reference} ~ 0 "
-        f"but adjustment {adjustment} is not"
-    )
+    return None
 
 
 def report_from_solution(sol: TradeSolution, spot: float) -> XvaReport:
@@ -209,3 +208,8 @@ def hedge_at(
         z_C=z_c,
         funding_value=funding_account_0(w, wh, cfg),
     )
+
+
+# Only the frozen perfbench tracer looks this name up, and nothing calls it;
+# the binding goes with ROADMAP item 7.
+solve_semilinear = solve_sides

@@ -8,7 +8,9 @@ import pytest
 
 import xvaband.benchmark
 import xvaband.pde
-from xvaband import ClaimSpec, DEFAULT_MARKET, SolverConfig, build_grid
+from xvaband import ClaimSpec, DEFAULT_MARKET, MarketConfig, SolverConfig, build_grid
+from xvaband.driver import equation_coefficients
+from xvaband.pde import SemilinearTerms, terminal_slice
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +35,19 @@ def symmetric_market():
     r = DEFAULT_MARKET.r_D
     return replace(DEFAULT_MARKET, r_f_plus=r, r_f_minus=r, r_r_plus=r,
                    r_r_minus=r, r_c_plus=r, r_c_minus=r, L_I=0.0, L_C=0.0)
+
+
+@pytest.fixture(scope="session")
+def vanishing_reference():
+    """An admissible (claim, market) whose reference vanishes at spot 1 on the
+    default lattice (v_hat_0 3.1e-17) while the seller's adjustment does not
+    (5.7e-8): a 10-year put at sigma 0.01, whose wealth equation convects at
+    the repo rate, not at r_D."""
+    cfg = MarketConfig(sigma=0.01, r_D=0.0242, r_f_plus=0.0047, r_f_minus=0.0901,
+                       r_r_plus=0.0015, r_r_minus=0.0688, r_c_plus=0.0441,
+                       r_c_minus=0.078, r_I=0.0697, r_C=0.0575, h_I_Q=0.3887,
+                       h_C_Q=0.286, L_I=0.8985, L_C=0.5852, alpha=0.8764)
+    return ClaimSpec.put(strike=1.0, maturity=10.0), cfg
 
 
 @pytest.fixture(scope="session")
@@ -66,6 +81,23 @@ def ignore_rate_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         yield
+
+
+@pytest.fixture(scope="session")
+def march_side():
+    """``march_side(sign, claim, cfg, bench)`` marches one side of the wealth
+    PDE alone (+1 seller, -1 buyer): a one-block ``march_schedule`` on the
+    reference surface's lattice, which ``solve_sides`` does not offer."""
+
+    def march(sign, claim, cfg, bench):
+        eq = equation_coefficients(cfg)
+        terms = SemilinearTerms((sign,), cfg, bench.sched_values)
+        (surf,) = xvaband.pde.march_schedule(
+            terminal_slice(claim, bench.grid), bench.grid, bench.solver,
+            a_eff=eq.drift - eq.m, b=eq.b, kappa=eq.kappa, terms=terms)
+        return surf
+
+    return march
 
 
 @pytest.fixture

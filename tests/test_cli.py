@@ -46,6 +46,21 @@ class TestPrice:
         assert out["v_sell_0"] >= out["v_buy_0"]
         assert 0.0 < out["hedge_seller_0"]["xi"] < 1.0
 
+    def test_a_vanishing_reference_writes_a_null_relative_adjustment(
+        self, vanishing_reference, tmp_path, capsys
+    ):
+        claim, cfg = vanishing_reference
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(asdict(cfg)))
+        rc = main(["price", "--config", str(path), "--claim", "put",
+                   "--maturity", str(claim.maturity)])
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert '"xva_sell_rel": null' in text
+        out = json.loads(text)
+        assert abs(out["v_hat_0"]) <= 1e-12 < out["xva_sell"]
+        assert out["xva_buy_rel"] == 0.0
+
     def test_spot_override(self, config_path, capsys):
         rc = main(["price", "--config", config_path, *FAST_GRID, "--spot", "1.2"])
         assert rc == 0

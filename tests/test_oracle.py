@@ -20,7 +20,7 @@ from reference_forms import closeout_C, closeout_I, driver_value
 from xvaband.driver import equation_coefficients, financing_level, level_coefficients
 import xvaband.oracle as oracle
 from xvaband.oracle import TreeSpec, _level_form, _solve_level
-from xvaband.pde import solve_semilinear, solve_sides
+from xvaband.pde import solve_sides
 
 
 def _fixed_point_tree(spec, side, tol=1e-12, max_iter=200):
@@ -191,9 +191,9 @@ class TestTreePrice:
         # one light pairing here; the acceptance suite sweeps a 3x3 grid
         spec = TreeSpec(n_steps=500, claim=call_claim, cfg=market)
         bench = benchmark_surface(medium_grid, call_claim, market, solver)
-        surf = solve_semilinear(call_claim, market, bench, side="seller")
+        seller, _ = solve_sides(call_claim, market, bench)
         assert tree_bsde_price(spec, side="seller") == pytest.approx(
-            surf.value_at(0.0, 1.0), abs=2e-3
+            seller.value_at(0.0, 1.0), abs=2e-3
         )
 
     def test_high_volatility_call_converges_and_agrees_with_the_pde(
@@ -205,8 +205,7 @@ class TestTreePrice:
         spec = TreeSpec(n_steps=2000, claim=call_claim, cfg=cfg)
         grid = build_grid(call_claim, cfg, n_x=401, n_t=200)
         bench = benchmark_surface(grid, call_claim, cfg, solver)
-        for side in ("seller", "buyer"):
-            surf = solve_semilinear(call_claim, cfg, bench, side=side)
+        for side, surf in zip(("seller", "buyer"), solve_sides(call_claim, cfg, bench)):
             price = tree_bsde_price(spec, side=side)
             assert price == pytest.approx(surf.value_at(0.0, 1.0), abs=2e-3)
             assert price == pytest.approx(_fixed_point_tree(spec, side), abs=1e-12)

@@ -17,7 +17,7 @@ from xvaband import (
 )
 import xvaband.pde as pde
 from reference_forms import closeout_C, closeout_I, driver_value
-from xvaband.pde import solve_semilinear, solve_sides
+from xvaband.pde import solve_sides
 from xvaband.driver import equation_coefficients
 from xvaband.grid import time_schedule
 from xvaband.pde import (
@@ -275,7 +275,7 @@ class TestRearrangedSource:
                                 kappa=equation_coefficients(m).kappa, **kw)
         got = got.sched_values
         assert np.max(np.abs(got - want)) < 1e-12
-        surf = solve_semilinear(KINK_CLAIM, m, bench, side=side)
+        surf = solve_sides(KINK_CLAIM, m, bench)[0 if sign > 0 else 1]
         assert np.array_equal(surf.values[::-1], got[[0, *range(2, grid.n_t + 2)]])
 
 
@@ -312,22 +312,21 @@ class TestSolveSemilinear:
         self, call_claim, symmetric_market, small_grid, solver
     ):
         bench = benchmark_surface(small_grid, call_claim, symmetric_market, solver)
-        for side in ("seller", "buyer"):
-            surf = solve_semilinear(call_claim, symmetric_market, bench, side=side)
+        for surf in solve_sides(call_claim, symmetric_market, bench):
             assert np.max(np.abs(surf.values - bench.values)) < 1e-10
 
     def test_zero_payoff_prices_to_zero(self, market, small_grid, solver):
         claim = ClaimSpec.custom([(1.0, 0.0)], maturity=1.0)
         bench = benchmark_surface(small_grid, claim, market, solver)
-        surf = solve_semilinear(claim, market, bench, side="seller")
-        assert np.all(surf.values == 0.0)
+        for surf in solve_sides(claim, market, bench):
+            assert np.all(surf.values == 0.0)
 
     def test_seller_value_sits_above_the_reference_here(
         self, call_claim, market, medium_grid, solver
     ):
         bench = benchmark_surface(medium_grid, call_claim, market, solver)
-        surf = solve_semilinear(call_claim, market, bench, side="seller")
-        assert surf.value_at(0.0, 1.0) > bench.value_at(0.0, 1.0)
+        seller, _ = solve_sides(call_claim, market, bench)
+        assert seller.value_at(0.0, 1.0) > bench.value_at(0.0, 1.0)
 
     def test_comparison_principle_in_the_terminal_data(
         self, call_claim, market, small_grid, solver
@@ -338,34 +337,35 @@ class TestSolveSemilinear:
             [(0.01, 0.01), (1.0, 0.01), (5.0, 4.01)], maturity=1.0
         )
         bench = benchmark_surface(small_grid, call_claim, market, solver)
-        lo = solve_semilinear(call_claim, market, bench, side="seller")
-        hi = solve_semilinear(shifted, market, bench, side="seller")
+        lo, _ = solve_sides(call_claim, market, bench)
+        hi, _ = solve_sides(shifted, market, bench)
         assert np.min(hi.values - lo.values) > -1e-10
 
     def test_edges_stay_on_the_linear_extension(
         self, call_claim, market, small_grid, solver
     ):
         bench = benchmark_surface(small_grid, call_claim, market, solver)
-        surf = solve_semilinear(call_claim, market, bench, side="seller")
-        v = surf.values[:-1]  # last row is raw payoff data, not a solved slice
-        left = np.abs(v[:, 0] - 2.0 * v[:, 1] + v[:, 2])
-        right = np.abs(v[:, -1] - 2.0 * v[:, -2] + v[:, -3])
-        assert left.max() < 1e-12
-        assert right.max() < 1e-12
+        for surf in solve_sides(call_claim, market, bench):
+            v = surf.values[:-1]  # last row is raw payoff data, not a solved slice
+            left = np.abs(v[:, 0] - 2.0 * v[:, 1] + v[:, 2])
+            right = np.abs(v[:, -1] - 2.0 * v[:, -2] + v[:, -3])
+            assert left.max() < 1e-12
+            assert right.max() < 1e-12
 
     def test_bitwise_deterministic(self, call_claim, market, solver):
         grid = build_grid(call_claim, market, n_x=201, n_t=50)
         bench = benchmark_surface(grid, call_claim, market, solver)
-        a = solve_semilinear(call_claim, market, bench, side="buyer")
-        b = solve_semilinear(call_claim, market, bench, side="buyer")
-        assert np.array_equal(a.values, b.values)
+        first = solve_sides(call_claim, market, bench)
+        second = solve_sides(call_claim, market, bench)
+        for a, b in zip(first, second):
+            assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("side", ["seller", "buyer"])
     def test_base_market_call_takes_few_solves_per_step(
         self, call_claim, market, small_grid, solver, side
     ):
         bench = benchmark_surface(small_grid, call_claim, market, solver)
-        surf = solve_semilinear(call_claim, market, bench, side=side)
+        surf = solve_sides(call_claim, market, bench)[0 if side == "seller" else 1]
         assert surf.diagnostics.iterations.mean() <= 2.0
         assert surf.diagnostics.iterations.max() <= 3
         # each step starts from the last settled branch set and reuses its
@@ -383,8 +383,7 @@ class TestSolveSemilinear:
         claim = ClaimSpec(kind=kind, strike=1.0, maturity=1.0)
         grid = build_grid(claim, cfg, n_x=401, n_t=n_t)
         bench = benchmark_surface(grid, claim, cfg, solver)
-        for side in ("seller", "buyer"):
-            surf = solve_semilinear(claim, cfg, bench, side=side)
+        for surf in solve_sides(claim, cfg, bench):
             assert surf.diagnostics.iterations.max() <= 3
             assert np.isfinite(surf.values).all()
 
@@ -394,25 +393,25 @@ class TestSolveSemilinear:
         # not count as a flip, or the branch solve cycles
         grid = build_grid(BULL_CLAIM, KINK_MARKET, n_x=201, n_t=100)
         bench = benchmark_surface(grid, BULL_CLAIM, KINK_MARKET, solver)
-        surf = solve_semilinear(BULL_CLAIM, KINK_MARKET, bench, side=side)
+        surf = solve_sides(BULL_CLAIM, KINK_MARKET, bench)[0 if side == "seller" else 1]
         assert surf.diagnostics.iterations.max() <= 3
         monkeypatch.setattr(pde, "_FLIP_RTOL", 0.0)
         with pytest.raises(RuntimeError, match="did not settle"):
-            solve_semilinear(BULL_CLAIM, KINK_MARKET, bench, side=side)
+            solve_sides(BULL_CLAIM, KINK_MARKET, bench)
 
     def test_capped_step_names_its_step_time_and_flips(
         self, call_claim, market, small_grid, solver, monkeypatch
     ):
         bench = benchmark_surface(small_grid, call_claim, market, solver)
-        surf = solve_semilinear(call_claim, market, bench, side="seller")
-        diag = surf.diagnostics
-        assert diag.iterations.max() == 2
-        k = int(np.argmax(diag.iterations == 2))
+        seller, buyer = solve_sides(call_claim, market, bench)
+        iters = np.maximum(seller.diagnostics.iterations, buyer.diagnostics.iterations)
+        assert iters.max() == 2
+        k = int(np.argmax(iters == 2))
         monkeypatch.setattr(pde, "MAX_SOLVES_PER_STEP", 1)
         with pytest.raises(RuntimeError) as exc:
-            solve_semilinear(call_claim, market, bench, side="seller")
+            solve_sides(call_claim, market, bench)
         msg = str(exc.value)
-        assert f"at step {k} (t = {surf.sched_times[k + 1]:.6g})" in msg
+        assert f"at step {k} (t = {seller.sched_times[k + 1]:.6g})" in msg
         n_flips = int(msg.split(": ")[1].split()[0])
         assert n_flips >= 1
         assert f"{n_flips} nodes still flipped after 1 linear solves" in msg
@@ -421,7 +420,8 @@ class TestSolveSemilinear:
         (ClaimSpec.call(strike=1.0, maturity=1.0), DEFAULT_MARKET),
         (KINK_CLAIM, KINK_MARKET), (BULL_CLAIM, KINK_MARKET)],
         ids=["base_call", "kink", "bull_spread"])
-    def test_two_side_march_equals_the_one_side_marches(self, claim, cfg, solver):
+    def test_two_side_march_equals_the_one_side_marches(self, claim, cfg, solver,
+                                                         march_side):
         # the blocks of the stacked system share no pivot, so each side's
         # surface, solves and factors are bitwise those of its own march,
         # also where one side settles a step before the other: every solve
@@ -431,8 +431,8 @@ class TestSolveSemilinear:
         bench = benchmark_surface(grid, claim, cfg, solver)
         both = solve_sides(claim, cfg, bench)
         iters = []
-        for side, got in zip(("seller", "buyer"), both):
-            want = solve_semilinear(claim, cfg, bench, side=side)
+        for sign, got in zip((+1, -1), both):
+            want = march_side(sign, claim, cfg, bench)
             assert np.array_equal(got.sched_values, want.sched_values)
             assert np.array_equal(got.diagnostics.iterations, want.diagnostics.iterations)
             assert np.array_equal(got.diagnostics.factors, want.diagnostics.factors)
@@ -459,17 +459,12 @@ class TestSolveSemilinear:
         ratio = errs[0] / errs[1]
         assert 3.0 < ratio < 5.0
 
-    def test_rejects_bad_side(self, call_claim, market, small_grid):
-        bench = benchmark_surface(small_grid, call_claim, market)
-        with pytest.raises(ValueError, match="side"):
-            solve_semilinear(call_claim, market, bench, side="dealer")
-
     def test_rejects_maturity_mismatch(self, call_claim, market, small_grid):
         # the reference matures at 1.0, the claim at 0.5
         bench = benchmark_surface(small_grid, call_claim, market)
         claim = ClaimSpec.call(strike=1.0, maturity=0.5)
         with pytest.raises(ValueError, match="maturity"):
-            solve_semilinear(claim, market, bench)
+            solve_sides(claim, market, bench)
 
     def test_arbitrage_configs_need_the_override(
         self, call_claim, market, small_grid, solver
@@ -477,7 +472,8 @@ class TestSolveSemilinear:
         bad = replace(market, r_f_minus=0.2)
         bench = benchmark_surface(small_grid, call_claim, bad, solver)
         with pytest.raises(ArbitrageViolationError):
-            solve_semilinear(call_claim, bad, bench)
+            solve_sides(call_claim, bad, bench)
         with pytest.warns(RuntimeWarning, match="arbitrage"):
-            surf = solve_semilinear(call_claim, bad, bench, allow_arbitrage=True)
-        assert np.isfinite(surf.values).all()
+            surfs = solve_sides(call_claim, bad, bench, allow_arbitrage=True)
+        for surf in surfs:
+            assert np.isfinite(surf.values).all()

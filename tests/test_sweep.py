@@ -131,6 +131,17 @@ class TestRunSweep:
         assert rows[1]["error"].startswith("ValueError")
         assert rows[1]["xva_sell"] is None
 
+    def test_a_vanishing_reference_leaves_a_blank_cell(self, vanishing_reference):
+        claim, cfg = vanishing_reference
+        spec = SweepSpec(claim=claim, base=cfg, axis1=SweepAxis("alpha", (cfg.alpha,)))
+        (row,) = run_sweep(spec)
+        assert row["error"] == ""
+        assert row["xva_sell_rel"] is None
+        assert row["xva_buy_rel"] == 0.0
+        header, line = _csv_text([row]).splitlines()
+        cells = dict(zip(header.split(","), line.split(",")))
+        assert cells["xva_sell_rel"] == cells["error"] == ""
+
     def test_fail_fast_raises(self, call_claim, market, coarse_grid):
         spec = SweepSpec(
             claim=call_claim, base=market, axis1=SweepAxis("r_f_minus", (0.2,))

@@ -110,6 +110,16 @@ class TestReport:
         }
         assert all(isinstance(v, float) for v in d.values())
 
+    def test_a_vanishing_reference_leaves_the_relative_adjustment_blank(
+        self, vanishing_reference
+    ):
+        rep = compute_xva(*vanishing_reference)
+        assert abs(rep.v_hat_0) <= 1e-12
+        assert rep.xva_sell > 1e-12
+        assert rep.xva_sell_rel is None
+        assert abs(rep.xva_buy) <= 1e-12
+        assert rep.xva_buy_rel == 0.0
+
     def test_zero_claim_reports_all_zeros(self, market, small_grid, solver):
         claim = ClaimSpec.custom([(1.0, 0.0)], maturity=1.0)
         rep = compute_xva(claim, market, small_grid, solver)
@@ -161,8 +171,25 @@ class TestSolveTrade:
         assert len(rate_warnings) == 1
         assert "arbitrage" in str(rate_warnings[0].message)
 
+    def test_rate_warning_names_the_callers_file(
+        self, call_claim, market, small_grid, solver
+    ):
+        # solve_trade's warning points at its own call into solve_sides, a
+        # direct solve_sides call's at the caller's line
+        bad = replace(market, r_f_minus=0.2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sol = solve_trade(call_claim, bad, small_grid, solver, allow_arbitrage=True)
+        assert len(caught) == 1
+        assert caught[0].filename.endswith("xva.py")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pde.solve_sides(call_claim, bad, sol.benchmark, allow_arbitrage=True)
+        assert len(caught) == 1
+        assert caught[0].filename == __file__
+
     def test_capped_step_names_its_side(
-        self, call_claim, market, small_grid, solver, monkeypatch
+        self, call_claim, market, small_grid, solver, monkeypatch, march_side
     ):
         sol = solve_trade(call_claim, market, small_grid, solver)
         iters = np.stack([sol.seller.diagnostics.iterations,
@@ -177,7 +204,7 @@ class TestSolveTrade:
         k = int(np.argmax(iters[1] > 1))
         with pytest.raises(RuntimeError,
                            match=f"branch solve of the buyer did not settle at step {k} "):
-            pde.solve_semilinear(call_claim, market, sol.benchmark, side="buyer")
+            march_side(-1, call_claim, market, sol.benchmark)
 
 
 #: the rates the admissible draws take uniformly from [0, 0.12]
@@ -234,9 +261,8 @@ class TestRelative:
     def test_zero_over_zero_is_zero(self):
         assert _relative(0.0, 0.0) == 0.0
 
-    def test_nonzero_over_zero_raises(self):
-        with pytest.raises(ValueError, match="undefined"):
-            _relative(0.01, 0.0)
+    def test_nonzero_over_zero_is_none(self):
+        assert _relative(0.01, 0.0) is None
 
 
 class TestFundingAccount:
