@@ -8,22 +8,24 @@ under the risk-neutral dynamics dS/S = r_D dt + sigma dW, i.e. it solves
 in log space.  It is the mark used for collateral calls and default
 close-out (:func:`xvaband.driver.closeouts`).
 
-:func:`benchmark_surface` marches the reference with the semilinear
-solve's march, so its :class:`xvaband.grid.Surface` holds v_hat at every
-level that solve reads, the Rannacher half level included, and fixes
-that solve's lattice.
+:func:`benchmark_surface`, where a claim's payoff meets the PDE lattice,
+marches the reference with the semilinear solve's march, so its
+:class:`xvaband.grid.Surface` holds v_hat at every level that solve reads,
+the Rannacher half level included, and fixes that solve's lattice and
+terminal row.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.special import ndtr
 
 from .config import ClaimSpec, MarketConfig, _require_finite, _require_positive
 from .driver import equation_coefficients
 from .grid import GridSpec, SolverConfig, Surface
-from .pde import march_schedule, terminal_slice
+from .pde import march_schedule
 
 __all__ = [
     "bs_closed_form",
@@ -77,13 +79,15 @@ def benchmark_surface(
     Uses the same stepper, schedule, and boundary policy as the semilinear
     solve so that in the symmetric-rate zero-loss limit the two solves
     coincide on the lattice up to rounding.  The wealth solves on the
-    result (:func:`xvaband.pde.solve_sides`) reuse its ``grid`` and
-    ``solver``.
+    result (:func:`xvaband.pde.solve_sides`) reuse its ``grid``, its
+    ``solver`` and its terminal row, the claim's payoff on the nodes.
     """
+    if abs(claim.maturity - grid.maturity) > 1e-12:
+        raise ValueError(f"claim maturity {claim.maturity} != grid maturity {grid.maturity}")
     solver = solver or SolverConfig()
     eq = equation_coefficients(cfg)
     (surf,) = march_schedule(
-        terminal_slice(claim, grid), grid, solver,
+        claim.payoff(np.exp(grid.x_nodes())), grid, solver,
         a_eff=eq.drift, b=eq.b, kappa=cfg.r_D, terms=None,
     )
     return surf

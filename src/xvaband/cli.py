@@ -15,6 +15,7 @@ bench        median time of the reference solve, of the two-side solve
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -62,15 +63,20 @@ def _add_claim_args(p: argparse.ArgumentParser) -> None:
                    help="custom payoff knots as spot:value,spot:value,...")
 
 
+#: build_grid's lattice defaults: the library writes them once
+_WIDTH, _N_X, _N_T = (inspect.signature(build_grid).parameters[name].default
+                      for name in ("width_sigmas", "n_x", "n_t"))
+
+
 def _add_scheme_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--width-sigmas", type=float, default=6.0)
-    p.add_argument("--theta", type=float, default=0.5,
+    p.add_argument("--width-sigmas", type=float, default=_WIDTH)
+    p.add_argument("--theta", type=float, default=SolverConfig().theta_scheme,
                    help="θ weight in [1/2, 1]; 0.5 is Crank–Nicolson")
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nx", type=int, default=801, help="spatial node count")
-    p.add_argument("--nt", type=int, default=400, help="time step count")
+    p.add_argument("--nx", type=int, default=_N_X, help="spatial node count")
+    p.add_argument("--nt", type=int, default=_N_T, help="time step count")
     _add_scheme_args(p)
 
 
@@ -264,7 +270,7 @@ def cmd_bench(args) -> int:
         bench = benchmark_surface(grid, claim, cfg, solver)
         secs["reference"].append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        sides = solve_sides(claim, cfg, bench, allow_arbitrage=args.allow_arbitrage)
+        sides = solve_sides(cfg, bench, allow_arbitrage=args.allow_arbitrage)
         secs["sides"].append(time.perf_counter() - t0)
         for side in ("seller", "buyer"):
             t0 = time.perf_counter()

@@ -8,20 +8,21 @@ In log-space x = ln S the two equations share the operator structure
 
 with kappa = r_D and G = 0 for the default-free reference value; for the
 adjusted value kappa and a (which holds the linear repo part) come from
-:func:`xvaband.driver.equation_coefficients`, and G is the close-out
-source plus the two kinks of the financing driver.  G reads its close-out
-and collateral marks off the reference surface, so :func:`solve_sides`, the
-package's one entry to the wealth PDE, takes that surface and marches both
-sides on its lattice.  G is piecewise linear in w, so each implicit step
-is solved exactly by policy iteration (Howard's algorithm): freeze the
-branch of every kink, solve the tridiagonal system of the linear PDE that
-leaves, whose convection a and rate kappa vary by node, and repeat until
-no branch changes.  Steps take the exact lengths of
-:func:`xvaband.grid.time_schedule`, whose Rannacher startup makes the
-first step fully implicit.  Only theta in [1/2, 1] is marched: it is
-stable on every lattice.  The seller and the buyer march in one loop, as
-two blocks of one linear system; :func:`march_schedule` gives the layout,
-the warm start and the reuse of the factor and of the explicit half.
+:func:`xvaband.driver.equation_coefficients`, and G is the close-out source
+plus the two kinks of the financing driver.  The payoff meets the lattice
+in :func:`xvaband.benchmark.benchmark_surface`, whose surface gives G its
+close-out and collateral marks, so :func:`solve_sides`, the one entry to
+the wealth PDE, marches both sides on its lattice from its terminal row.  G
+is piecewise linear in w, so each implicit step is solved exactly by policy
+iteration (Howard's algorithm): freeze the branch of every kink, solve the
+tridiagonal system of the linear PDE that leaves, whose convection a and
+rate kappa vary by node, and repeat until no branch changes.  Steps take
+the exact lengths of :func:`xvaband.grid.time_schedule`, whose Rannacher
+startup makes the first step fully implicit.  Only theta in [1/2, 1] is
+marched: it is stable on every lattice.  The seller and the buyer march in
+one loop, as two blocks of one linear system; :func:`march_schedule` gives
+the layout, the warm start and the reuse of the factor and of the explicit
+half.
 
 Boundary rows impose zero second difference in x (payoffs here are
 asymptotically linear in S = e^x only at the call wing, but linearity in x
@@ -49,7 +50,6 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .config import (
     ArbitrageViolationError,
-    ClaimSpec,
     MarketConfig,
     _require_count,
     validate_no_arbitrage,
@@ -63,7 +63,6 @@ __all__ = [
     "march_schedule",
     "reduced_operator",
     "solve_sides",
-    "terminal_slice",
     "tridiag_factor",
     "tridiag_solve",
 ]
@@ -410,18 +409,7 @@ def march_schedule(
         for j in range(n_blocks))
 
 
-def terminal_slice(claim: ClaimSpec, grid: GridSpec) -> np.ndarray:
-    """Payoff evaluated on the spatial nodes; the claim must mature at the
-    grid's maturity."""
-    if abs(claim.maturity - grid.maturity) > 1e-12:
-        raise ValueError(
-            f"claim maturity {claim.maturity} != grid maturity {grid.maturity}"
-        )
-    return np.asarray(claim.payoff(np.exp(grid.x_nodes())), dtype=float)
-
-
 def solve_sides(
-    claim: ClaimSpec,
     cfg: MarketConfig,
     benchmark: Surface,
     allow_arbitrage: bool = False,
@@ -430,15 +418,14 @@ def solve_sides(
     marched side by side in one march of two blocks (:func:`march_schedule`).
 
     ``benchmark`` is the reference :class:`Surface`
-    (:func:`xvaband.benchmark.benchmark_surface`): its close-out marks and
-    collateral drive the source, and its grid and solver settings are the
-    solve's.  Configs that violate the no-arbitrage rate ordering raise
+    (:func:`xvaband.benchmark.benchmark_surface`): both sides start from its
+    terminal row, the claim's payoff; its close-out marks and collateral
+    drive the source; its grid and solver settings are the solve's.
+    Configs that violate the no-arbitrage rate ordering raise
     :class:`ArbitrageViolationError` unless ``allow_arbitrage`` is set, in
     which case one warning, naming the caller's line, is emitted for both
     sides and the solve proceeds.
     """
-    grid = benchmark.grid
-    w_terminal = terminal_slice(claim, grid)
     violations = validate_no_arbitrage(cfg)
     if violations:
         if not allow_arbitrage:
@@ -452,5 +439,5 @@ def solve_sides(
 
     terms = SemilinearTerms((+1, -1), cfg, benchmark.sched_values)
     eq = terms._eq
-    return march_schedule(w_terminal, grid, benchmark.solver, a_eff=eq.drift - eq.m,
-                          b=eq.b, kappa=eq.kappa, terms=terms)
+    return march_schedule(benchmark.sched_values[0], benchmark.grid, benchmark.solver,
+                          a_eff=eq.drift - eq.m, b=eq.b, kappa=eq.kappa, terms=terms)

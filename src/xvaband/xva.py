@@ -102,11 +102,11 @@ def solve_trade(
     benchmark: Surface | None = None,
 ) -> TradeSolution:
     """Solve reference, seller, and buyer surfaces on one shared grid; the
-    two sides march side by side.
+    two sides march side by side from the reference's terminal row.
 
-    A given ``benchmark`` (say, one reference shared by the points of a
-    sweep) must be solved on ``grid`` with ``solver``; both sides read
-    their lattice from it.
+    A given ``benchmark`` (say, the one a sweep's points share) must be
+    ``claim``'s reference on ``grid`` with ``solver``: it fixes both sides'
+    lattice, solver and terminal data.
     """
     grid = grid or build_grid(claim, cfg)
     solver = solver or SolverConfig()
@@ -116,7 +116,7 @@ def solve_trade(
             "benchmark surface does not match the solve grid and solver settings "
             "(same GridSpec and SolverConfig required)"
         )
-    seller, buyer = solve_sides(claim, cfg, bench, allow_arbitrage=allow_arbitrage)
+    seller, buyer = solve_sides(cfg, bench, allow_arbitrage=allow_arbitrage)
     return TradeSolution(cfg=cfg, benchmark=bench, seller=seller, buyer=buyer)
 
 

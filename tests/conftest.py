@@ -10,7 +10,7 @@ import xvaband.benchmark
 import xvaband.pde
 from xvaband import ClaimSpec, DEFAULT_MARKET, MarketConfig, SolverConfig, build_grid
 from xvaband.driver import equation_coefficients
-from xvaband.pde import SemilinearTerms, terminal_slice
+from xvaband.pde import SemilinearTerms
 
 
 @pytest.fixture(scope="session")
@@ -85,15 +85,18 @@ def ignore_rate_warnings():
 
 @pytest.fixture(scope="session")
 def march_side():
-    """``march_side(sign, claim, cfg, bench)`` marches one side of the wealth
-    PDE alone (+1 seller, -1 buyer): a one-block ``march_schedule`` on the
-    reference surface's lattice, which ``solve_sides`` does not offer."""
+    """``march_side(sign, cfg, bench, w_terminal=None)`` marches one side of
+    the wealth PDE alone (+1 seller, -1 buyer): a one-block
+    ``march_schedule`` on the reference surface's lattice, which
+    ``solve_sides`` does not offer.  It starts from the reference's terminal
+    row, as ``solve_sides`` does, unless given other terminal data."""
 
-    def march(sign, claim, cfg, bench):
+    def march(sign, cfg, bench, w_terminal=None):
         eq = equation_coefficients(cfg)
         terms = SemilinearTerms((sign,), cfg, bench.sched_values)
         (surf,) = xvaband.pde.march_schedule(
-            terminal_slice(claim, bench.grid), bench.grid, bench.solver,
+            bench.sched_values[0] if w_terminal is None else w_terminal,
+            bench.grid, bench.solver,
             a_eff=eq.drift - eq.m, b=eq.b, kappa=eq.kappa, terms=terms)
         return surf
 

@@ -209,7 +209,7 @@ def test_criterion_3_symmetric_collapse(
     for claim in (call_claim, put_claim):
         grid = build_grid(claim, symmetric_market)
         bench = benchmark_surface(grid, claim, symmetric_market, solver)
-        for surf in solve_sides(claim, symmetric_market, bench):
+        for surf in solve_sides(symmetric_market, bench):
             worst = max(worst, float(abs(surf.values - bench.values).max()))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-8, f"adjusted surfaces drifted off the reference: {worst:.2e}"
@@ -245,7 +245,7 @@ def test_criterion_5_tree_vs_pde(
         for rfm in (0.08, 0.14, 0.2):
             cfg = replace(market, alpha=alpha, r_f_minus=rfm)
             spec = TreeSpec(n_steps=500, claim=call_claim, cfg=cfg)
-            surfs = solve_sides(call_claim, cfg, bench, allow_arbitrage=True)
+            surfs = solve_sides(cfg, bench, allow_arbitrage=True)
             for side, surf in zip(("seller", "buyer"), surfs):
                 diff = abs(tree_bsde_price(spec, side=side) - surf.value_at(0.0, 1.0))
                 worst = max(worst, diff)
@@ -273,7 +273,7 @@ def test_tree_vs_pde_band_width(call_claim, put_claim, market, solver):
             bench = benchmark_surface(grid, claim, cfg, solver)
             spec = TreeSpec(n_steps=2000, claim=claim, cfg=cfg)
             gap = {}
-            for side, surf in zip(("seller", "buyer"), solve_sides(claim, cfg, bench)):
+            for side, surf in zip(("seller", "buyer"), solve_sides(cfg, bench)):
                 gap[side] = tree_bsde_price(spec, side=side) - surf.value_at(0.0, 1.0)
             band = abs(gap["seller"] - gap["buyer"])
             one_side = max(abs(g) for g in gap.values())

@@ -169,7 +169,7 @@ def test_benchmark_surface_matches_closed_form(call_claim, market, small_grid):
         assert surf.value_at(0.0, s) == pytest.approx(exact_s, abs=5e-4)
 
 
-def test_benchmark_surface_terminal_slice_exact(call_claim, market, small_grid):
+def test_benchmark_surface_terminal_row_is_the_payoff(call_claim, market, small_grid):
     surf = benchmark_surface(small_grid, call_claim, market)
     payoff = call_claim.payoff(np.exp(small_grid.x_nodes()))
     assert np.array_equal(surf.values[-1], payoff)

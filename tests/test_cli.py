@@ -1,6 +1,8 @@
 """Command-line entry points, exercised in-process via main()."""
 
+import argparse
 import importlib
+import inspect
 import json
 import math
 import os
@@ -12,8 +14,15 @@ from pathlib import Path
 
 import pytest
 
-from xvaband import ClaimSpec, DEFAULT_MARKET, benchmark_surface, build_grid, compute_xva
-from xvaband.cli import main
+from xvaband import (
+    ClaimSpec,
+    DEFAULT_MARKET,
+    SolverConfig,
+    benchmark_surface,
+    build_grid,
+    compute_xva,
+)
+from xvaband.cli import build_parser, main
 
 FAST_GRID = ["--nx", "201", "--nt", "50"]
 TINY_GRID = ["--nx", "101", "--nt", "20"]
@@ -496,6 +505,25 @@ class TestParser:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_lattice_and_theta_defaults_are_the_librarys(self):
+        params = inspect.signature(build_grid).parameters
+        want = {"nx": params["n_x"].default, "nt": params["n_t"].default,
+                "width_sigmas": params["width_sigmas"].default,
+                "theta": SolverConfig().theta_scheme}
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        seen = {}
+        for name, parser in sub.choices.items():
+            dests = {a.dest for a in parser._actions}
+            for dest, value in want.items():
+                if dest in dests:
+                    assert parser.get_default(dest) == value, (name, dest)
+                    seen.setdefault(dest, set()).add(name)
+        grid_commands = {"price", "sweep", "table1", "table2", "bench"}
+        assert seen == {"nx": grid_commands, "nt": grid_commands,
+                        "theta": grid_commands | {"convergence"},
+                        "width_sigmas": grid_commands | {"convergence"}}
 
     @pytest.mark.skipif(
         shutil.which("xvaband") is None,

@@ -1,7 +1,8 @@
 """The two wealth drivers, evaluated through the test-local reference form
 ``driver_value``; the split form of ``closeouts`` and ``financing_level``
 against the close-outs term by term; and the driver module as the
-package's one home of those formulas."""
+package's one home of those formulas, as the reference is the one place
+a payoff meets the PDE lattice."""
 
 import ast
 import itertools
@@ -348,3 +349,20 @@ def test_no_module_imports_another_modules_private_name():
                         alias.name.startswith("_require_") or alias.name == "_side_sign")
                     assert not alias.name.startswith("_") or shared, (
                         path.name, node.module, alias.name)
+
+
+def test_the_payoff_meets_the_lattice_only_in_the_reference_and_the_tree():
+    # benchmark_surface puts the claim's payoff on the PDE lattice, and both
+    # sides start from its terminal row; the tree evaluates its own
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "payoff"):
+                callers.add(path.name)
+    assert callers == {"benchmark.py", "oracle.py"}
+    pde_tree = ast.parse((SRC / "pde.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(pde_tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "ClaimSpec" not in imported

@@ -191,7 +191,7 @@ class TestTreePrice:
         # one light pairing here; the acceptance suite sweeps a 3x3 grid
         spec = TreeSpec(n_steps=500, claim=call_claim, cfg=market)
         bench = benchmark_surface(medium_grid, call_claim, market, solver)
-        seller, _ = solve_sides(call_claim, market, bench)
+        seller, _ = solve_sides(market, bench)
         assert tree_bsde_price(spec, side="seller") == pytest.approx(
             seller.value_at(0.0, 1.0), abs=2e-3
         )
@@ -205,7 +205,7 @@ class TestTreePrice:
         spec = TreeSpec(n_steps=2000, claim=call_claim, cfg=cfg)
         grid = build_grid(call_claim, cfg, n_x=401, n_t=200)
         bench = benchmark_surface(grid, call_claim, cfg, solver)
-        for side, surf in zip(("seller", "buyer"), solve_sides(call_claim, cfg, bench)):
+        for side, surf in zip(("seller", "buyer"), solve_sides(cfg, bench)):
             price = tree_bsde_price(spec, side=side)
             assert price == pytest.approx(surf.value_at(0.0, 1.0), abs=2e-3)
             assert price == pytest.approx(_fixed_point_tree(spec, side), abs=1e-12)
@@ -406,7 +406,7 @@ def _symmetric_residual(claim, cfg, grid, solver):
     the reference surface; on the symmetric market it is pure solver noise."""
     bench = benchmark_surface(grid, claim, cfg, solver)
     return max(float(np.max(np.abs(surf.values - bench.values)))
-               for surf in solve_sides(claim, cfg, bench))
+               for surf in solve_sides(cfg, bench))
 
 
 class TestSymmetricResidual:

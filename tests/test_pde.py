@@ -24,7 +24,6 @@ from xvaband.pde import (
     SemilinearTerms,
     march_schedule,
     reduced_operator,
-    terminal_slice,
 )
 
 DT = 0.0025
@@ -254,7 +253,7 @@ class TestRearrangedSource:
         bench = benchmark_surface(grid, KINK_CLAIM, KINK_MARKET, solver)
         assert bench.values.min() < 0.0 < bench.values.max()
         m = KINK_MARKET
-        w_t = terminal_slice(KINK_CLAIM, grid)
+        w_t = KINK_CLAIM.payoff(np.exp(grid.x_nodes()))
         want_ref = _banded_march(w_t, grid, solver, a_eff=m.r_D - 0.5 * m.sigma ** 2,
                                  b=0.5 * m.sigma ** 2, kappa=m.r_D,
                                  source_at=lambda level, w_full: 0.0)
@@ -275,14 +274,14 @@ class TestRearrangedSource:
                                 kappa=equation_coefficients(m).kappa, **kw)
         got = got.sched_values
         assert np.max(np.abs(got - want)) < 1e-12
-        surf = solve_sides(KINK_CLAIM, m, bench)[0 if sign > 0 else 1]
+        surf = solve_sides(m, bench)[0 if sign > 0 else 1]
         assert np.array_equal(surf.values[::-1], got[[0, *range(2, grid.n_t + 2)]])
 
 
 class TestMarchSchedule:
     def test_shapes_and_diagnostics(self, call_claim, market, solver):
         grid = build_grid(call_claim, market, n_x=101, n_t=8)
-        w_t = terminal_slice(call_claim, grid)
+        w_t = call_claim.payoff(np.exp(grid.x_nodes()))
         (surf,) = march_schedule(w_t, grid, solver, a_eff=-0.01, b=0.02, kappa=0.0)
         assert (surf.grid, surf.solver) == (grid, solver)
         assert surf.sched_times.shape == (grid.n_t + 2,)  # extra Rannacher half level
@@ -308,28 +307,42 @@ class TestMarchSchedule:
 
 
 class TestSolveSemilinear:
+    @pytest.mark.parametrize("claim, cfg", [
+        (ClaimSpec.call(strike=1.0, maturity=1.0), DEFAULT_MARKET),
+        (ClaimSpec.put(strike=1.0, maturity=1.0), DEFAULT_MARKET),
+        (KINK_CLAIM, KINK_MARKET)], ids=["call", "put", "kink"])
+    def test_both_sides_start_from_the_references_terminal_row(self, claim, cfg,
+                                                               solver):
+        # the payoff meets the lattice once, in benchmark_surface
+        grid = build_grid(claim, cfg, n_x=201, n_t=50)
+        bench = benchmark_surface(grid, claim, cfg, solver)
+        row = bench.sched_values[0]
+        assert np.array_equal(row, claim.payoff(np.exp(grid.x_nodes())))
+        for surf in solve_sides(cfg, bench):
+            assert np.array_equal(surf.sched_values[0], row)
+
     def test_symmetric_rates_collapse_to_the_reference(
         self, call_claim, symmetric_market, small_grid, solver
     ):
         bench = benchmark_surface(small_grid, call_claim, symmetric_market, solver)
-        for surf in solve_sides(call_claim, symmetric_market, bench):
+        for surf in solve_sides(symmetric_market, bench):
             assert np.max(np.abs(surf.values - bench.values)) < 1e-10
 
     def test_zero_payoff_prices_to_zero(self, market, small_grid, solver):
         claim = ClaimSpec.custom([(1.0, 0.0)], maturity=1.0)
         bench = benchmark_surface(small_grid, claim, market, solver)
-        for surf in solve_sides(claim, market, bench):
+        for surf in solve_sides(market, bench):
             assert np.all(surf.values == 0.0)
 
     def test_seller_value_sits_above_the_reference_here(
         self, call_claim, market, medium_grid, solver
     ):
         bench = benchmark_surface(medium_grid, call_claim, market, solver)
-        seller, _ = solve_sides(call_claim, market, bench)
+        seller, _ = solve_sides(market, bench)
         assert seller.value_at(0.0, 1.0) > bench.value_at(0.0, 1.0)
 
     def test_comparison_principle_in_the_terminal_data(
-        self, call_claim, market, small_grid, solver
+        self, call_claim, market, small_grid, solver, march_side
     ):
         # same dynamics, same reference surface, terminal data shifted up by
         # 0.01 everywhere => the solution may never drop below the original
@@ -337,15 +350,16 @@ class TestSolveSemilinear:
             [(0.01, 0.01), (1.0, 0.01), (5.0, 4.01)], maturity=1.0
         )
         bench = benchmark_surface(small_grid, call_claim, market, solver)
-        lo, _ = solve_sides(call_claim, market, bench)
-        hi, _ = solve_sides(shifted, market, bench)
+        lo = march_side(+1, market, bench)
+        hi = march_side(+1, market, bench,
+                        w_terminal=shifted.payoff(np.exp(small_grid.x_nodes())))
         assert np.min(hi.values - lo.values) > -1e-10
 
     def test_edges_stay_on_the_linear_extension(
         self, call_claim, market, small_grid, solver
     ):
         bench = benchmark_surface(small_grid, call_claim, market, solver)
-        for surf in solve_sides(call_claim, market, bench):
+        for surf in solve_sides(market, bench):
             v = surf.values[:-1]  # last row is raw payoff data, not a solved slice
             left = np.abs(v[:, 0] - 2.0 * v[:, 1] + v[:, 2])
             right = np.abs(v[:, -1] - 2.0 * v[:, -2] + v[:, -3])
@@ -355,8 +369,8 @@ class TestSolveSemilinear:
     def test_bitwise_deterministic(self, call_claim, market, solver):
         grid = build_grid(call_claim, market, n_x=201, n_t=50)
         bench = benchmark_surface(grid, call_claim, market, solver)
-        first = solve_sides(call_claim, market, bench)
-        second = solve_sides(call_claim, market, bench)
+        first = solve_sides(market, bench)
+        second = solve_sides(market, bench)
         for a, b in zip(first, second):
             assert np.array_equal(a.values, b.values)
 
@@ -365,7 +379,7 @@ class TestSolveSemilinear:
         self, call_claim, market, small_grid, solver, side
     ):
         bench = benchmark_surface(small_grid, call_claim, market, solver)
-        surf = solve_sides(call_claim, market, bench)[0 if side == "seller" else 1]
+        surf = solve_sides(market, bench)[0 if side == "seller" else 1]
         assert surf.diagnostics.iterations.mean() <= 2.0
         assert surf.diagnostics.iterations.max() <= 3
         # each step starts from the last settled branch set and reuses its
@@ -383,7 +397,7 @@ class TestSolveSemilinear:
         claim = ClaimSpec(kind=kind, strike=1.0, maturity=1.0)
         grid = build_grid(claim, cfg, n_x=401, n_t=n_t)
         bench = benchmark_surface(grid, claim, cfg, solver)
-        for surf in solve_sides(claim, cfg, bench):
+        for surf in solve_sides(cfg, bench):
             assert surf.diagnostics.iterations.max() <= 3
             assert np.isfinite(surf.values).all()
 
@@ -393,23 +407,23 @@ class TestSolveSemilinear:
         # not count as a flip, or the branch solve cycles
         grid = build_grid(BULL_CLAIM, KINK_MARKET, n_x=201, n_t=100)
         bench = benchmark_surface(grid, BULL_CLAIM, KINK_MARKET, solver)
-        surf = solve_sides(BULL_CLAIM, KINK_MARKET, bench)[0 if side == "seller" else 1]
+        surf = solve_sides(KINK_MARKET, bench)[0 if side == "seller" else 1]
         assert surf.diagnostics.iterations.max() <= 3
         monkeypatch.setattr(pde, "_FLIP_RTOL", 0.0)
         with pytest.raises(RuntimeError, match="did not settle"):
-            solve_sides(BULL_CLAIM, KINK_MARKET, bench)
+            solve_sides(KINK_MARKET, bench)
 
     def test_capped_step_names_its_step_time_and_flips(
         self, call_claim, market, small_grid, solver, monkeypatch
     ):
         bench = benchmark_surface(small_grid, call_claim, market, solver)
-        seller, buyer = solve_sides(call_claim, market, bench)
+        seller, buyer = solve_sides(market, bench)
         iters = np.maximum(seller.diagnostics.iterations, buyer.diagnostics.iterations)
         assert iters.max() == 2
         k = int(np.argmax(iters == 2))
         monkeypatch.setattr(pde, "MAX_SOLVES_PER_STEP", 1)
         with pytest.raises(RuntimeError) as exc:
-            solve_sides(call_claim, market, bench)
+            solve_sides(market, bench)
         msg = str(exc.value)
         assert f"at step {k} (t = {seller.sched_times[k + 1]:.6g})" in msg
         n_flips = int(msg.split(": ")[1].split()[0])
@@ -429,10 +443,10 @@ class TestSolveSemilinear:
         # unchanged rows, after the other side's refactor
         grid = build_grid(claim, cfg, n_x=201, n_t=100)
         bench = benchmark_surface(grid, claim, cfg, solver)
-        both = solve_sides(claim, cfg, bench)
+        both = solve_sides(cfg, bench)
         iters = []
         for sign, got in zip((+1, -1), both):
-            want = march_side(sign, claim, cfg, bench)
+            want = march_side(sign, cfg, bench)
             assert np.array_equal(got.sched_values, want.sched_values)
             assert np.array_equal(got.diagnostics.iterations, want.diagnostics.iterations)
             assert np.array_equal(got.diagnostics.factors, want.diagnostics.factors)
@@ -459,21 +473,14 @@ class TestSolveSemilinear:
         ratio = errs[0] / errs[1]
         assert 3.0 < ratio < 5.0
 
-    def test_rejects_maturity_mismatch(self, call_claim, market, small_grid):
-        # the reference matures at 1.0, the claim at 0.5
-        bench = benchmark_surface(small_grid, call_claim, market)
-        claim = ClaimSpec.call(strike=1.0, maturity=0.5)
-        with pytest.raises(ValueError, match="maturity"):
-            solve_sides(claim, market, bench)
-
     def test_arbitrage_configs_need_the_override(
         self, call_claim, market, small_grid, solver
     ):
         bad = replace(market, r_f_minus=0.2)
         bench = benchmark_surface(small_grid, call_claim, bad, solver)
         with pytest.raises(ArbitrageViolationError):
-            solve_sides(call_claim, bad, bench)
+            solve_sides(bad, bench)
         with pytest.warns(RuntimeWarning, match="arbitrage"):
-            surfs = solve_sides(call_claim, bad, bench, allow_arbitrage=True)
+            surfs = solve_sides(bad, bench, allow_arbitrage=True)
         for surf in surfs:
             assert np.isfinite(surf.values).all()

@@ -184,7 +184,7 @@ class TestSolveTrade:
         assert caught[0].filename.endswith("xva.py")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            pde.solve_sides(call_claim, bad, sol.benchmark, allow_arbitrage=True)
+            pde.solve_sides(bad, sol.benchmark, allow_arbitrage=True)
         assert len(caught) == 1
         assert caught[0].filename == __file__
 
@@ -204,7 +204,7 @@ class TestSolveTrade:
         k = int(np.argmax(iters[1] > 1))
         with pytest.raises(RuntimeError,
                            match=f"branch solve of the buyer did not settle at step {k} "):
-            march_side(-1, call_claim, market, sol.benchmark)
+            march_side(-1, market, sol.benchmark)
 
 
 #: the rates the admissible draws take uniformly from [0, 0.12]
@@ -237,6 +237,14 @@ def _random_claim(rng, kind):
     return ClaimSpec.custom(zip(spots.tolist(), values.tolist()), maturity=maturity)
 
 
+#: admissible markets that still raise: where a cell Peclet number passes 1
+#: a frozen matrix is no M-matrix and the branch solve cycles.  strict, so
+#: a fix shows up as XPASS and drops these markers
+_ITEM_19 = pytest.mark.xfail(
+    strict=True, raises=RuntimeError,
+    reason="ROADMAP item 19: low sigma sqrt(T) markets hit the branch-solve cap")
+
+
 class TestAdmissibleMarkets:
     def test_no_admissible_draw_raises(self):
         # the paper's assumptions promise a solution for every market the
@@ -252,6 +260,20 @@ class TestAdmissibleMarkets:
             rep = compute_xva(claim, cfg, build_grid(claim, cfg, n_x=201, n_t=100))
             assert all(math.isfinite(v) for v in rep.to_dict().values()), (i, cfg, claim)
         assert orders == {True, False}
+
+    @_ITEM_19
+    def test_item_19_low_volatility_put_on_the_default_lattice(self):
+        cfg = MarketConfig(sigma=0.005, r_D=0.0734, r_f_plus=0.0799, r_f_minus=0.0814,
+                           r_r_plus=0.0684, r_r_minus=0.1143, r_c_plus=0.0729,
+                           r_c_minus=0.0403, r_I=0.0615, r_C=0.0022, h_I_Q=0.3621,
+                           h_C_Q=0.347, L_I=0.4211, L_C=0.8515, alpha=0.7555)
+        assert not validate_no_arbitrage(cfg)
+        compute_xva(ClaimSpec.put(strike=1.0, maturity=10.0), cfg)
+
+    @_ITEM_19
+    def test_vanishing_reference_on_a_coarse_lattice(self, vanishing_reference):
+        claim, cfg = vanishing_reference
+        compute_xva(claim, cfg, build_grid(claim, cfg, n_x=201, n_t=100))
 
 
 class TestRelative:
