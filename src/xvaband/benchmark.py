@@ -8,11 +8,11 @@ under the risk-neutral dynamics dS/S = r_D dt + sigma dW, i.e. it solves
 in log space.  It is the mark used for collateral calls and default
 close-out (:func:`xvaband.driver.closeouts`).
 
-:func:`benchmark_surface`, where a claim's payoff meets the PDE lattice,
-marches the reference with the semilinear solve's march, so its
-:class:`xvaband.grid.Surface` holds v_hat at every level that solve reads,
-the Rannacher half level included, and fixes that solve's lattice and
-terminal row.
+:func:`benchmark_surface` marches the reference from the claim's payoff on
+the PDE lattice (:func:`terminal_row`, the one place the two meet) with the
+semilinear solve's march, so its :class:`xvaband.grid.Surface` holds v_hat
+at every level that solve reads, the Rannacher half level included, and
+fixes that solve's lattice and terminal row.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .config import ClaimSpec, MarketConfig, _require_finite, _require_positive
 from .driver import equation_coefficients
@@ -30,6 +29,7 @@ from .pde import march_schedule
 __all__ = [
     "bs_closed_form",
     "benchmark_surface",
+    "terminal_row",
 ]
 
 
@@ -38,7 +38,9 @@ def bs_closed_form(t: float, s: float, claim: ClaimSpec, r: float, sigma: float)
 
     Phi is :func:`scipy.special.ndtr`, the function
     ``scipy.stats.norm.cdf`` evaluates, so the value is bitwise the
-    ``norm.cdf`` formula's.  Custom payoffs, a spot or sigma that is not
+    ``norm.cdf`` formula's; it is imported on the first call that needs
+    it, after the argument checks and the t = T and small sigma*sqrt(T - t)
+    returns.  Custom payoffs, a spot or sigma that is not
     positive and finite, a non-finite r and a t outside [0, T] are
     rejected; degenerate sigma*sqrt(T - t) collapses to the discounted
     intrinsic on the forward.
@@ -61,11 +63,22 @@ def bs_closed_form(t: float, s: float, claim: ClaimSpec, r: float, sigma: float)
         fwd = s / df
         intrinsic = max(fwd - k, 0.0) if claim.kind == "call" else max(k - fwd, 0.0)
         return df * intrinsic
+    # imported here: no solve calls Phi, so `import xvaband` skips scipy.special
+    from scipy.special import ndtr
+
     d1 = (math.log(s / k) + (r + 0.5 * sigma * sigma) * tau) / vol
     d2 = d1 - vol
     if claim.kind == "call":
         return float(s * ndtr(d1) - k * df * ndtr(d2))
     return float(k * df * ndtr(-d2) - s * ndtr(-d1))
+
+
+def terminal_row(grid: GridSpec, claim: ClaimSpec) -> np.ndarray:
+    """``claim``'s payoff on ``grid``'s nodes, the terminal row of its
+    reference and of both sides; the maturities must agree."""
+    if abs(claim.maturity - grid.maturity) > 1e-12:
+        raise ValueError(f"claim maturity {claim.maturity} != grid maturity {grid.maturity}")
+    return claim.payoff(np.exp(grid.x_nodes()))
 
 
 def benchmark_surface(
@@ -82,12 +95,11 @@ def benchmark_surface(
     result (:func:`xvaband.pde.solve_sides`) reuse its ``grid``, its
     ``solver`` and its terminal row, the claim's payoff on the nodes.
     """
-    if abs(claim.maturity - grid.maturity) > 1e-12:
-        raise ValueError(f"claim maturity {claim.maturity} != grid maturity {grid.maturity}")
+    w_terminal = terminal_row(grid, claim)
     solver = solver or SolverConfig()
     eq = equation_coefficients(cfg)
     (surf,) = march_schedule(
-        claim.payoff(np.exp(grid.x_nodes())), grid, solver,
+        w_terminal, grid, solver,
         a_eff=eq.drift, b=eq.b, kappa=cfg.r_D, terms=None,
     )
     return surf

@@ -21,7 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .benchmark import benchmark_surface
+import numpy as np
+
+from .benchmark import benchmark_surface, terminal_row
 from .config import ClaimSpec, MarketConfig
 from .driver import closeouts, financing_level, level_coefficients
 from .grid import GridSpec, SolverConfig, Surface, build_grid, reporting_spot
@@ -106,7 +108,8 @@ def solve_trade(
 
     A given ``benchmark`` (say, the one a sweep's points share) must be
     ``claim``'s reference on ``grid`` with ``solver``: it fixes both sides'
-    lattice, solver and terminal data.
+    lattice, solver and terminal data, so its terminal row must equal
+    ``claim``'s payoff on the nodes.
     """
     grid = grid or build_grid(claim, cfg)
     solver = solver or SolverConfig()
@@ -116,6 +119,10 @@ def solve_trade(
             "benchmark surface does not match the solve grid and solver settings "
             "(same GridSpec and SolverConfig required)"
         )
+    if benchmark is not None and not np.array_equal(
+            bench.sched_values[0], terminal_row(grid, claim)):
+        raise ValueError("benchmark surface's terminal row is not the claim's payoff "
+                         "on the grid (a reference of another claim)")
     seller, buyer = solve_sides(cfg, bench, allow_arbitrage=allow_arbitrage)
     return TradeSolution(cfg=cfg, benchmark=bench, seller=seller, buyer=buyer)
 

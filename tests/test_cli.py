@@ -9,7 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -18,6 +18,7 @@ from xvaband import (
     ClaimSpec,
     DEFAULT_MARKET,
     SolverConfig,
+    apply_overrides,
     benchmark_surface,
     build_grid,
     compute_xva,
@@ -344,6 +345,33 @@ class TestTables:
         assert all(s > 0.0 for s in sell)
 
     @pytest.mark.parametrize("command", ["table1", "table2"])
+    def test_tables_are_the_perfbench_sweeps(self, command, monkeypatch, tmp_path):
+        # the sweep workload times the sweeps these commands run
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import inputs
+
+        class Captured(Exception):
+            pass
+
+        def capture(spec, *args, **kwargs):
+            raise Captured(spec)
+
+        monkeypatch.setattr("xvaband.cli.run_sweep", capture)
+        cfg = replace(DEFAULT_MARKET, alpha=0.3)
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(asdict(cfg)))
+        with pytest.raises(Captured) as exc:
+            main([command, "--config", str(path), *TINY_GRID])
+        spec = exc.value.args[0]
+        axes = {"table1": inputs.TABLE1_AXES, "table2": inputs.TABLE2_AXES}[command]
+        assert spec.claim == inputs.TABLE_CLAIM
+        assert spec.spot == 1.0
+        assert [(a.name, a.values) for a in (spec.axis1, spec.axis2) if a] == [
+            (name, tuple(values)) for name, values in axes]
+        assert spec.base == (apply_overrides(cfg, {"alpha": 0.9}) if command == "table2"
+                             else cfg)
+
+    @pytest.mark.parametrize("command", ["table1", "table2"])
     @pytest.mark.parametrize("field", ["alpha", "r_f_minus"])
     def test_rejects_a_set_of_a_field_the_table_sets(self, capsys, command, field):
         # table1 sweeps both fields; table2 sweeps r_f_minus at alpha = 0.9
@@ -572,6 +600,18 @@ class TestParser:
         assert out.returncode == 0, out.stderr
         loaded = set(out.stdout.split())
         assert loaded <= {"linalg", "special", "version"}, loaded
+
+    def test_import_leaves_scipy_special_out(self):
+        # Phi is imported on the closed form's first call; no solve needs it
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        probe = "import sys, xvaband, xvaband.cli; print('scipy.special' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, cwd=root, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
     def test_declared_script_entry_point(self, capsys):
         tomllib = pytest.importorskip("tomllib")

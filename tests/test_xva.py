@@ -159,6 +159,19 @@ class TestSolveTrade:
             solve_trade(call_claim, market, small_grid, SolverConfig(),
                         benchmark=bench)
 
+    def test_rejects_benchmark_of_another_claim(
+        self, call_claim, put_claim, market, solver
+    ):
+        # a put on a call's reference would price the call's sides
+        grid = build_grid(call_claim, market, n_x=201, n_t=50)
+        bench = benchmark_surface(grid, call_claim, market, solver)
+        with pytest.raises(ValueError, match="terminal row is not the claim's payoff"):
+            solve_trade(put_claim, market, grid, solver, benchmark=bench)
+        later = ClaimSpec.call(strike=1.0, maturity=2.0)
+        with pytest.raises(ValueError, match="maturity"):
+            solve_trade(later, market, grid, solver, benchmark=bench)
+        sol = solve_trade(call_claim, market, grid, solver, benchmark=bench)
+        assert sol.benchmark is bench
 
     def test_warns_once_per_arbitrageable_trade(
         self, call_claim, market, small_grid, solver
