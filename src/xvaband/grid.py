@@ -157,7 +157,10 @@ def uniform_row_indices(grid: GridSpec) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SolveDiagnostics:
-    """Linear solves and ``dgttrf`` factors of every march step."""
+    """Per march step, the block's linear solves and the rebuilds of its rows
+    (``factors``).  One ``dgttrf`` call refactors every block whose rows a
+    solve rebuilt, so a two-side march makes fewer calls than its blocks'
+    ``factors`` add up to."""
 
     iterations: np.ndarray
     factors: np.ndarray

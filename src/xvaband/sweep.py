@@ -4,8 +4,9 @@ Each sweep point re-solves both sides of the trade with one or two market
 fields replaced.  Points run one after another on the calling thread, in
 axis order, and :mod:`csv` writes each float cell as its shortest
 round-trip text, so repeated runs produce byte-identical files.  The
-default-free reference surface only depends on (r_D, sigma), so it is
-computed once per distinct pair and shared across points.
+points share one map of reference surfaces, which
+:func:`~xvaband.xva.solve_trade` keys by the fields a reference reads, so
+the default-free reference is marched once per distinct (r_D, sigma).
 """
 
 from __future__ import annotations
@@ -117,26 +118,14 @@ def run_sweep(
     points = _points(spec)
     axis_names = list(points[0].keys())
 
-    # reference surfaces keyed by the only fields they depend on
-    from .benchmark import benchmark_surface
-
-    bench_cache: dict[tuple[float, float], object] = {}
-    for overrides in points:
-        try:
-            cfg = apply_overrides(spec.base, overrides)
-        except ValueError:
-            continue  # solve_point reports the bad value on its own row
-        key = (cfg.r_D, cfg.sigma)
-        if key not in bench_cache:
-            bench_cache[key] = benchmark_surface(grid, spec.claim, cfg, solver)
+    references: dict = {}  # shared by the points, see solve_trade
 
     def solve_point(overrides: dict[str, float]) -> dict:
         row: dict = {k: overrides[k] for k in axis_names}
         try:
             cfg = apply_overrides(spec.base, overrides)
             sol = solve_trade(spec.claim, cfg, grid, solver,
-                              allow_arbitrage=allow_arbitrage,
-                              benchmark=bench_cache[(cfg.r_D, cfg.sigma)])
+                              allow_arbitrage=allow_arbitrage, references=references)
             rep = report_from_solution(sol, spot)
             hedge = hedge_at(sol.seller, sol.benchmark, cfg, 0.0, spot)
             # the report's fields name all but the last four columns

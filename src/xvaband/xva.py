@@ -12,8 +12,9 @@ the two default-protection bond legs and posting collateral,
 which is also the argument the driver prices at the asymmetric funding
 rates; ``Y`` comes from :func:`xvaband.driver.financing_level` and the
 hedge's close-outs from :func:`xvaband.driver.closeouts`, the solvers'
-split form.  :func:`solve_trade` marches the reference once and then both
-sides in one march on its lattice (:func:`xvaband.pde.solve_sides`).
+split form.  :func:`solve_trade` takes the reference from the caller's map
+or marches it, and then both sides in one march on its lattice
+(:func:`xvaband.pde.solve_sides`).
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .benchmark import benchmark_surface, terminal_row
+from .benchmark import benchmark_surface
 from .config import ClaimSpec, MarketConfig
 from .driver import closeouts, financing_level, level_coefficients
 from .grid import GridSpec, SolverConfig, Surface, build_grid, reporting_spot
@@ -101,28 +100,24 @@ def solve_trade(
     grid: GridSpec | None = None,
     solver: SolverConfig | None = None,
     allow_arbitrage: bool = False,
-    benchmark: Surface | None = None,
+    references: dict | None = None,
 ) -> TradeSolution:
     """Solve reference, seller, and buyer surfaces on one shared grid; the
     two sides march side by side from the reference's terminal row.
 
-    A given ``benchmark`` (say, the one a sweep's points share) must be
-    ``claim``'s reference on ``grid`` with ``solver``: it fixes both sides'
-    lattice, solver and terminal data, so its terminal row must equal
-    ``claim``'s payoff on the nodes.
+    ``references`` is a map the caller keeps (say, one per sweep) of the
+    reference surfaces solved so far, keyed by everything
+    :func:`~xvaband.benchmark.benchmark_surface` reads: the grid, the claim,
+    the solver and the market's ``r_D`` and ``sigma``.  A miss marches the
+    reference and stores it, so trades that share the key share one march.
     """
     grid = grid or build_grid(claim, cfg)
     solver = solver or SolverConfig()
-    bench = benchmark or benchmark_surface(grid, claim, cfg, solver)
-    if bench.grid != grid or bench.solver != solver:
-        raise ValueError(
-            "benchmark surface does not match the solve grid and solver settings "
-            "(same GridSpec and SolverConfig required)"
-        )
-    if benchmark is not None and not np.array_equal(
-            bench.sched_values[0], terminal_row(grid, claim)):
-        raise ValueError("benchmark surface's terminal row is not the claim's payoff "
-                         "on the grid (a reference of another claim)")
+    references = {} if references is None else references
+    key = (grid, claim, solver, cfg.r_D, cfg.sigma)
+    if key not in references:
+        references[key] = benchmark_surface(grid, claim, cfg, solver)
+    bench = references[key]
     seller, buyer = solve_sides(cfg, bench, allow_arbitrage=allow_arbitrage)
     return TradeSolution(cfg=cfg, benchmark=bench, seller=seller, buyer=buyer)
 

@@ -72,12 +72,12 @@ def test_criterion_1_table1_funding_accounts(
     call_claim, market, solver, production_grid, ignore_rate_warnings
 ):
     t0 = time.perf_counter()
-    bench = benchmark_surface(production_grid, call_claim, market, solver)
+    references = {}
     got = {}
     for (alpha, rfm) in TABLE1:
         cfg = replace(market, alpha=alpha, r_f_minus=rfm)
         sol = solve_trade(call_claim, cfg, production_grid, solver,
-                          allow_arbitrage=True, benchmark=bench)
+                          allow_arbitrage=True, references=references)
         rep = report_from_solution(sol, 1.0)
         got[(alpha, rfm)] = (rep.funding_sell_0, rep.funding_buy_0)
     elapsed = time.perf_counter() - t0
@@ -150,13 +150,13 @@ def test_table1_zero_collateral_seller_closed_form(
     call_claim, market, solver, production_grid, ignore_rate_warnings
 ):
     """Evidence for the two zero-collateral seller cells of TABLE1."""
-    bench = benchmark_surface(production_grid, call_claim, market, solver)
+    references = {}
     got = {}
     for alpha, rfm in ((0.0, 0.08), (0.0, 0.20), (0.25, 0.08)):
         cfg = replace(market, alpha=alpha, r_f_minus=rfm)
         want = seller_funding_closed_form(call_claim, cfg, 1.0)
         sol = solve_trade(call_claim, cfg, production_grid, solver,
-                          allow_arbitrage=True, benchmark=bench)
+                          allow_arbitrage=True, references=references)
         got[(alpha, rfm)] = report_from_solution(sol, 1.0).funding_sell_0
         assert abs(got[(alpha, rfm)] - want) <= 1e-5, (
             f"alpha={alpha}, r_f_minus={rfm}: lattice {got[(alpha, rfm)]:+.7f} "
@@ -176,14 +176,14 @@ def test_table1_zero_collateral_seller_closed_form(
 def test_criterion_2_table2_funding_accounts(
     call_claim, market, solver, production_grid, ignore_rate_warnings
 ):
-    bench = benchmark_surface(production_grid, call_claim, market, solver)
+    references = {}
     cfg0 = replace(market, alpha=0.9)
     sells, buys = [], []
     worst = 0.0
     for rfm, (ref_s, ref_b) in TABLE2.items():
         cfg = replace(cfg0, r_f_minus=rfm)
         sol = solve_trade(call_claim, cfg, production_grid, solver,
-                          allow_arbitrage=True, benchmark=bench)
+                          allow_arbitrage=True, references=references)
         rep = report_from_solution(sol, 1.0)
         sells.append(rep.funding_sell_0)
         buys.append(rep.funding_buy_0)
@@ -291,11 +291,11 @@ def test_criterion_6_band_properties(
     call_claim, market, solver, ignore_rate_warnings
 ):
     grid = build_grid(call_claim, market, n_x=401, n_t=200)
-    bench = benchmark_surface(grid, call_claim, market, solver)
+    references = {}
 
     def xvas(cfg):
         sol = solve_trade(call_claim, cfg, grid, solver,
-                          allow_arbitrage=True, benchmark=bench)
+                          allow_arbitrage=True, references=references)
         rep = report_from_solution(sol, 1.0)
         return rep.xva_sell, rep.xva_buy
 

@@ -113,6 +113,28 @@ class TestRunSweep:
             (0.75, 0.25),
         ]
 
+    def test_points_of_one_r_D_and_sigma_share_one_reference(
+        self, call_claim, market, coarse_grid, marches
+    ):
+        spec = SweepSpec(claim=call_claim, base=market,
+                         axis1=SweepAxis("alpha", (0.25, 0.75)),
+                         axis2=SweepAxis("r_f_minus", (0.08, 0.1)))
+        rows = run_sweep(spec, coarse_grid)
+        assert all(r["error"] == "" for r in rows)
+        # one two-side march per point and one reference march
+        assert len(marches) == len(rows) + 1
+
+    def test_a_sweep_over_sigma_marches_one_reference_per_value(
+        self, call_claim, market, coarse_grid, marches
+    ):
+        spec = SweepSpec(claim=call_claim, base=market,
+                         axis1=SweepAxis("sigma", (0.15, 0.2, 0.3)),
+                         axis2=SweepAxis("alpha", (0.25, 0.75)))
+        rows = run_sweep(spec, coarse_grid)
+        assert all(r["error"] == "" for r in rows)
+        assert len(marches) == len(rows) + 3
+        assert len({r["v_hat_0"] for r in rows}) == 3
+
     def test_rate_violation_is_captured_per_row(self, call_claim, market, coarse_grid):
         spec = SweepSpec(
             claim=call_claim, base=market, axis1=SweepAxis("r_f_minus", (0.08, 0.2))

@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -130,48 +130,48 @@ class TestReport:
 
 
 class TestSolveTrade:
-    def test_rejects_benchmark_on_another_grid(
-        self, call_claim, market, small_grid, solver
+    @pytest.mark.parametrize(
+        "other", ["market", "r_D", "sigma", "grid", "schedule", "theta", "claim"])
+    def test_a_map_filled_by_another_key_is_not_reused(
+        self, other, call_claim, put_claim, market, small_grid, solver,
+        ignore_rate_warnings
     ):
-        other = build_grid(call_claim, market, n_x=101, n_t=100)
-        bench = benchmark_surface(other, call_claim, market, solver)
-        with pytest.raises(ValueError, match="grid"):
-            solve_trade(call_claim, market, small_grid, solver, benchmark=bench)
+        # handed the reference of sigma 0.4 and r_D 0.03, this trade reads
+        # v_hat_0 0.1713 and xva_sell -0.0461
+        fill = {
+            "market": (call_claim, replace(market, sigma=0.4, r_D=0.03), small_grid, solver),
+            "r_D": (call_claim, replace(market, r_D=0.03), small_grid, solver),
+            "sigma": (call_claim, replace(market, sigma=0.4), small_grid, solver),
+            "grid": (call_claim, market, build_grid(call_claim, market, n_x=101, n_t=100),
+                     solver),
+            # the same space nodes marched over another time schedule
+            "schedule": (call_claim, market, replace(small_grid, n_t=small_grid.n_t // 2),
+                         solver),
+            # same schedule, different weights
+            "theta": (call_claim, market, small_grid, SolverConfig(theta_scheme=0.6)),
+            "claim": (put_claim, market, small_grid, solver),
+        }[other]
+        references = {}
+        filled = solve_trade(*fill, allow_arbitrage=True, references=references)
+        sol = solve_trade(call_claim, market, small_grid, solver, references=references)
+        assert len(references) == 2
+        assert sol.benchmark is not filled.benchmark
+        own = benchmark_surface(small_grid, call_claim, market, solver)
+        assert np.array_equal(sol.benchmark.sched_values, own.sched_values)
+        rep = report_from_solution(sol, 1.0)
+        assert (round(rep.v_hat_0, 4), round(rep.xva_sell, 4)) == (0.0843, 0.0163)
 
-    def test_rejects_benchmark_on_another_schedule(
-        self, call_claim, market, small_grid
+    @pytest.mark.parametrize("name", [f.name for f in fields(MarketConfig)])
+    def test_the_reference_reads_only_r_D_and_sigma_of_the_market(
+        self, name, call_claim, market, solver
     ):
-        # the same space nodes marched over another time schedule
-        other = replace(small_grid, n_t=small_grid.n_t // 2)
-        bench = benchmark_surface(other, call_claim, market, SolverConfig())
-        with pytest.raises(ValueError, match="GridSpec"):
-            solve_trade(call_claim, market, small_grid, SolverConfig(),
-                        benchmark=bench)
-
-    def test_rejects_benchmark_with_another_theta(
-        self, call_claim, market, small_grid
-    ):
-        # same schedule, different weights: the reference marched another scheme
-        bench = benchmark_surface(
-            small_grid, call_claim, market, SolverConfig(theta_scheme=0.6)
-        )
-        with pytest.raises(ValueError, match="SolverConfig"):
-            solve_trade(call_claim, market, small_grid, SolverConfig(),
-                        benchmark=bench)
-
-    def test_rejects_benchmark_of_another_claim(
-        self, call_claim, put_claim, market, solver
-    ):
-        # a put on a call's reference would price the call's sides
-        grid = build_grid(call_claim, market, n_x=201, n_t=50)
-        bench = benchmark_surface(grid, call_claim, market, solver)
-        with pytest.raises(ValueError, match="terminal row is not the claim's payoff"):
-            solve_trade(put_claim, market, grid, solver, benchmark=bench)
-        later = ClaimSpec.call(strike=1.0, maturity=2.0)
-        with pytest.raises(ValueError, match="maturity"):
-            solve_trade(later, market, grid, solver, benchmark=bench)
-        sol = solve_trade(call_claim, market, grid, solver, benchmark=bench)
-        assert sol.benchmark is bench
+        # solve_trade's key holds these two of the market's fields: any
+        # other that moved the reference would need a place in the key
+        grid = build_grid(call_claim, market, n_x=51, n_t=10)
+        base = benchmark_surface(grid, call_claim, market, solver).sched_values
+        cfg = replace(market, **{name: 0.5 * getattr(market, name) + 0.01})
+        moved = benchmark_surface(grid, call_claim, cfg, solver).sched_values
+        assert (not np.array_equal(moved, base)) == (name in ("r_D", "sigma"))
 
     def test_warns_once_per_arbitrageable_trade(
         self, call_claim, market, small_grid, solver
@@ -204,7 +204,8 @@ class TestSolveTrade:
     def test_capped_step_names_its_side(
         self, call_claim, market, small_grid, solver, monkeypatch, march_side
     ):
-        sol = solve_trade(call_claim, market, small_grid, solver)
+        references = {}
+        sol = solve_trade(call_claim, market, small_grid, solver, references=references)
         iters = np.stack([sol.seller.diagnostics.iterations,
                           sol.buyer.diagnostics.iterations])
         k = int(np.argmax((iters > 1).any(axis=0)))
@@ -213,7 +214,7 @@ class TestSolveTrade:
         monkeypatch.setattr(pde, "MAX_SOLVES_PER_STEP", 1)
         with pytest.raises(RuntimeError,
                            match=f"branch solve of the {side} did not settle at step {k} "):
-            solve_trade(call_claim, market, small_grid, solver, benchmark=sol.benchmark)
+            solve_trade(call_claim, market, small_grid, solver, references=references)
         k = int(np.argmax(iters[1] > 1))
         with pytest.raises(RuntimeError,
                            match=f"branch solve of the buyer did not settle at step {k} "):
