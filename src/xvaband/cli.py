@@ -6,6 +6,7 @@ price        one claim, JSON report on stdout
 sweep        one- or two-axis market sweep, CSV to a file or stdout
 table1       canned funding-account table over alpha x r_f_minus
 table2       canned funding-account table over r_f_minus at alpha = 0.9
+             (the tables are presets of ``sweep``, see ``TABLES``)
 convergence  grid-refinement study (closed-form error of the reference,
              self-convergence of the seller and of the buyer)
 bench        median time of the reference solve, of the two-side solve
@@ -36,21 +37,28 @@ from .config import (
 from .grid import SolverConfig, build_grid, reporting_spot
 from .oracle import TreeSpec, tree_bsde_price
 from .pde import active_backend, solve_sides
-from .sweep import SweepAxis, SweepSpec, run_sweep, write_csv
-from .xva import hedge_at, report_from_solution, solve_trade
+from .sweep import SWEEP_COLUMNS, SweepAxis, SweepSpec, run_sweep, write_csv
+from .xva import compute_xva, hedge_at, report_from_solution, solve_trade
 
 __all__ = ["main"]
 
-#: The canned funding tables of a call struck at 1 and read at spot 1: per
-#: command its help text, the market fields it fixes and its one or two
-#: axes.  A table owns those fields, so ``--set`` may not override them.
+#: The canned call of the funding tables and of ``bench``, as defaults of
+#: the claim flags they lack: a call struck at 1 with maturity 1.
+CANNED_CALL = dict(claim="call", strike=None, maturity=1.0, knots=None)
+
+#: The canned funding tables, presets of ``sweep``: per command its help
+#: text and its axes and fixed fields.  Each reads the canned call at spot
+#: 1, prices past the rate ordering (with the usual warning), writes the
+#: columns below and owns the fields it sweeps or fixes, which ``--set``
+#: may not override.
 TABLES = {
-    "table1": ("funding table over alpha x r_f_minus", {},
-               SweepAxis("alpha", (0.0, 0.25, 0.75, 1.0)),
-               SweepAxis("r_f_minus", (0.08, 0.2))),
-    "table2": ("funding table over r_f_minus at alpha = 0.9", {"alpha": 0.9},
-               SweepAxis("r_f_minus", (0.08, 0.1, 0.15, 0.2)), None),
+    "table1": ("funding table over alpha x r_f_minus",
+               dict(axis="alpha=0,0.25,0.75,1", axis2="r_f_minus=0.08,0.2", fixed={})),
+    "table2": ("funding table over r_f_minus at alpha = 0.9",
+               dict(axis="r_f_minus=0.08,0.1,0.15,0.2", axis2=None, fixed={"alpha": 0.9})),
 }
+TABLE_COLUMNS = ("v_hat_0", "v_sell_0", "v_buy_0", "xva_sell", "xva_buy",
+                 "funding_sell_0", "funding_buy_0")
 
 
 def _add_claim_args(p: argparse.ArgumentParser) -> None:
@@ -130,20 +138,18 @@ def _market_from_args(args, owned: tuple[str, ...] = ()) -> MarketConfig:
     return apply_overrides(cfg, overrides) if overrides else cfg
 
 
-def _solver_from_args(args) -> SolverConfig:
-    return SolverConfig(theta_scheme=args.theta)
-
-
-def _grid_from_args(args, claim: ClaimSpec, cfg: MarketConfig):
+def _lattice_from_args(args, claim: ClaimSpec, cfg: MarketConfig):
+    """The lattice of ``--nx``, ``--nt`` and ``--width-sigmas`` and the
+    solver of ``--theta``, as ``(grid, solver)``; the solver is checked first."""
+    solver = SolverConfig(theta_scheme=args.theta)
     return build_grid(claim, cfg, width_sigmas=args.width_sigmas,
-                      n_x=args.nx, n_t=args.nt)
+                      n_x=args.nx, n_t=args.nt), solver
 
 
 def cmd_price(args) -> int:
     claim = _claim_from_args(args)
     cfg = _market_from_args(args)
-    solver = _solver_from_args(args)
-    grid = _grid_from_args(args, claim, cfg)
+    grid, solver = _lattice_from_args(args, claim, cfg)
     spot = reporting_spot(claim, grid, args.spot)
     sol = solve_trade(claim, cfg, grid, solver, allow_arbitrage=args.allow_arbitrage)
     report = report_from_solution(sol, spot)
@@ -171,35 +177,19 @@ def _sweep_axis(flag: str, text: str) -> SweepAxis:
 
 
 def cmd_sweep(args) -> int:
+    """``sweep`` and the canned tables: ``args.fixed`` is applied after
+    ``--set`` and ``args.columns`` follow the axis columns."""
     claim = _claim_from_args(args)
-    axis1 = _sweep_axis("--axis", args.axis)
-    axis2 = _sweep_axis("--axis2", args.axis2) if args.axis2 else None
-    cfg = _market_from_args(args, tuple(a.name for a in (axis1, axis2) if a))
-    solver = _solver_from_args(args)
-    grid = _grid_from_args(args, claim, cfg)
-    spec = SweepSpec(claim=claim, base=cfg, axis1=axis1, axis2=axis2, spot=args.spot)
+    axes = [_sweep_axis("--axis", args.axis)]
+    if args.axis2:
+        axes.append(_sweep_axis("--axis2", args.axis2))
+    names = [a.name for a in axes]
+    cfg = apply_overrides(_market_from_args(args, (*args.fixed, *names)), args.fixed)
+    grid, solver = _lattice_from_args(args, claim, cfg)
+    spec = SweepSpec(claim, cfg, *axes, spot=args.spot)
     rows = run_sweep(spec, grid, solver, allow_arbitrage=args.allow_arbitrage,
                      fail_fast=args.fail_fast)
-    write_csv(rows, args.out or sys.stdout)
-    return 0
-
-
-def cmd_table(args) -> int:
-    _, fixed, axis1, axis2 = TABLES[args.command]
-    axes = [a for a in (axis1, axis2) if a is not None]
-    owned = (*fixed, *(a.name for a in axes))
-    base = apply_overrides(_market_from_args(args, owned), fixed)
-    claim = ClaimSpec(kind="call", strike=1.0, maturity=1.0)
-    solver = _solver_from_args(args)
-    grid = _grid_from_args(args, claim, base)
-    spec = SweepSpec(claim=claim, base=base, axis1=axis1, axis2=axis2, spot=1.0)
-    # The canned reference sweeps include r_f_minus points beyond the
-    # validated rate ordering; price them anyway (with the usual warning).
-    rows = run_sweep(spec, grid, solver, allow_arbitrage=True)
-    keep = [a.name for a in axes] + [
-        "v_hat_0", "v_sell_0", "v_buy_0", "xva_sell", "xva_buy",
-        "funding_sell_0", "funding_buy_0",
-    ]
+    keep = (*names, *args.columns)
     write_csv([{k: row[k] for k in keep} for row in rows], args.out or sys.stdout)
     return 0
 
@@ -230,7 +220,7 @@ def cmd_convergence(args) -> int:
         # not halve dx
         raise ValueError(f"--base-nx must be odd, got {args.base_nx}")
     cfg = _market_from_args(args)
-    solver = _solver_from_args(args)
+    solver = SolverConfig(theta_scheme=args.theta)
     claim = _claim_from_args(args)
     # every level spans the same bounds, so the spot is checked once
     grids = [build_grid(claim, cfg, width_sigmas=args.width_sigmas,
@@ -241,10 +231,8 @@ def cmd_convergence(args) -> int:
 
     # the closed-form error of the default-free linear equation, then
     # self-convergence of the seller and the buyer (Richardson estimate)
-    reports = []
-    for grid in grids:
-        sol = solve_trade(claim, cfg, grid, solver, allow_arbitrage=args.allow_arbitrage)
-        reports.append(report_from_solution(sol, spot))
+    reports = [compute_xva(claim, cfg, grid, solver, spot,
+                           allow_arbitrage=args.allow_arbitrage) for grid in grids]
     rows = []
     if claim.kind in ("call", "put"):
         exact = bs_closed_form(0.0, spot, claim, cfg.r_D, cfg.sigma)
@@ -256,10 +244,9 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    claim = ClaimSpec(kind="call", strike=1.0, maturity=1.0)
+    claim = _claim_from_args(args)  # the canned call
     cfg = _market_from_args(args)
-    solver = _solver_from_args(args)
-    grid = _grid_from_args(args, claim, cfg)
+    grid, solver = _lattice_from_args(args, claim, cfg)
     _require_count("--repeat", args.repeat)
 
     # the step count of the perfbench ``tree`` workload
@@ -319,14 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spot", type=float, default=None)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.add_argument("--fail-fast", action="store_true")
-    p.set_defaults(fn=cmd_sweep)
+    p.set_defaults(fn=cmd_sweep, fixed={}, columns=SWEEP_COLUMNS)
 
-    for name, (help_text, *_) in TABLES.items():
+    for name, (help_text, preset) in TABLES.items():
         p = sub.add_parser(name, help=help_text)
         _add_market_args(p, config_required=False)
         _add_grid_args(p)
         p.add_argument("--out", default=None)
-        p.set_defaults(fn=cmd_table)
+        p.set_defaults(fn=cmd_sweep, **CANNED_CALL, **preset, spot=1.0,
+                       allow_arbitrage=True, fail_fast=False, columns=TABLE_COLUMNS)
 
     p = sub.add_parser("convergence", help="grid refinement study")
     _add_claim_args(p)
@@ -343,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_market_args(p, config_required=False)
     _add_grid_args(p)
     p.add_argument("--repeat", type=int, default=3)
-    p.set_defaults(fn=cmd_bench)
+    p.set_defaults(fn=cmd_bench, **CANNED_CALL)
 
     for name in ("price", "sweep", "convergence", "bench"):  # not the canned tables
         sub.choices[name].add_argument(

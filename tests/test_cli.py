@@ -1,7 +1,10 @@
 """Command-line entry points, exercised in-process via main()."""
 
 import argparse
+import ast
+import csv
 import importlib
+import io
 import inspect
 import json
 import math
@@ -323,6 +326,14 @@ class TestNumberText:
         assert captured.out == ""
 
 
+#: the claim flags, which the canned tables and bench preset
+_CLAIM_FLAGS = [["--claim", "put"], ["--strike", "1.1"], ["--maturity", "2"],
+                ["--knots", "0.5:0,2:1"]]
+#: the flags of sweep that the canned tables preset
+_TABLE_FLAGS = [["--axis", "alpha=0,1"], ["--axis2", "alpha=0,1"], ["--spot", "1.1"],
+                *_CLAIM_FLAGS, ["--fail-fast"]]
+
+
 class TestTables:
     def test_table1_shape(self, capsys, ignore_rate_warnings):
         rc = main(["table1", *FAST_GRID])
@@ -392,13 +403,37 @@ class TestTables:
         assert lines[1:] != plain.splitlines()[1:]
         assert all(line.startswith(("0.08,", "0.1,", "0.15,", "0.2,")) for line in lines[1:])
 
-    @pytest.mark.parametrize("command", ["table1", "table2"])
-    def test_rejects_the_arbitrage_flag(self, capsys, command):
-        # the canned tables always price past the rate ordering
+    @pytest.mark.parametrize("command, sweep_args", [
+        ("table1", ["--axis", "alpha=0,0.25,0.75,1", "--axis2", "r_f_minus=0.08,0.2"]),
+        ("table2", ["--axis", "r_f_minus=0.08,0.1,0.15,0.2", "--set", "alpha=0.9"]),
+    ], ids=["table1", "table2"])
+    def test_a_table_is_its_sweep_command(self, config_path, capsys,
+                                          ignore_rate_warnings, command, sweep_args):
+        # a table is a preset of sweep: its CSV is its columns of the sweep's
+        assert main([command, *TINY_GRID]) == 0
+        table = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert main(["sweep", "--config", config_path, *TINY_GRID, *sweep_args,
+                     "--spot", "1", "--allow-arbitrage"]) == 0
+        sweep = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        keep = [sweep[0].index(name) for name in table[0]]
+        assert table == [[row[i] for i in keep] for row in sweep]
+        assert len(table) == {"table1": 9, "table2": 5}[command]
+
+    @pytest.mark.parametrize("command, flag", [
+        *(pytest.param(command, ["--allow-arbitrage"], id=command)
+          for command in ("table1", "table2")),
+        *(pytest.param(command, flag, id=f"{command}{flag[0]}")
+          for command in ("table1", "table2") for flag in _TABLE_FLAGS),
+        *(pytest.param("bench", flag, id=f"bench{flag[0]}") for flag in _CLAIM_FLAGS),
+    ])
+    def test_rejects_the_arbitrage_flag(self, capsys, command, flag):
+        # the canned tables always price past the rate ordering, and the
+        # presets set what sweep's claim, spot, axis and failure flags do;
+        # bench times the canned call
         with pytest.raises(SystemExit) as exc:
-            main([command, *TINY_GRID, "--allow-arbitrage"])
+            main([command, *TINY_GRID, *flag])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --allow-arbitrage" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 class TestConvergence:
@@ -528,11 +563,38 @@ class TestBench:
         assert main(["bench", "--nx", "101", "--nt", "10", "--repeat", "0"]) == 1
         assert "--repeat" in capsys.readouterr().err
 
+    def test_marches_the_canned_call(self, monkeypatch):
+        class Captured(Exception):
+            pass
+
+        def capture(grid, claim, *args, **kwargs):
+            raise Captured(claim)
+
+        monkeypatch.setattr("xvaband.cli.benchmark_surface", capture)
+        with pytest.raises(Captured) as exc:
+            main(["bench", *TINY_GRID, "--repeat", "1"])
+        assert exc.value.args[0] == ClaimSpec(kind="call", strike=1.0, maturity=1.0)
+
 
 class TestParser:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_one_handler_per_job(self):
+        # the tables run through cmd_sweep and every claim through
+        # _claim_from_args, so a second sweep handler or a hand-typed claim
+        # cannot come back unnoticed
+        path = Path(importlib.import_module("xvaband.cli").__file__)
+        callers = {"run_sweep": [], "ClaimSpec": []}
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func.value if isinstance(node.func, ast.Attribute) else node.func
+                if isinstance(func, ast.Name) and func.id in callers:
+                    callers[func.id].append(getattr(top, "name", "<module>"))
+        assert callers == {"run_sweep": ["cmd_sweep"], "ClaimSpec": ["_claim_from_args"]}
 
     def test_lattice_and_theta_defaults_are_the_librarys(self):
         params = inspect.signature(build_grid).parameters

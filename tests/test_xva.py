@@ -22,6 +22,7 @@ from xvaband import (
 import xvaband.pde as pde
 from reference_forms import closeout_C, closeout_I
 from xvaband.driver import closeouts, financing_level, level_coefficients
+from xvaband.grid import reporting_spot
 from xvaband.xva import _relative, report_from_solution
 
 N_D1_ATM = 0.5596176923702425  # Phi((r + sigma^2/2)/sigma) at r=0.01, sigma=0.2, T=1
@@ -219,6 +220,41 @@ class TestSolveTrade:
         with pytest.raises(RuntimeError,
                            match=f"branch solve of the buyer did not settle at step {k} "):
             march_side(-1, market, sol.benchmark)
+
+
+class TestCollateralBand:
+    # with r_f+ = r_f- and r_r+ = r_r- both kinks vanish and the two sides
+    # differ only by the source alpha (r_c- - r_c+) p(v_hat), so the band is
+    # alpha (r_c- - r_c+) I with one I > 0 per claim (ROADMAP items 14 and 6):
+    # an inverted collateral order inverts the band
+    @pytest.mark.parametrize("claim", [
+        ClaimSpec.call(strike=1.0, maturity=1.0),
+        ClaimSpec.put(strike=1.0, maturity=1.0),
+        ClaimSpec(kind="custom", strike=1.0, maturity=1.0,
+                  knots=((0.8, 0.0), (0.9, 0.0), (1.1, 0.2), (1.2, 0.2))),
+    ], ids=["call", "put", "bull_spread"])
+    def test_band_is_the_collateral_spread_times_one_integral(self, claim, market,
+                                                              solver):
+        linear = replace(market, r_f_plus=0.05, r_f_minus=0.05,
+                         r_r_plus=0.05, r_r_minus=0.05)
+        grid = build_grid(claim, linear, n_x=201, n_t=100)
+        spot = reporting_spot(claim, grid)
+        references = {}
+        integrals = []
+        for alpha in (0.0, 0.25, 0.5, 0.9, 1.0):
+            for r_c_plus, r_c_minus in ((0.01, 0.05), (0.05, 0.01), (0.03, 0.03)):
+                cfg = replace(linear, alpha=alpha, r_c_plus=r_c_plus, r_c_minus=r_c_minus)
+                assert validate_no_arbitrage(cfg) == []
+                sol = solve_trade(claim, cfg, grid, solver, references=references)
+                band = report_from_solution(sol, spot).band_width
+                spread = alpha * (r_c_minus - r_c_plus)
+                if spread == 0.0:
+                    assert band == 0.0, (alpha, r_c_plus)
+                else:
+                    assert math.copysign(1.0, band) == math.copysign(1.0, spread)
+                    integrals.append(band / spread)
+        assert len(integrals) == 8 and min(integrals) > 0.0
+        assert max(integrals) - min(integrals) <= 1e-11 * max(integrals)
 
 
 #: the rates the admissible draws take uniformly from [0, 0.12]
