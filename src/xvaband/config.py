@@ -53,12 +53,11 @@ def _require_count(name: str, v, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {v}")
 
 
-def _require_number(name: str, v) -> float:
-    """``v`` as a float; ``TypeError`` unless it is an int or a float (numpy's
-    float64 included), but not a bool (which would count as 0 or 1)."""
+def _require_number(name: str, v) -> None:
+    """Raise ``TypeError`` unless ``v`` is an int or a float (numpy's float64
+    included), but not a bool (which would count as 0 or 1)."""
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise TypeError(f"{name} must be a number, got {v!r}")
-    return float(v)
 
 
 def _require_finite(name: str, v) -> None:
@@ -84,7 +83,7 @@ def _side_sign(side: str) -> int:
 
 @dataclass(frozen=True)
 class MarketConfig:
-    """Flat market parameters (rates per year, sigma per sqrt-year)."""
+    """Flat market parameters (rates per year, sigma per sqrt-year), checked in field order."""
 
     sigma: float
     r_D: float
@@ -140,10 +139,10 @@ DEFAULT_MARKET = MarketConfig(
 class ClaimSpec:
     """European claim: vanilla call/put, or a piecewise-linear custom payoff.
 
-    Custom payoffs are given as ``knots`` of (spot, value) pairs with
-    strictly increasing spots; the payoff is linearly interpolated between
-    knots and linearly extrapolated beyond the end segments (a single knot
-    means a constant payoff).  A call or a put takes no knots.
+    Custom payoffs take ``knots``, any iterable of (spot, value) pairs with
+    strictly increasing spots (an (n, 2) float array too), read once and
+    stored as float pairs; the payoff interpolates them linearly and extends
+    the end segments (one knot: a constant payoff).  A call or a put takes no knots.
     """
 
     kind: str
@@ -163,14 +162,19 @@ class ClaimSpec:
             raise ValueError(f"knots apply to custom claims only, a {self.kind} "
                              f"got knots={self.knots!r}")
         if self.kind == "custom":
-            if not self.knots:
+            knots = () if self.knots is None else tuple(self.knots)
+            if not knots:
                 raise ValueError("custom claim needs at least one payoff knot")
-            for spot, value in self.knots:
+            for knot in knots:
+                try:
+                    spot, value = knot
+                except (TypeError, ValueError) as err:
+                    msg = f"payoff knot must be a (spot, value) pair, got {knot!r}"
+                    raise type(err)(msg) from None
                 _require_positive("payoff knot spot", spot)
                 _require_finite("payoff knot value", value)
             # frozen: store the checked knots as float pairs
-            object.__setattr__(self, "knots", tuple(
-                (float(spot), float(value)) for spot, value in self.knots))
+            object.__setattr__(self, "knots", tuple((float(s), float(v)) for s, v in knots))
             ss = [k[0] for k in self.knots]
             if any(b <= a for a, b in zip(ss, ss[1:])):
                 raise ValueError(f"payoff knot spots must be strictly increasing, got {ss}")
@@ -184,8 +188,8 @@ class ClaimSpec:
         return cls(kind="put", strike=strike, maturity=maturity)
 
     @classmethod
-    def custom(cls, knots, maturity: float) -> "ClaimSpec":
-        return cls(kind="custom", maturity=maturity, knots=tuple(knots))
+    def custom(cls, knots, maturity: float, strike: float | None = None) -> "ClaimSpec":
+        return cls(kind="custom", strike=strike, maturity=maturity, knots=knots)
 
     @property
     def log_center(self) -> float:
@@ -208,14 +212,10 @@ class ClaimSpec:
             out = np.interp(s, ks, vs)
             if ks.size >= 2:
                 # np.interp clamps; extend the end segments linearly instead
-                lo = s < ks[0]
-                hi = s > ks[-1]
-                if lo.any():
-                    slope = (vs[1] - vs[0]) / (ks[1] - ks[0])
-                    out = np.where(lo, vs[0] + slope * (s - ks[0]), out)
-                if hi.any():
-                    slope = (vs[-1] - vs[-2]) / (ks[-1] - ks[-2])
-                    out = np.where(hi, vs[-1] + slope * (s - ks[-1]), out)
+                slope = (vs[1] - vs[0]) / (ks[1] - ks[0])
+                out = np.where(s < ks[0], vs[0] + slope * (s - ks[0]), out)
+                slope = (vs[-1] - vs[-2]) / (ks[-1] - ks[-2])
+                out = np.where(s > ks[-1], vs[-1] + slope * (s - ks[-1]), out)
         if out.ndim == 0:
             return float(out)
         return out
@@ -261,7 +261,7 @@ def validate_no_arbitrage(cfg: MarketConfig) -> list[str]:
 
 
 def market_config_from_dict(raw: dict) -> MarketConfig:
-    """Build a MarketConfig from a plain dict, rejecting unknown keys."""
+    """Build a MarketConfig from a dict of exactly its fields; MarketConfig checks the values."""
     if not isinstance(raw, dict):
         raise ValueError(f"market config must be a JSON object, got {type(raw).__name__}")
     known = {f.name for f in fields(MarketConfig)}
@@ -271,9 +271,7 @@ def market_config_from_dict(raw: dict) -> MarketConfig:
     missing = sorted(known - set(raw))
     if missing:
         raise ValueError(f"missing market config keys: {', '.join(missing)}")
-    # field order, so that of two bad values the same one is named every run
-    return MarketConfig(**{f.name: _require_number(f.name, raw[f.name])
-                           for f in fields(MarketConfig)})
+    return MarketConfig(**raw)
 
 
 def load_market_config(path: str | Path) -> MarketConfig:
@@ -289,9 +287,9 @@ def load_market_config(path: str | Path) -> MarketConfig:
 
 
 def apply_overrides(cfg: MarketConfig, overrides: dict[str, float]) -> MarketConfig:
-    """Return a copy of cfg with named fields replaced; unknown names raise."""
+    """Copy cfg with named fields replaced; unknown names raise, MarketConfig checks the values."""
     known = {f.name for f in fields(MarketConfig)}
     unknown = sorted(set(overrides) - known)
     if unknown:
         raise ValueError(f"unknown market config fields: {', '.join(unknown)}")
-    return replace(cfg, **{k: _require_number(k, v) for k, v in overrides.items()})
+    return replace(cfg, **overrides)

@@ -34,6 +34,7 @@ __all__ = [
     "TradeSolution",
     "solve_trade",
     "compute_xva",
+    "report_from_solution",
     "hedge_at",
     "funding_account_0",
 ]

@@ -187,6 +187,52 @@ def test_custom_claim_stores_float_knots():
     assert claim == ClaimSpec.custom([(1.0, 0.0), (2.0, 1.5)], maturity=1.0)
 
 
+BULL_SPREAD = [(0.8, 0.0), (0.9, 0.0), (1.1, 0.2), (1.2, 0.2)]
+
+
+@pytest.mark.parametrize("given", [
+    lambda: (knot for knot in BULL_SPREAD),
+    lambda: zip(*zip(*BULL_SPREAD)),
+    lambda: np.array(BULL_SPREAD),
+], ids=["generator", "zip", "array"])
+def test_custom_claim_reads_any_iterable_of_pairs(given):
+    # a generator was used up by the check and stored as (); an (n, 2) array
+    # failed on the truth value of an array
+    want = ClaimSpec(kind="custom", knots=BULL_SPREAD).knots
+    assert want == tuple(BULL_SPREAD)
+    assert ClaimSpec(kind="custom", knots=given()).knots == want
+    assert ClaimSpec.custom(given(), maturity=1.0).knots == want
+
+
+def test_custom_claim_rejects_an_empty_iterator():
+    with pytest.raises(ValueError, match="^custom claim needs at least one payoff knot$"):
+        ClaimSpec(kind="custom", knots=iter(()))
+
+
+@pytest.mark.parametrize("knots,error,entry", [
+    ((1.0, 0.0), TypeError, "1.0"),                # a flat pair for a one-knot payoff
+    (((1.0, 0.0, 2.0),), ValueError, "(1.0, 0.0, 2.0)"),
+    (((0.5, 0.0), (1.0,)), ValueError, "(1.0,)"),
+], ids=["flat_pair", "triple", "single"])
+def test_a_knot_that_is_not_a_pair_names_the_field(knots, error, entry):
+    # unpacking failed with "cannot unpack non-iterable float object" or
+    # "too many values to unpack", naming neither the field nor the knot
+    want = f"payoff knot must be a (spot, value) pair, got {entry}"
+    with pytest.raises(error, match=f"^{re.escape(want)}$"):
+        ClaimSpec.custom(knots, maturity=1.0)
+
+
+def test_custom_shorthand_takes_the_strike_the_cli_passes():
+    from xvaband.cli import _claim_from_args, build_parser
+
+    args = build_parser().parse_args([
+        "price", "--config", "market.json", "--claim", "custom",
+        "--knots", "0.8:0,0.9:0,1.1:0.2,1.2:0.2", "--strike", "1.5"])
+    claim = ClaimSpec.custom(BULL_SPREAD, maturity=1.0, strike=1.5)
+    assert claim == _claim_from_args(args)
+    assert claim.log_center == math.log(1.5)
+
+
 # --- no-arbitrage validation -------------------------------------------------
 
 def test_default_market_is_arbitrage_free():
@@ -299,6 +345,14 @@ def test_apply_overrides_rejects_non_numbers(value):
     want = f"alpha must be a number, got {value!r}"
     with pytest.raises(TypeError, match=re.escape(want)):
         apply_overrides(DEFAULT_MARKET, {"alpha": value})
+
+
+def test_apply_overrides_names_the_first_bad_field_in_field_order():
+    # the values were checked in the order given: alpha here
+    with pytest.raises(TypeError, match=re.escape("sigma must be a number, got 'x'")):
+        apply_overrides(DEFAULT_MARKET, {"alpha": "y", "sigma": "x"})
+    with pytest.raises(ValueError, match=re.escape("sigma must be positive, got -0.1")):
+        apply_overrides(DEFAULT_MARKET, {"alpha": 1.5, "sigma": -0.1})
 
 
 def test_apply_overrides_converts_ints():

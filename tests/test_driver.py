@@ -336,6 +336,19 @@ def test_the_finite_and_integer_checks_live_in_config():
     assert users == {"config.py"}
 
 
+def test_the_config_routes_leave_the_value_checks_to_market_config():
+    # market_config_from_dict and apply_overrides check names only; a second
+    # pass over the values would check them before MarketConfig does again
+    tree = ast.parse((SRC / "config.py").read_text(encoding="utf-8"))
+    routes = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name in ("market_config_from_dict", "apply_overrides")}
+    assert set(routes) == {"market_config_from_dict", "apply_overrides"}
+    for name, route in routes.items():
+        called = {node.func.id for node in ast.walk(route)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert not {c for c in called if c.startswith("_require_")}, (name, called)
+
+
 def test_no_module_imports_another_modules_private_name():
     # a private name stays behind its module's public entry (the spot
     # policy behind grid.reporting_spot, say); only config's checkers and

@@ -20,7 +20,7 @@ from xvaband import (
     validate_no_arbitrage,
 )
 import xvaband.pde as pde
-from reference_forms import closeout_C, closeout_I
+from reference_forms import closeout_C, closeout_I, linear_driver_value
 from xvaband.driver import closeouts, financing_level, level_coefficients
 from xvaband.grid import reporting_spot
 from xvaband.xva import _relative, report_from_solution
@@ -255,6 +255,37 @@ class TestCollateralBand:
                     integrals.append(band / spread)
         assert len(integrals) == 8 and min(integrals) > 0.0
         assert max(integrals) - min(integrals) <= 1e-11 * max(integrals)
+
+
+class TestLinearDriver:
+    # with r_f+ = r_f- and r_r+ = r_r- both kinks vanish, and for a payoff
+    # >= 0 each side solves a linear equation with a closed form (ROADMAP
+    # item 14).  Largest errors on 201 x 100: 3.5e-5 (call, put) and 1.6e-5
+    # (bull spread) per side, 1.04e-6 on the band; on 801 x 400 2.2e-6 and
+    # 5.6e-7 per side, 6.5e-8 on the band
+    @pytest.mark.parametrize("claim", [
+        ClaimSpec.call(strike=1.0, maturity=1.0),
+        ClaimSpec.put(strike=1.0, maturity=1.0),
+        ClaimSpec.custom([(0.8, 0.0), (0.9, 0.0), (1.1, 0.2), (1.2, 0.2)],
+                         maturity=1.0, strike=1.0),
+    ], ids=["call", "put", "bull_spread"])
+    def test_both_sides_and_the_band_match_their_closed_form(self, claim, market, solver):
+        linear = replace(market, r_f_plus=0.05, r_f_minus=0.05,
+                         r_r_plus=0.05, r_r_minus=0.05)
+        grid = build_grid(claim, linear, n_x=201, n_t=100)
+        references = {}
+        for alpha in (0.0, 0.5, 0.9, 1.0):
+            for r_c_plus, r_c_minus in ((0.01, 0.05), (0.05, 0.01)):
+                cfg = replace(linear, alpha=alpha, r_c_plus=r_c_plus, r_c_minus=r_c_minus)
+                assert validate_no_arbitrage(cfg) == []
+                sol = solve_trade(claim, cfg, grid, solver, references=references)
+                rep = report_from_solution(sol, 1.0)
+                sell, buy = (linear_driver_value(claim, cfg, 1.0, side)
+                             for side in ("seller", "buyer"))
+                case = (alpha, r_c_plus, rep, sell, buy)
+                assert abs(rep.v_sell_0 - sell) <= 5e-5, case
+                assert abs(rep.v_buy_0 - buy) <= 5e-5, case
+                assert abs(rep.band_width - (sell - buy)) <= 2e-6, case
 
 
 #: the rates the admissible draws take uniformly from [0, 0.12]
