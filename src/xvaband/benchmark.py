@@ -36,14 +36,14 @@ __all__ = [
 def bs_closed_form(t: float, s: float, claim: ClaimSpec, r: float, sigma: float) -> float:
     """Black-Scholes value of a vanilla call/put at (t, spot).
 
-    Phi is :func:`scipy.special.ndtr`, the function
-    ``scipy.stats.norm.cdf`` evaluates, so the value is bitwise the
-    ``norm.cdf`` formula's; it is imported on the first call that needs
-    it, after the argument checks and the t = T and small sigma*sqrt(T - t)
-    returns.  Custom payoffs, a spot or sigma that is not
-    positive and finite, a non-finite r and a t outside [0, T] are
-    rejected; degenerate sigma*sqrt(T - t) collapses to the discounted
-    intrinsic on the forward.
+    Custom payoffs, a spot or sigma that is not positive and finite, a
+    non-finite r and a t outside [0, T] are rejected.  The one special case
+    is sigma*sqrt(T - t) < 1e-8, t = T included: the value is then the
+    discounted payoff of the forward, ``df * payoff(spot / df)``, which at
+    t = T is the payoff itself.  Otherwise Phi is
+    :func:`scipy.special.ndtr`, the function ``scipy.stats.norm.cdf``
+    evaluates, so the value is bitwise the ``norm.cdf`` formula's; it is
+    imported on the first call that reaches it.
     """
     if claim.kind not in ("call", "put"):
         raise ValueError(f"closed form requires a call or put, got {claim.kind!r}")
@@ -55,14 +55,10 @@ def bs_closed_form(t: float, s: float, claim: ClaimSpec, r: float, sigma: float)
         raise ValueError(f"t outside [0, {claim.maturity}], got {t}")
     k = claim.strike
     tau = claim.maturity - t
-    if tau == 0.0:
-        return float(claim.payoff(s))
     vol = sigma * math.sqrt(tau)
     df = math.exp(-r * tau)
     if vol < 1e-8:
-        fwd = s / df
-        intrinsic = max(fwd - k, 0.0) if claim.kind == "call" else max(k - fwd, 0.0)
-        return df * intrinsic
+        return df * claim.payoff(s / df)
     # imported here: no solve calls Phi, so `import xvaband` skips scipy.special
     from scipy.special import ndtr
 

@@ -162,7 +162,11 @@ class ClaimSpec:
             raise ValueError(f"knots apply to custom claims only, a {self.kind} "
                              f"got knots={self.knots!r}")
         if self.kind == "custom":
-            knots = () if self.knots is None else tuple(self.knots)
+            try:
+                knots = () if self.knots is None else tuple(self.knots)
+            except TypeError:
+                raise TypeError("payoff knots must be an iterable of (spot, value) "
+                                f"pairs, got {self.knots!r}") from None
             if not knots:
                 raise ValueError("custom claim needs at least one payoff knot")
             for knot in knots:

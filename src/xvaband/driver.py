@@ -65,9 +65,10 @@ r_c+)`` for the buyer.  Both level terms are then one linear form in
 :func:`level_coefficients` computes the coefficients once per market and
 side, and :func:`financing_level` applies them to a level's ``(p, n)``:
 eight array passes per level against about 25 for the close-outs term by
-term.  ``Y`` is the same for both sides, so one call serves the seller and
-the buyer together when it is given each node's side.  The reports read
-the same split form: the funding account is ``Y - v`` and the hedge's jump
+term.  ``Y`` is the same for both sides, so the march's stacked row
+(:class:`xvaband.pde.SemilinearTerms`) takes both from one call with each
+side's ``c_p`` and ``c_n`` repeated over its block.  The reports read the
+same split form: the funding account is ``Y - v`` and the hedge's jump
 exposures are ``theta_j - v`` with theta_I, theta_C from :func:`closeouts`.
 """
 
@@ -126,20 +127,19 @@ def closeouts(cfg: MarketConfig, v_hat):
     return k_i * p + n, p + k_c * n
 
 
-def level_coefficients(cfg: MarketConfig, side) -> tuple:
+def level_coefficients(cfg: MarketConfig, side: int) -> tuple[float, float, float, float]:
     """``(y_p, y_n, c_p, c_n)``, the split form's coefficients of ``Y`` and
     ``const_s`` for side=+1 (seller) or -1 (buyer).
 
-    ``side`` may be an array, say one side per node: ``y_p`` and ``y_n`` are
-    the same for every side, and ``c_p``, ``c_n`` take the shape of ``side``.
+    ``y_p`` and ``y_n`` are the same for both sides; the side picks the
+    collateral rates of ``c_p`` and ``c_n``.
     """
     a = cfg.alpha
     k_i, k_c = _loss_factors(cfg)
     y_p = 1.0 + k_i - a
     y_n = 1.0 + k_c - a
-    seller = np.greater(side, 0)
-    r_pos = np.where(seller, cfg.r_c_plus, cfg.r_c_minus)
-    r_neg = np.where(seller, cfg.r_c_minus, cfg.r_c_plus)
+    r_pos, r_neg = ((cfg.r_c_plus, cfg.r_c_minus) if side > 0
+                    else (cfg.r_c_minus, cfg.r_c_plus))
     c_p = (2.0 * cfg.h_I_Q * k_i + 2.0 * cfg.h_C_Q + cfg.r_D * (1.0 + k_i)
            - a * r_pos - cfg.r_f_minus * y_p)
     c_n = (2.0 * cfg.h_I_Q + 2.0 * cfg.h_C_Q * k_c + cfg.r_D * (1.0 + k_c)
@@ -150,7 +150,7 @@ def level_coefficients(cfg: MarketConfig, side) -> tuple:
 def financing_level(coefficients: tuple,
                     v_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(Y, const_s)`` of the level form for the reference values ``v_hat``,
-    from :func:`level_coefficients` of one side or of one side per node.
+    from :func:`level_coefficients` (``c_p``, ``c_n`` may be one per node).
 
     ``Y = theta_I + theta_C - alpha v_hat`` is the funding balance at
     v = 0 and ``const_s`` the part of the level form that does not depend

@@ -172,11 +172,11 @@ class SemilinearTerms:
     :func:`march_schedule`): side j's interior nodes from ``j n_x`` on, and
     between two sides the edge nodes where their slices meet, which carry
     no branch.  :meth:`level_terms` gives ``(Y, const_s)`` of a march level
-    for every side at once (:func:`xvaband.driver.financing_level` with each
-    node's side coefficients).  A branch set ``(funding, slope)`` flags the
-    nodes where ``s (Y - w) > 0`` and where ``w_{i+1} > w_{i-1}`` (None for
-    a kink of zero slope); frozen there, G is linear in w:
-    :meth:`frozen_source` is its constant part and
+    for every side at once: :func:`xvaband.driver.financing_level` with each
+    side's ``c_p`` and ``c_n`` repeated over its block.  A branch set
+    ``(funding, slope)`` flags the nodes where ``s (Y - w) > 0`` and where
+    ``w_{i+1} > w_{i-1}`` (None for a kink of zero slope); frozen there, G
+    is linear in w: :meth:`frozen_source` is its constant part and
     :meth:`frozen_coefficients` the node-wise convection and rate of the
     rest.  Every ``w`` here is the full stacked row.
     """
@@ -187,8 +187,10 @@ class SemilinearTerms:
 
     def __post_init__(self) -> None:
         self._n_x = n_x = self.bench_sched.shape[1]
+        y_p, y_n, *c = zip(*(level_coefficients(self.cfg, s) for s in self.sides))
+        # Y's coefficients are every side's; const_s's repeat over each block
+        self._coefficients = (y_p[0], y_n[0], *(np.repeat(x, n_x)[1:-1] for x in c))
         side = np.repeat(np.array(self.sides, dtype=float), n_x)
-        self._coefficients = level_coefficients(self.cfg, side[1:-1])
         side[n_x - 1:-1:n_x] = side[n_x::n_x] = 0.0
         #: each node's side, 0 on the edges where two sides meet
         self._sign = side[1:-1]
@@ -287,8 +289,9 @@ def march_schedule(
         rho_k = (1-theta_k) dt_k / (theta dt)_{k-1}.
 
     theta >= 1/2 keeps rho_k <= 1, so the recurrence never amplifies the
-    last solve's rounding.  The schedule opens with the fully implicit
-    Rannacher half steps, so a solve precedes every explicit half.
+    last solve's rounding.  It starts from rhs0_{-1} = 0 and (theta
+    dt)_{-1} = 1; the fully implicit Rannacher half steps that open the
+    schedule have rho_k = 0, so there it gives rhs0_k = u_k exactly.
 
     The march has one block per side (one for the reference), each starting
     from ``w_terminal``.  The blocks' full slices sit side by side in one
@@ -344,21 +347,17 @@ def march_schedule(
     surf = np.empty((dts.size + 1, n_blocks * n_x))
     slices = surf.reshape(dts.size + 1, n_blocks, n_x)
     slices[0] = w_terminal
-    rhs0 = np.empty(n_blocks * n_x - 2)
+    rhs0 = np.zeros(n_blocks * n_x - 2)
+    last_theta_dt = 1.0
     iters = np.ones((n_blocks, dts.size), dtype=np.int64)
     n_factors = np.zeros((n_blocks, dts.size), dtype=np.int64)
     for k, (dt, theta) in enumerate(zip(dts.tolist(), thetas.tolist())):
         theta_dt = theta * dt
-        c_e = (1.0 - theta) * dt
         u_next = surf[k, 1:-1]
         w_new = surf[k + 1]
-        # the schedule opens with theta = 1, so rhs0 holds the last step's once c_e > 0
-        if c_e:
-            np.subtract(u_next, rhs0, out=rhs0)
-            rhs0 *= c_e / last_theta_dt
-            rhs0 += u_next
-        else:
-            rhs0[:] = u_next
+        np.subtract(u_next, rhs0, out=rhs0)
+        rhs0 *= (1.0 - theta) * dt / last_theta_dt  # rho_k
+        rhs0 += u_next
         last_theta_dt = theta_dt
         if terms is not None:
             level = terms.level_terms(k + 1)
@@ -438,6 +437,6 @@ def solve_sides(
         )
 
     terms = SemilinearTerms((+1, -1), cfg, benchmark.sched_values)
-    eq = terms._eq
+    eq = equation_coefficients(cfg)
     return march_schedule(benchmark.sched_values[0], benchmark.grid, benchmark.solver,
                           a_eff=eq.drift - eq.m, b=eq.b, kappa=eq.kappa, terms=terms)

@@ -13,12 +13,13 @@ import time
 from dataclasses import replace
 
 import pytest
-from scipy.integrate import quad
 
+from reference_forms import linear_driver_value
 from xvaband import (
     benchmark_surface,
     bs_closed_form,
     build_grid,
+    funding_account_0,
     hedge_at,
     solve_trade,
     tree_bsde_price,
@@ -106,44 +107,17 @@ def test_criterion_1_table1_funding_accounts(
 
 
 def seller_funding_closed_form(claim, cfg, spot):
-    """Time-0 seller funding balance of a call under symmetric repo, by quadrature.
+    """Time-0 seller funding balance by quadrature; no lattice is involved.
 
-    A call has v_hat > 0, so with a_I = 1 - (1 - alpha) L_I the close-out
-    values are theta_I = a_I v_hat and theta_C = v_hat, and the funding
-    balance is y = (a_I + 1 - alpha) v_hat - v.  Where y > 0 only r_f_plus
-    prices it and the seller PDE is linear: drift r_r, discount
-
-        k = 2 (h_I + h_C) - r_f_plus + 2 r_D,
-
-    and source c v_hat with
-
-        c = 2 (h_I a_I + h_C) + r_D (a_I + 1)
-            - r_f_plus (a_I + 1 - alpha) - r_c_plus alpha.
-
-    Feynman-Kac under drift r_r gives
-
-        v = e^{-kT} E[g(S_T)] + c int_0^T e^{-kt} E[v_hat(t, S_t)] dt,
-
-    where the stock drifts at r_r up to t and at r_D after it, so
-    E[v_hat(t, S_t)] = e^{r_D t} BS(0, spot e^{(r_r - r_D) t}; r_D); at
-    t = T this is E[g(S_T)].  No lattice is involved.
+    On these cells the seller's funding balance stays > 0, so only r_f+
+    prices it: the seller's value is :func:`linear_driver_value` of the
+    market with r_f- = r_f+, and the balance is its
+    :func:`funding_account_0`.
     """
-    assert claim.kind == "call" and cfg.r_r_plus == cfg.r_r_minus
-    r_d, r_r, T = cfg.r_D, cfg.r_r_plus, claim.maturity
-    a_i = 1.0 - (1.0 - cfg.alpha) * cfg.L_I
-    k = 2.0 * (cfg.h_I_Q + cfg.h_C_Q) - cfg.r_f_plus + 2.0 * r_d
-    c = (2.0 * (cfg.h_I_Q * a_i + cfg.h_C_Q) + r_d * (a_i + 1.0)
-         - cfg.r_f_plus * (a_i + 1.0 - cfg.alpha) - cfg.r_c_plus * cfg.alpha)
-
-    def mean_v_hat(t):
-        s_t = spot * math.exp((r_r - r_d) * t)
-        return math.exp(r_d * t) * bs_closed_form(0.0, s_t, claim, r_d, cfg.sigma)
-
-    integral, _ = quad(lambda t: math.exp(-k * t) * mean_v_hat(t), 0.0, T,
-                       epsabs=1e-13, epsrel=1e-12)
-    v_sell = math.exp(-k * T) * mean_v_hat(T) + c * integral
-    v_hat = bs_closed_form(0.0, spot, claim, r_d, cfg.sigma)
-    return (a_i + 1.0 - cfg.alpha) * v_hat - v_sell
+    linear = replace(cfg, r_f_minus=cfg.r_f_plus)
+    v_sell = linear_driver_value(claim, linear, spot, "seller")
+    v_hat = bs_closed_form(0.0, spot, claim, cfg.r_D, cfg.sigma)
+    return funding_account_0(v_sell, v_hat, cfg)
 
 
 def test_table1_zero_collateral_seller_closed_form(

@@ -1,6 +1,7 @@
 """Closed forms, the reference surface, and the close-out and collateral
 values of the driver's split form on the reference mark."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -75,6 +76,23 @@ def test_bs_degenerate_volatility(call_claim):
     # sigma -> 0 collapses to the discounted intrinsic on the forward
     v = bs_closed_form(0.0, 1.0, call_claim, 0.01, 1e-12)
     assert v == pytest.approx(1.0 - math.exp(-0.01), abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0], ids=["t0", "half", "T"])
+@pytest.mark.parametrize("kind", ["call", "put"])
+def test_bs_degenerate_volatility_is_the_discounted_forward_payoff(kind, t):
+    # sigma sqrt(T - t) < 1e-8, t = T included, is the closed form's one
+    # special case: the discounted intrinsic on the forward
+    strike, maturity = 1.0, 1.0
+    claim = ClaimSpec(kind=kind, strike=strike, maturity=maturity)
+    sign = 1.0 if kind == "call" else -1.0
+    for s, r, sigma in itertools.product((0.8, 1.0, 1.25), (-0.02, 0.0, 0.05),
+                                         (1e-12, 1e-9)):
+        v = bs_closed_form(t, s, claim, r, sigma)
+        df = math.exp(-r * (maturity - t))
+        assert v == df * max(sign * (s / df - strike), 0.0), (s, r, sigma)
+        if t == maturity:
+            assert v == claim.payoff(s), (s, r, sigma)
 
 
 def test_bs_input_validation(call_claim):

@@ -222,6 +222,17 @@ def test_a_knot_that_is_not_a_pair_names_the_field(knots, error, entry):
         ClaimSpec.custom(knots, maturity=1.0)
 
 
+@pytest.mark.parametrize("knots", [5, 1.5], ids=["int", "float"])
+def test_knots_that_are_not_iterable_name_the_field(knots):
+    # tuple(knots) failed with "'int' object is not iterable", naming
+    # neither the field nor the value
+    want = f"payoff knots must be an iterable of (spot, value) pairs, got {knots!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(want)}$"):
+        ClaimSpec.custom(knots, maturity=1.0)
+    with pytest.raises(TypeError, match=f"^{re.escape(want)}$"):
+        ClaimSpec(kind="custom", knots=knots)
+
+
 def test_custom_shorthand_takes_the_strike_the_cli_passes():
     from xvaband.cli import _claim_from_args, build_parser
 

@@ -241,18 +241,6 @@ def test_financing_level_matches_the_closeout_form(market, side):
         assert np.all(np.abs(const - const_ref) <= 4.0 * EPS * c_scale)
 
 
-def test_financing_level_of_one_side_per_node(market):
-    # the two-side march reads both sides' level terms from one call
-    cfg = replace(market, r_c_plus=0.01, r_c_minus=0.05, alpha=0.4)
-    sides = np.repeat([1.0, -1.0], V_HAT.size)
-    y, const = financing_level(level_coefficients(cfg, sides), np.tile(V_HAT, 2))
-    for k, side in enumerate((+1, -1)):
-        y_s, const_s = financing_level(level_coefficients(cfg, side), V_HAT)
-        part = slice(k * V_HAT.size, (k + 1) * V_HAT.size)
-        assert np.array_equal(y[part], y_s)
-        assert np.array_equal(const[part], const_s)
-
-
 def test_financing_level_returns_fresh_arrays(market):
     # the tree writes into const_s in place
     v_hat = V_HAT.copy()
@@ -306,6 +294,19 @@ def test_the_solvers_read_the_market_only_through_the_driver():
         read = {node.attr for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr in market_fields}
         assert read <= {"sigma", "r_D"}, (name, sorted(read))
+
+
+def test_level_coefficients_takes_one_side():
+    # one side per call, its collateral rates picked by one conditional; a
+    # per-node path (one side per node) would need numpy
+    tree = ast.parse((SRC / "driver.py").read_text(encoding="utf-8"))
+    (fn,) = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "level_coefficients"]
+    calls = [ast.unparse(node.func) for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id in ("np", "numpy")]
+    assert calls == []
 
 
 def test_the_term_by_term_forms_are_not_in_the_package():

@@ -18,7 +18,7 @@ from xvaband import (
 import xvaband.pde as pde
 from reference_forms import closeout_C, closeout_I, driver_value
 from xvaband.pde import solve_sides
-from xvaband.driver import equation_coefficients
+from xvaband.driver import equation_coefficients, financing_level, level_coefficients
 from xvaband.grid import time_schedule
 from xvaband.pde import (
     SemilinearTerms,
@@ -215,6 +215,28 @@ class TestRearrangedSource:
         w[1:-1] += y_level
         # the march's slices: edges on the linear extension of the interior
         return terms, bench[1], _extend(w[1:-1]), dx
+
+    def test_each_side_reads_its_own_financing_level(self, solver):
+        # the stacked row's level terms are, side by side, each side's
+        # financing_level of the reference row; the collateral rates differ,
+        # so the two sides' const_s do too
+        grid = build_grid(KINK_CLAIM, KINK_MARKET, n_x=51, n_t=10)
+        bench = benchmark_surface(grid, KINK_CLAIM, KINK_MARKET, solver).sched_values
+        terms = SemilinearTerms((+1, -1), KINK_MARKET, bench)
+        for k in (0, 1, bench.shape[0] - 1):
+            row = bench[k]
+            assert row.min() < 0.0 < row.max()
+            got = []
+            for part in terms.level_terms(k):
+                full = np.full(2 * grid.n_x, np.nan)
+                full[1:-1] = part
+                got.append(full.reshape(2, grid.n_x))
+            for j, side in enumerate((+1, -1)):
+                held = slice(1, None) if j == 0 else slice(None, -1)
+                want = financing_level(level_coefficients(KINK_MARKET, side), row)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g[j, held], w[held])
+            assert not np.array_equal(got[1][0, 1:-1], got[1][1, 1:-1])
 
     @pytest.mark.parametrize("side", [+1, -1])
     def test_level_split_matches_the_driver_form(self, side):
