@@ -646,10 +646,8 @@ class TestParser:
         assert bad.stdout == ""
         assert any(line.startswith("error: ") for line in bad.stderr.splitlines())
 
-    def test_import_leaves_scipy_special_out(self):
-        # cold start: the package and its CLI load only the scipy they call;
-        # Phi (scipy.special) is imported on the closed form's first call,
-        # and no solve needs it
+    def test_import_loads_no_scipy_beyond_linalg_and_special(self):
+        # cold start: the package and its CLI load only the scipy they call
         root = Path(__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(root / "src")}
         probe = (
@@ -663,7 +661,19 @@ class TestParser:
         )
         assert out.returncode == 0, out.stderr
         loaded = set(out.stdout.split())
-        assert loaded <= {"linalg", "version"}, loaded
+        assert loaded <= {"linalg", "special", "version"}, loaded
+
+    def test_import_leaves_scipy_special_out(self):
+        # Phi is imported on the closed form's first call; no solve needs it
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        probe = "import sys, xvaband, xvaband.cli; print('scipy.special' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, cwd=root, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
     def test_declared_script_entry_point(self, capsys):
         tomllib = pytest.importorskip("tomllib")
